@@ -11,10 +11,19 @@ import sys
 import numpy as np
 
 from . import bench as bench_mod
-from .connectivity import build_graph, load_graph, nearest_frame, prune_visible, retrieve_candidates, save_graph
+from .connectivity import (
+    build_graph,
+    candidate_indices,
+    load_graph,
+    nearest_frame,
+    prune_visible,
+    retrieve_candidates,
+    save_graph,
+)
 from .errors import DomainError, FormatError
 from .geom import Pose
 from .ingest import (
+    PointCloudMap,
     Sequence,
     accumulate,
     colorize_map,
@@ -36,10 +45,14 @@ def _parse_levels(text: str) -> list[int]:
         raise DomainError(f"bad level list {text!r}") from e
 
 
-def _scan_files(scan_dir: str) -> list[tuple[int, str]]:
+def _load_scans(scan_dir: str, poses_path: str) -> tuple[list[tuple[int, Pose]], PointCloudMap]:
+    """Read the trajectory and every numbered scan file in `scan_dir`, and
+    accumulate the scans at their poses into a map."""
+    frames = read_poses(poses_path)
+    pose_of = dict(frames)
     if not os.path.isdir(scan_dir):
         raise FileNotFoundError(f"scan directory {scan_dir} does not exist")
-    out = []
+    scans = []
     for name in sorted(os.listdir(scan_dir)):
         stem, ext = os.path.splitext(name)
         if ext not in (".bin", ".dat", ""):
@@ -48,10 +61,12 @@ def _scan_files(scan_dir: str) -> list[tuple[int, str]]:
             sid = int(stem)
         except ValueError:
             continue
-        out.append((sid, os.path.join(scan_dir, name)))
-    if not out:
+        if sid not in pose_of:
+            raise FormatError(f"scan {sid} has no pose in {poses_path}")
+        scans.append(read_scan(os.path.join(scan_dir, name), scan_id=sid))
+    if not scans:
         raise FormatError(f"no scan files found in {scan_dir}")
-    return out
+    return frames, accumulate(scans, [pose_of[scan.scan_id] for scan in scans])
 
 
 def cmd_synth(args) -> int:
@@ -75,25 +90,17 @@ def cmd_synth(args) -> int:
 
 
 def cmd_build_map(args) -> int:
-    poses = dict(read_poses(args.poses))
-    scans = []
-    scan_poses = []
-    for sid, path in _scan_files(args.scans):
-        if sid not in poses:
-            raise FormatError(f"scan {sid} has no pose in {args.poses}")
-        scans.append(read_scan(path, scan_id=sid))
-        scan_poses.append(poses[sid])
-    cloud = accumulate(scans, scan_poses)
+    frames, cloud = _load_scans(args.scans, args.poses)
     if args.images:
         if not args.intrinsics:
             raise DomainError("--images requires --intrinsics for projection")
         K = read_intrinsics(args.intrinsics)
         images = {}
-        for sid, _ in _scan_files(args.scans):
+        for sid, _, _ in cloud.scan_ranges:
             img_path = os.path.join(args.images, f"{sid:06d}.ppm")
             if os.path.exists(img_path):
                 images[sid] = read_ppm(img_path)
-        cloud = colorize_map(cloud, list(poses.items()), images, K)
+        cloud = colorize_map(cloud, frames, images, K)
     save_map(args.out, cloud)
     print(f"wrote map {args.out}: {len(cloud)} points, {len(cloud.scan_ranges)} scans")
     return 0
@@ -131,13 +138,12 @@ def cmd_render(args) -> int:
     if args.frame is not None and args.frame in graph.entries:
         query = graph.entries[args.frame][0]
     elif args.frame is not None:
-        # unknown frame id: no stored pose to use, fall back to nearest known
         raise DomainError(f"frame {args.frame} not in graph; pass --pose instead")
     else:
         query = _query_pose(args)
     fid = nearest_frame(graph, query)
-    ranges = retrieve_candidates(graph, cloud, fid)
-    vis = prune_visible(ranges, cloud, query, K, source_frame=fid)
+    cand = candidate_indices(retrieve_candidates(graph, cloud, fid))
+    vis = prune_visible(cand, cloud, query, K, source_frame=fid)
     pyramid = rasterize_pyramid(cloud, vis, query, K, _parse_levels(args.levels), Channels.COLOR)
     img = render_rgb(pyramid, background=args.background)
     write_ppm(args.out, img)
@@ -150,17 +156,10 @@ def cmd_render(args) -> int:
 
 def cmd_bench(args) -> int:
     scene_dir = args.scene
-    frames = read_poses(os.path.join(scene_dir, "poses.txt"))
+    frames, cloud = _load_scans(os.path.join(scene_dir, "scans"), os.path.join(scene_dir, "poses.txt"))
     K = read_intrinsics(os.path.join(scene_dir, "intrinsics.txt"))
     surfaces_path = os.path.join(scene_dir, "surfaces.txt")
     surfaces = read_surfaces(surfaces_path) if os.path.exists(surfaces_path) else None
-    scans = []
-    poses = []
-    pose_of = dict(frames)
-    for sid, path in _scan_files(os.path.join(scene_dir, "scans")):
-        scans.append(read_scan(path, scan_id=sid))
-        poses.append(pose_of[sid])
-    cloud = accumulate(scans, poses)
     seq = Sequence(frames, K, cloud)
     graph = build_graph(seq, args.n)
     queries = [pose for _, pose in frames][:: args.every]

@@ -26,15 +26,6 @@ class ConnectivityGraph:
     n: int
     built_over: int  # scans in the sequence
 
-    def __eq__(self, other):
-        if not isinstance(other, ConnectivityGraph):
-            return NotImplemented
-        return (
-            self.entries == other.entries
-            and self.n == other.n
-            and self.built_over == other.built_over
-        )
-
     def window(self, frame_id: int) -> tuple[int, int]:
         if frame_id not in self.entries:
             raise DomainError(f"frame {frame_id} not in graph")
@@ -100,17 +91,15 @@ def candidate_indices(ranges: list[tuple[int, int, int]]) -> np.ndarray:
 
 
 def prune_visible(
-    candidates,
+    candidates: np.ndarray,
     cloud: PointCloudMap,
     query: Pose,
     K: Intrinsics,
     source_frame: int = -1,
 ) -> VisibleSet:
-    """Keep candidates with positive depth, an in-bounds full-resolution
-    pixel, and minimal depth among all candidates binned to the same pixel
-    (depth ties broken by smallest point index)."""
-    if isinstance(candidates, list):
-        candidates = candidate_indices(candidates)
+    """Keep candidate map indices with positive depth, an in-bounds
+    full-resolution pixel, and minimal depth among all candidates binned
+    to the same pixel (depth ties broken by smallest point index)."""
     idx, pu, pv, depth = zbuffer_winners(candidates, query, K, cloud.positions)
     return VisibleSet(idx, source_frame, np.stack([pu, pv], axis=1), depth)
 
@@ -120,11 +109,13 @@ def visible_set_for(
 ) -> VisibleSet:
     """Full retrieval path: nearest frame, window candidates, pruning."""
     fid = nearest_frame(graph, query)
-    ranges = retrieve_candidates(graph, cloud, fid)
-    return prune_visible(ranges, cloud, query, K, source_frame=fid)
+    cand = candidate_indices(retrieve_candidates(graph, cloud, fid))
+    return prune_visible(cand, cloud, query, K, source_frame=fid)
 
 
 def save_graph(path, graph: ConnectivityGraph) -> None:
+    if not 0 <= graph.n <= 0xFFFF:
+        raise DomainError(f"window parameter n={graph.n} does not fit the graph format (max 65535)")
     with open(path, "wb") as f:
         f.write(GRAPH_MAGIC)
         f.write(struct.pack("<HHQ", GRAPH_VERSION, graph.n, len(graph.entries)))

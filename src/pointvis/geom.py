@@ -131,11 +131,6 @@ def project(K: Intrinsics, c: CamPoint):
     return (u, v, c.z)
 
 
-def in_bounds(K: Intrinsics, u: float, v: float) -> bool:
-    """Pixel-bin containment test: 0 <= floor(u) < W and 0 <= floor(v) < H."""
-    return 0 <= np.floor(u) < K.width and 0 <= np.floor(v) < K.height
-
-
 def back_project(K: Intrinsics, u: float, v: float, depth: float) -> CamPoint:
     """Invert `project` for a known depth."""
     if depth <= 0:
@@ -166,3 +161,16 @@ def project_points(pose: Pose, K: Intrinsics, positions: np.ndarray):
         u = K.fx * cam[:, 0] / z + K.cx
         v = K.fy * cam[:, 1] / z + K.cy
     return u, v, z
+
+
+def pixel_bins(pose: Pose, K: Intrinsics, positions: np.ndarray):
+    """Integer pixel of each world point: (ok, ui, vi, z), where
+    (ui, vi) = (floor(u), floor(v)) and ok marks points with z > 0 whose
+    pixel lies inside the image. ui and vi are -1 for points behind the
+    camera; z is the depth of every point."""
+    u, v, z = project_points(pose, K, positions)
+    ahead = z > 0
+    ui = np.floor(np.where(ahead, u, -1)).astype(np.int64)
+    vi = np.floor(np.where(ahead, v, -1)).astype(np.int64)
+    ok = ahead & (ui >= 0) & (ui < K.width) & (vi >= 0) & (vi < K.height)
+    return ok, ui, vi, z

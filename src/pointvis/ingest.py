@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, FormatError
-from .geom import Intrinsics, Pose
+from .geom import Intrinsics, Pose, pixel_bins
 
 MAP_MAGIC = b"CENPBG-MAP\x00"
 MAP_VERSION = 1
@@ -79,12 +79,6 @@ class PointCloudMap:
     @property
     def channel_count(self) -> int | None:
         return None if self.descriptors is None else self.descriptors.shape[1]
-
-    def range_of(self, scan_id: int) -> tuple[int, int]:
-        for sid, first, count in self.scan_ranges:
-            if sid == scan_id:
-                return first, count
-        raise DomainError(f"scan {scan_id} not in map")
 
 
 @dataclass
@@ -263,19 +257,13 @@ def colorize_map(
     """Color each point by projecting it into its own scan's reference image
     and sampling the nearest pixel. Out-of-bounds points keep NaN (no color).
     """
-    from .geom import project_points
-
     pose_of = dict(frames)
     colors = np.full((len(cloud), 3), np.nan)
     for scan_id, first, count in cloud.scan_ranges:
         if scan_id not in pose_of or scan_id not in images:
             continue
         img = images[scan_id]
-        u, v, z = project_points(pose_of[scan_id], K, cloud.positions[first : first + count])
-        ahead = z > 0
-        ui = np.floor(np.where(ahead, u, -1)).astype(np.int64)
-        vi = np.floor(np.where(ahead, v, -1)).astype(np.int64)
-        ok = ahead & (ui >= 0) & (ui < K.width) & (vi >= 0) & (vi < K.height)
+        ok, ui, vi, _ = pixel_bins(pose_of[scan_id], K, cloud.positions[first : first + count])
         colors[first : first + count][ok] = img[vi[ok], ui[ok]]
     return PointCloudMap(cloud.positions, list(cloud.scan_ranges), colors, cloud.descriptors)
 

@@ -68,10 +68,6 @@ def _attribute_array(cloud: PointCloudMap, channels: Channels) -> np.ndarray:
 def _indices_of(indices) -> np.ndarray:
     if isinstance(indices, VisibleSet):
         return indices.point_indices
-    if isinstance(indices, list) and indices and isinstance(indices[0], tuple):
-        from .connectivity import candidate_indices
-
-        return candidate_indices(indices)
     return np.asarray(indices, dtype=np.int64)
 
 

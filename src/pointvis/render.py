@@ -146,8 +146,13 @@ def read_ppm(path) -> np.ndarray:
         start = pos
         while pos < len(raw) and not raw[pos : pos + 1].isspace():
             pos += 1
+        if pos == start:
+            raise FormatError(f"{path}: truncated header")
         fields.append(raw[start:pos])
-    w, h, maxval = (int(x) for x in fields)
+    try:
+        w, h, maxval = (int(x) for x in fields)
+    except ValueError as e:
+        raise FormatError(f"{path}: non-numeric header field ({e})") from e
     if maxval != 255:
         raise FormatError(f"{path}: only maxval 255 supported, got {maxval}")
     pos += 1  # single whitespace after maxval

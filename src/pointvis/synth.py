@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, FormatError
-from .geom import Intrinsics, Pose, project_points
+from .geom import Intrinsics, Pose, pixel_bins
 from .ingest import PointCloudMap, Scan, accumulate, write_intrinsics, write_poses, write_scan
 
 SELF_HIT_EPS = 1e-4  # relative slack before the segment endpoint
@@ -190,42 +190,37 @@ def scene_map(scene: SyntheticScene) -> tuple[PointCloudMap, np.ndarray]:
     return cloud, surface_ids
 
 
+def _ray_rect_t(origins: np.ndarray, dirs: np.ndarray, rect: Rect3) -> np.ndarray:
+    """Ray parameter t at which row i of origins + t*dirs meets the
+    rectangle, or +inf where the ray misses it or runs parallel to it.
+    The single ray-rectangle solve behind the oracle, the painter and
+    `ray_rect_intersect`; callers choose the admissible t interval."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        n = rect.normal
+        m = rect.origin - origins
+        t = (m @ n) / (dirs @ n)
+        q = t[:, None] * dirs - m
+        g11 = rect.edge_u @ rect.edge_u
+        g12 = rect.edge_u @ rect.edge_v
+        g22 = rect.edge_v @ rect.edge_v
+        det = g11 * g22 - g12 * g12
+        qu = q @ rect.edge_u
+        qv = q @ rect.edge_v
+        a = (qu * g22 - qv * g12) / det
+        b = (qv * g11 - qu * g12) / det
+        inside = np.isfinite(t) & (a >= 0.0) & (a <= 1.0) & (b >= 0.0) & (b <= 1.0)
+        return np.where(inside, t, np.inf)
+
+
 def ray_rect_intersect(origin, direction, rect: Rect3):
     """Smallest t in the open interval (0, 1) where the segment
     origin + t*direction crosses the rectangle, or None."""
-    origin = np.asarray(origin, dtype=np.float64)
-    d = np.asarray(direction, dtype=np.float64)
+    origin = np.asarray(origin, dtype=np.float64).reshape(1, 3)
+    d = np.asarray(direction, dtype=np.float64).reshape(1, 3)
     if np.linalg.norm(d) == 0.0:
         raise DomainError("direction must be non-zero")
-    mat = np.column_stack([rect.edge_u, rect.edge_v, -d])
-    det = np.linalg.det(mat)
-    scale = np.linalg.norm(rect.edge_u) * np.linalg.norm(rect.edge_v) * np.linalg.norm(d)
-    if abs(det) < 1e-12 * scale:
-        return None
-    a, b, t = np.linalg.solve(mat, origin - rect.origin)
-    if 0.0 < t < 1.0 and 0.0 <= a <= 1.0 and 0.0 <= b <= 1.0:
-        return float(t)
-    return None
-
-
-def _segment_hits(centers, deltas, rect: Rect3, t_max):
-    """Vectorized: does segment i (center + t*delta, t in (0, t_max)) cross rect?"""
-    n = rect.normal
-    m = rect.origin - centers
-    dn = deltas @ n
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = (m @ n) / dn
-    q = t[:, None] * deltas - m
-    g11 = rect.edge_u @ rect.edge_u
-    g12 = rect.edge_u @ rect.edge_v
-    g22 = rect.edge_v @ rect.edge_v
-    det = g11 * g22 - g12 * g12
-    qu = q @ rect.edge_u
-    qv = q @ rect.edge_v
-    a = (qu * g22 - qv * g12) / det
-    b = (qv * g11 - qu * g12) / det
-    hit = (t > 0.0) & (t < t_max) & (a >= 0.0) & (a <= 1.0) & (b >= 0.0) & (b <= 1.0)
-    return np.where(np.isfinite(t), hit, False)
+    t = float(_ray_rect_t(origin, d, rect)[0])
+    return t if 0.0 < t < 1.0 else None
 
 
 def oracle_occluded_many(
@@ -240,7 +235,8 @@ def oracle_occluded_many(
         todo = ~occluded
         if not np.any(todo):
             break
-        occluded[todo] |= _segment_hits(centers[todo], deltas[todo], rect, 1.0 - eps)
+        t = _ray_rect_t(centers[todo], deltas[todo], rect)
+        occluded[todo] |= (t > 0.0) & (t < 1.0 - eps)
     return occluded
 
 
@@ -253,11 +249,7 @@ def oracle_visible_many(
 ) -> np.ndarray:
     """Vectorized oracle: positive depth, in-bounds pixel, unobstructed ray."""
     pts = np.asarray(positions, dtype=np.float64).reshape(-1, 3)
-    u, v, z = project_points(pose, K, pts)
-    ahead = z > 0
-    ui = np.floor(np.where(ahead, u, -1)).astype(np.int64)
-    vi = np.floor(np.where(ahead, v, -1)).astype(np.int64)
-    visible = ahead & (ui >= 0) & (ui < K.width) & (vi >= 0) & (vi < K.height)
+    visible = pixel_bins(pose, K, pts)[0]
     if np.any(visible):
         visible[visible] &= ~oracle_occluded_many(pts[visible], pose, surfaces, eps)
     return visible
@@ -283,22 +275,8 @@ def oracle_paint(
     best_t = np.full(len(dirs), np.inf)
     best_surf = np.full(len(dirs), -1, dtype=np.int64)
     for idx, rect in enumerate(surfaces):
-        n = rect.normal
-        m = rect.origin - centers
-        dn = dirs @ n
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t = (m @ n) / dn
-        q = t[:, None] * dirs - m
-        g11 = rect.edge_u @ rect.edge_u
-        g12 = rect.edge_u @ rect.edge_v
-        g22 = rect.edge_v @ rect.edge_v
-        det = g11 * g22 - g12 * g12
-        qu = q @ rect.edge_u
-        qv = q @ rect.edge_v
-        a = (qu * g22 - qv * g12) / det
-        b = (qv * g11 - qu * g12) / det
-        hit = np.isfinite(t) & (t > 1e-9) & (a >= 0) & (a <= 1) & (b >= 0) & (b <= 1)
-        closer = hit & (t < best_t)
+        t = _ray_rect_t(centers, dirs, rect)
+        closer = (t > 1e-9) & (t < best_t)
         best_t[closer] = t[closer]
         best_surf[closer] = idx
     img = np.full((len(dirs), 3), float(background))

@@ -2,11 +2,14 @@
 
 The env var POINTVIS_THREADS (alias CENPBG_THREADS) caps the number of
 chunks a candidate array is split into. Results are required to be
-bit-identical to sequential execution, so this only affects speed.
+bit-identical to sequential execution, so this only affects speed. A set
+variable that is not a positive integer raises DomainError.
 """
 from __future__ import annotations
 
 import os
+
+from .errors import DomainError
 
 
 def worker_count() -> int:
@@ -16,7 +19,8 @@ def worker_count() -> int:
             try:
                 n = int(raw)
             except ValueError:
-                continue
-            if n >= 1:
-                return n
+                n = 0
+            if n < 1:
+                raise DomainError(f"{var} must be a positive integer, got {raw!r}")
+            return n
     return 1

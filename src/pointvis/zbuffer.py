@@ -12,7 +12,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .geom import Intrinsics, Pose, project_points
+from .geom import Intrinsics, Pose, pixel_bins
 from .threads import worker_count
 
 
@@ -59,14 +59,7 @@ def zbuffer_winners(
 
 
 def _chunk_winners(indices, pose, K, positions):
-    pts = positions[indices]
-    u, v, z = project_points(pose, K, pts)
-    ahead = z > 0
-    ui = np.full(len(indices), -1, dtype=np.int64)
-    vi = np.full(len(indices), -1, dtype=np.int64)
-    ui[ahead] = np.floor(u[ahead]).astype(np.int64)
-    vi[ahead] = np.floor(v[ahead]).astype(np.int64)
-    ok = ahead & (ui >= 0) & (ui < K.width) & (vi >= 0) & (vi < K.height)
+    ok, ui, vi, z = pixel_bins(pose, K, positions[indices])
     idx = indices[ok]
     pix = vi[ok] * K.width + ui[ok]
     depth = z[ok]

@@ -1,11 +1,12 @@
 import os
+import shutil
 
 import numpy as np
 import pytest
 
 from pointvis.cli import main
 from pointvis.connectivity import load_graph
-from pointvis.ingest import load_map
+from pointvis.ingest import accumulate, colorize_map, load_map, read_intrinsics, read_poses, read_scan
 from pointvis.render import read_ppm
 
 SCENE_ARGS = [
@@ -75,6 +76,19 @@ class TestBuildMap:
             "--poses", str(tmp_path / "nope.txt"), "--out", str(tmp_path / "m.map"),
         ])
         assert code == 2
+
+    def test_images_color_the_same_points(self, built):
+        scene_dir, map_path, _ = built
+        frames = read_poses(scene_dir / "poses.txt")
+        scans = [read_scan(scene_dir / "scans" / f"{fid:06d}.bin", scan_id=fid) for fid, _ in frames]
+        images = {fid: read_ppm(scene_dir / "images" / f"{fid:06d}.ppm") for fid, _ in frames}
+        expected = colorize_map(
+            accumulate(scans, [pose for _, pose in frames]), frames, images,
+            read_intrinsics(scene_dir / "intrinsics.txt"),
+        )
+        got = load_map(map_path).colors
+        assert np.any(np.isfinite(got))
+        assert np.array_equal(got, expected.colors.astype(np.float32), equal_nan=True)
 
     def test_two_scan_fixture(self, tmp_path):
         import struct
@@ -147,6 +161,27 @@ class TestRender:
         assert code == 0
         assert out.exists()
 
+    def test_malformed_reference_usage_error(self, built, tmp_path):
+        scene_dir, map_path, graph_path = built
+        bad = tmp_path / "bad.ppm"
+        bad.write_bytes(b"P6\n4")
+        code = main([
+            "render", "--map", str(map_path), "--graph", str(graph_path),
+            "--intrinsics", str(scene_dir / "intrinsics.txt"), "--frame", "3",
+            "--out", str(tmp_path / "v4.ppm"), "--reference", str(bad),
+        ])
+        assert code == 2
+
+    def test_malformed_thread_count_usage_error(self, built, tmp_path, monkeypatch):
+        scene_dir, map_path, graph_path = built
+        monkeypatch.setenv("POINTVIS_THREADS", "many")
+        code = main([
+            "render", "--map", str(map_path), "--graph", str(graph_path),
+            "--intrinsics", str(scene_dir / "intrinsics.txt"), "--frame", "3",
+            "--out", str(tmp_path / "v5.ppm"),
+        ])
+        assert code == 2
+
 
 class TestBench:
     def test_two_strategies(self, scene_dir, tmp_path):
@@ -171,6 +206,13 @@ class TestBench:
             rows = [line.split(",")[:3] for line in out.read_text().splitlines()[1:]]
             outs.append(rows)
         assert outs[0] == outs[1]
+
+    def test_scan_without_pose_usage_error(self, scene_dir, tmp_path):
+        scene = tmp_path / "scene"
+        shutil.copytree(scene_dir, scene)
+        shutil.copy(scene / "scans" / "000000.bin", scene / "scans" / "000999.bin")
+        code = main(["bench", "--scene", str(scene), "--out", str(tmp_path / "x.csv")])
+        assert code == 2
 
     def test_unknown_strategy_usage_error(self, scene_dir, tmp_path):
         code = main(["bench", "--scene", str(scene_dir), "--strategies", "sorcery",

@@ -16,6 +16,7 @@ from pointvis.connectivity import (
 from pointvis.errors import DomainError, FormatError
 from pointvis.geom import Intrinsics, Pose
 from pointvis.ingest import PointCloudMap, Sequence
+from pointvis.threads import worker_count
 
 from conftest import brute_force_zbuffer, uniform_sequence
 
@@ -151,6 +152,18 @@ class TestPruneVisible:
             results.append((vis.point_indices.tobytes(), vis.pixel_of.tobytes(), vis.depth_of.tobytes()))
         assert results[0] == results[1] == results[2]
 
+    @pytest.mark.parametrize("var", ["CENPBG_THREADS", "POINTVIS_THREADS"])
+    def test_worker_count_validation(self, monkeypatch, var):
+        for other in ("CENPBG_THREADS", "POINTVIS_THREADS"):
+            monkeypatch.delenv(other, raising=False)
+        for good in ("1", "2", "8"):
+            monkeypatch.setenv(var, good)
+            assert worker_count() == int(good)
+        for bad in ("0", "-2", "two", "2.5"):
+            monkeypatch.setenv(var, bad)
+            with pytest.raises(DomainError, match=var):
+                worker_count()
+
 
 class TestGraphSerialization:
     def test_round_trip(self, tmp_path):
@@ -175,6 +188,13 @@ class TestGraphSerialization:
         path.write_bytes(bytes(raw))
         with pytest.raises(FormatError, match="version"):
             load_graph(path)
+
+    def test_window_too_large_for_format(self, tmp_path):
+        graph = build_graph(uniform_sequence(3, 5, seed=12), 65536)
+        path = tmp_path / "big.grf"
+        with pytest.raises(DomainError):
+            save_graph(path, graph)
+        assert not path.exists()
 
     def test_truncation(self, tmp_path):
         seq = uniform_sequence(3, 5, seed=11)

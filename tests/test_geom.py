@@ -10,6 +10,7 @@ from pointvis.geom import (
     Pose,
     back_project,
     identity_pose,
+    pixel_bins,
     project,
     scale_intrinsics,
     world_to_camera,
@@ -134,3 +135,20 @@ class TestIntrinsicsValidation:
     def test_rejects_zero_dims(self):
         with pytest.raises(DomainError):
             Intrinsics(1.0, 1.0, 0.0, 0.0, 0, 10)
+
+
+class TestPixelBins:
+    def test_matches_scalar_projection(self):
+        K = Intrinsics(20.0, 20.0, 16.0, 8.0, 32, 16)
+        pose = Pose(rot_z(0.3), np.array([0.5, -0.2, 1.0]))
+        pts = np.random.default_rng(3).uniform(-6, 6, size=(500, 3))
+        ok, ui, vi, z = pixel_bins(pose, K, pts)
+        for i, p in enumerate(pts):
+            hit = project(K, world_to_camera(pose, p))
+            inside = hit is not None and 0 <= math.floor(hit[0]) < 32 and 0 <= math.floor(hit[1]) < 16
+            assert ok[i] == inside
+            if inside:
+                assert (ui[i], vi[i]) == (math.floor(hit[0]), math.floor(hit[1]))
+                assert z[i] == pytest.approx(hit[2], rel=1e-12)
+        assert np.all(ui[z <= 0] == -1) and np.all(vi[z <= 0] == -1)
+        assert 0 < np.count_nonzero(ok) < len(pts)

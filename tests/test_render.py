@@ -187,3 +187,10 @@ class TestPpm:
         path.write_bytes(b"P5\n1 1\n255\n\x00")
         with pytest.raises(FormatError):
             read_ppm(path)
+
+    @pytest.mark.parametrize("raw", [b"P6\n4", b"P6\nx 2 255\n"])
+    def test_malformed_header(self, tmp_path, raw):
+        path = tmp_path / "bad.ppm"
+        path.write_bytes(raw)
+        with pytest.raises(FormatError):
+            read_ppm(path)

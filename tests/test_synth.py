@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from pointvis.errors import DomainError
 from pointvis.geom import Intrinsics, Pose, project_points
@@ -120,6 +121,24 @@ def rect_hit_via_triangles(orig, delta, rect, t_max):
     o = rect.origin
     a, b, c, d = o, o + rect.edge_u, o + rect.edge_u + rect.edge_v, o + rect.edge_v
     return triangle_hit(orig, delta, a, b, c, t_max) or triangle_hit(orig, delta, a, c, d, t_max)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_ray_rect_matches_triangle_pair(seed):
+    """The segment o + s*d, s in (0, 1), meets the rectangle's plane at
+    s = t, at rectangle coordinates (a, b); about a fifth of samples hit."""
+    rng = np.random.default_rng(seed)
+    origin, edge_u, edge_v, d = rng.uniform(-4, 4, size=(4, 3))
+    a, b = rng.uniform(-0.25, 1.25, size=2)
+    t = rng.uniform(-0.5, 1.5)
+    assume(abs(np.dot(np.cross(edge_u, edge_v), d)) > 1e-2)
+    # keep samples off the rectangle's edges, its diagonal (shared by the
+    # two triangles) and the segment's endpoints, where rounding decides
+    assume(min(abs(a), abs(a - 1), abs(b), abs(b - 1), abs(a - b), abs(t), abs(t - 1)) > 1e-6)
+    o = origin + a * edge_u + b * edge_v - t * d
+    rect = Rect3(origin, edge_u, edge_v, [1, 1, 1])
+    assert (ray_rect_intersect(o, d, rect) is not None) == rect_hit_via_triangles(o, d, rect, 1.0)
 
 
 class TestOracleVisible:
