@@ -311,9 +311,11 @@ def load_map(path) -> PointCloudMap:
                 raise FormatError(f"{path}: truncated at byte {off}")
             arr = np.frombuffer(raw, dtype="<f4", count=count, offset=off)
             off += nbytes
-            return arr.astype(np.float64)
+            return arr  # float32 view; PointCloudMap converts to float64
 
         positions = take(n * 3).reshape(n, 3)
+        if not np.isfinite(positions).all():
+            raise FormatError(f"{path}: non-finite point position")
         colors = take(n * 3).reshape(n, 3) if flags & 1 else None
         descriptors = take(n * c).reshape(n, c) if flags & 2 else None
     except struct.error as e:

@@ -172,11 +172,15 @@ class TestRender:
         ])
         assert code == 2
 
-    def test_malformed_thread_count_usage_error(self, built, tmp_path, monkeypatch):
+    def test_non_finite_map_usage_error(self, built, tmp_path):
         scene_dir, map_path, graph_path = built
-        monkeypatch.setenv("POINTVIS_THREADS", "many")
+        raw = bytearray(map_path.read_bytes())
+        off = raw.index(load_map(map_path).positions.astype("<f4").tobytes())
+        raw[off + 4 : off + 8] = np.float32(np.nan).tobytes()
+        bad = tmp_path / "nan.map"
+        bad.write_bytes(bytes(raw))
         code = main([
-            "render", "--map", str(map_path), "--graph", str(graph_path),
+            "render", "--map", str(bad), "--graph", str(graph_path),
             "--intrinsics", str(scene_dir / "intrinsics.txt"), "--frame", "3",
             "--out", str(tmp_path / "v5.ppm"),
         ])

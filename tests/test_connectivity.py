@@ -2,6 +2,7 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pointvis.connectivity import (
     build_graph,
@@ -16,7 +17,7 @@ from pointvis.connectivity import (
 from pointvis.errors import DomainError, FormatError
 from pointvis.geom import Intrinsics, Pose
 from pointvis.ingest import PointCloudMap, Sequence
-from pointvis.threads import worker_count
+from pointvis.zbuffer import zbuffer_winners
 
 from conftest import brute_force_zbuffer, uniform_sequence
 
@@ -152,17 +153,33 @@ class TestPruneVisible:
             results.append((vis.point_indices.tobytes(), vis.pixel_of.tobytes(), vis.depth_of.tobytes()))
         assert results[0] == results[1] == results[2]
 
-    @pytest.mark.parametrize("var", ["CENPBG_THREADS", "POINTVIS_THREADS"])
-    def test_worker_count_validation(self, monkeypatch, var):
-        for other in ("CENPBG_THREADS", "POINTVIS_THREADS"):
-            monkeypatch.delenv(other, raising=False)
-        for good in ("1", "2", "8"):
-            monkeypatch.setenv(var, good)
-            assert worker_count() == int(good)
-        for bad in ("0", "-2", "two", "2.5"):
-            monkeypatch.setenv(var, bad)
-            with pytest.raises(DomainError, match=var):
-                worker_count()
+
+# Half-unit grid coordinates, a few fixed depths and an integer camera shift
+# keep every projection exact, so exact depth ties really occur; candidates
+# come unsorted and repeated, and some points fall behind the camera or
+# outside the 8x6 image.
+@st.composite
+def _zbuffer_case(draw):
+    coord = st.integers(-12, 12).map(lambda k: k * 0.5)
+    depth = st.sampled_from([-1.0, 0.0, 1.0, 2.0, 3.0])
+    points = draw(st.lists(st.tuples(coord, coord, depth), min_size=1, max_size=30))
+    cand = draw(st.lists(st.integers(0, len(points) - 1), max_size=60))
+    shift = draw(st.tuples(*[st.integers(-1, 1)] * 3))
+    return np.array(points), np.array(cand, dtype=np.int64), np.array(shift, dtype=float)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_zbuffer_case())
+def test_zbuffer_matches_brute_force_on_random_clouds(case):
+    positions, cand, shift = case
+    cloud = PointCloudMap(positions, [(0, 0, len(positions))])
+    pose = Pose(np.eye(3), shift)
+    K = Intrinsics(4.0, 4.0, 4.0, 3.0, 8, 6)
+    idx, pu, pv, depth = zbuffer_winners(cand, pose, K, positions)
+    assert np.all(np.diff(idx) > 0)
+    assert np.array_equal(depth, positions[idx, 2] - shift[2])
+    got = {(int(u), int(v)): int(i) for u, v, i in zip(pu, pv, idx)}
+    assert got == brute_force_zbuffer(cloud, cand, pose, K)
 
 
 class TestGraphSerialization:

@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 from pointvis.errors import DomainError, FormatError
 from pointvis.geom import Pose, identity_pose
 from pointvis.ingest import (
+    NO_COLOR,
     PointCloudMap,
     Scan,
     accumulate,
@@ -246,3 +247,24 @@ class TestMapSerialization:
         path.write_bytes(path.read_bytes()[:-8])
         with pytest.raises(FormatError):
             load_map(path)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_position(self, tmp_path, bad):
+        cloud = self._cloud()
+        path = tmp_path / "nf.map"
+        save_map(path, cloud)
+        raw = bytearray(path.read_bytes())
+        off = raw.index(cloud.positions.astype("<f4").tobytes())
+        raw[off + 20 : off + 24] = np.float32(bad).tobytes()
+        path.write_bytes(bytes(raw))
+        with pytest.raises(FormatError, match="non-finite"):
+            load_map(path)
+
+    def test_missing_color_still_loads(self, tmp_path):
+        cloud = self._cloud(with_desc=False)
+        cloud.colors[3] = NO_COLOR
+        path = tmp_path / "nc.map"
+        save_map(path, cloud)
+        back = load_map(path)
+        assert np.isnan(back.colors[3]).all()
+        assert np.array_equal(back.colors[4:], cloud.colors[4:])
