@@ -37,8 +37,10 @@ class Strategy:
     def __post_init__(self):
         if self.kind not in ("fullmap", "depth", "radius", "window", "connectivity"):
             raise DomainError(f"unknown strategy kind {self.kind!r}")
-        if self.kind != "fullmap" and (self.param is None or self.param <= 0):
-            raise DomainError(f"strategy {self.kind!r} needs a positive parameter")
+        if self.kind != "fullmap" and (self.param is None or not 0 < self.param < math.inf):
+            raise DomainError(f"strategy {self.kind!r} needs a positive finite parameter")
+        if self.kind in ("window", "connectivity") and self.param != int(self.param):
+            raise DomainError(f"strategy {self.kind!r} needs an integer window, got {self.param:g}")
 
     @staticmethod
     def full_map_zbuffer() -> "Strategy":
@@ -64,7 +66,10 @@ class Strategy:
     def parse(text: str) -> "Strategy":
         parts = text.strip().split(":")
         kind = parts[0]
-        param = float(parts[1]) if len(parts) > 1 else None
+        try:
+            param = float(parts[1]) if len(parts) > 1 else None
+        except ValueError as e:
+            raise DomainError(f"bad strategy parameter in {text!r}") from e
         if kind in ("window", "connectivity"):
             param = param if param is not None else 5.0
         return Strategy(kind, param)
@@ -141,6 +146,8 @@ def run_strategy(
     K = sequence.intrinsics
     if strategy.kind in ("window", "connectivity") and graph is None:
         graph = build_graph(sequence, int(strategy.param))
+    if strategy.kind == "connectivity" and graph.n != int(strategy.param):
+        raise DomainError(f"{strategy.label} needs a graph with n={strategy.param:g}, got n={graph.n}")
     rows = []
     for vi, query in enumerate(query_poses):
         t0 = time.perf_counter()

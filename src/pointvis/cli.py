@@ -123,7 +123,10 @@ def cmd_build_graph(args) -> int:
 
 def _query_pose(args) -> Pose:
     if args.pose:
-        vals = [float(x) for x in args.pose.replace(",", " ").split()]
+        try:
+            vals = [float(x) for x in args.pose.replace(",", " ").split()]
+        except ValueError as e:
+            raise DomainError(f"--pose: {e}") from e
         if len(vals) != 12:
             raise DomainError("--pose needs 12 floats (row-major 3x4 camera-to-world)")
         mat = np.array(vals).reshape(3, 4)
@@ -155,6 +158,8 @@ def cmd_render(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    if args.every < 1:
+        raise DomainError("--every must be a positive integer")
     scene_dir = args.scene
     frames, cloud = _load_scans(os.path.join(scene_dir, "scans"), os.path.join(scene_dir, "poses.txt"))
     K = read_intrinsics(os.path.join(scene_dir, "intrinsics.txt"))
@@ -164,12 +169,15 @@ def cmd_bench(args) -> int:
     graph = build_graph(seq, args.n)
     queries = [pose for _, pose in frames][:: args.every]
 
-    strategies = [bench_mod.Strategy.parse(s) for s in args.strategies.split(",") if s.strip()]
+    # a bare `connectivity` runs with the --n window; `connectivity:N` with its own
+    texts = [s.strip() for s in args.strategies.split(",") if s.strip()]
+    strategies = [bench_mod.Strategy.parse(f"connectivity:{args.n}" if s == "connectivity" else s) for s in texts]
     if not strategies:
         raise DomainError("no strategies given")
     multi = len(strategies) > 1
     for strat in strategies:
-        report = bench_mod.run_strategy(strat, seq, queries, graph=graph, surfaces=surfaces)
+        strat_graph = build_graph(seq, int(strat.param)) if strat.kind == "connectivity" else graph
+        report = bench_mod.run_strategy(strat, seq, queries, graph=strat_graph, surfaces=surfaces)
         out = args.out
         if multi:
             stem, ext = os.path.splitext(args.out)

@@ -50,6 +50,12 @@ class PointCloudMap:
     descriptors: np.ndarray | None = None  # (N, C)
 
     def __post_init__(self):
+        # Checked on the array as given (float32 from load_map), before the
+        # float64 copy. NaN propagates through min and max and an infinity is
+        # one of them, so unlike isfinite(...).all() no temporary array is made.
+        given = np.asarray(self.positions)
+        if given.size and not (np.isfinite(given.min()) and np.isfinite(given.max())):
+            raise DomainError("non-finite point position")
         self.positions = np.asarray(self.positions, dtype=np.float64).reshape(-1, 3)
         n = len(self.positions)
         total = sum(c for _, _, c in self.scan_ranges)
@@ -314,12 +320,13 @@ def load_map(path) -> PointCloudMap:
             return arr  # float32 view; PointCloudMap converts to float64
 
         positions = take(n * 3).reshape(n, 3)
-        if not np.isfinite(positions).all():
-            raise FormatError(f"{path}: non-finite point position")
         colors = take(n * 3).reshape(n, 3) if flags & 1 else None
         descriptors = take(n * c).reshape(n, c) if flags & 2 else None
     except struct.error as e:
         raise FormatError(f"{path}: truncated header ({e})") from e
     if off != len(raw):
         raise FormatError(f"{path}: {len(raw) - off} trailing bytes")
-    return PointCloudMap(positions, ranges, colors, descriptors)
+    try:
+        return PointCloudMap(positions, ranges, colors, descriptors)
+    except DomainError as e:
+        raise FormatError(f"{path}: {e}") from e

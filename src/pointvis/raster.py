@@ -1,6 +1,7 @@
 """Point rasterization into single-level feature images and the
 multi-resolution pyramid (levels t store an H/2^t x W/2^t x C image
-under z-buffer semantics).
+under z-buffer semantics). Every level comes from one level-0 binning:
+level t reads the level-0 pixel (u, v) at bin (u >> t, v >> t).
 """
 from __future__ import annotations
 
@@ -12,9 +13,9 @@ import numpy as np
 
 from .connectivity import VisibleSet
 from .errors import DomainError, FormatError
-from .geom import Intrinsics, Pose, scale_intrinsics
+from .geom import Intrinsics, Pose, pixel_bins, scale_intrinsics
 from .ingest import PointCloudMap
-from .zbuffer import zbuffer_winners
+from .zbuffer import reduce_bins
 
 RASTER_MAGIC = b"CENPBG-RAS\x00"
 RASTER_VERSION = 1
@@ -51,9 +52,6 @@ class RasterPyramid:
                 return img
         raise DomainError(f"pyramid has no level {t}")
 
-    def has_level(self, t: int) -> bool:
-        return any(img.level == t for img in self.levels)
-
 
 def _attribute_array(cloud: PointCloudMap, channels: Channels) -> np.ndarray:
     if channels is Channels.COLOR:
@@ -63,12 +61,6 @@ def _attribute_array(cloud: PointCloudMap, channels: Channels) -> np.ndarray:
     if cloud.descriptors is None:
         raise DomainError("map has no descriptors")
     return cloud.descriptors
-
-
-def _indices_of(indices) -> np.ndarray:
-    if isinstance(indices, VisibleSet):
-        return indices.point_indices
-    return np.asarray(indices, dtype=np.int64)
 
 
 def rasterize(
@@ -81,17 +73,7 @@ def rasterize(
 ) -> RasterImage:
     """Z-buffer the given points at level-t resolution; each pixel keeps the
     attribute vector of its minimal-depth point (ties to smallest index)."""
-    attrs = _attribute_array(cloud, channels)
-    Kt = scale_intrinsics(K, level)
-    idx, pu, pv, depth = zbuffer_winners(_indices_of(indices), pose, Kt, cloud.positions)
-    c = attrs.shape[1]
-    features = np.zeros((Kt.height, Kt.width, c))
-    depth_img = np.full((Kt.height, Kt.width), np.inf)
-    mask = np.zeros((Kt.height, Kt.width), dtype=bool)
-    features[pv, pu] = attrs[idx]
-    depth_img[pv, pu] = depth
-    mask[pv, pu] = True
-    return RasterImage(level, features, depth_img, mask)
+    return rasterize_pyramid(cloud, indices, pose, K, (level,), channels).levels[0]
 
 
 def rasterize_pyramid(
@@ -102,12 +84,35 @@ def rasterize_pyramid(
     levels=DEFAULT_LEVELS,
     channels: Channels = Channels.COLOR,
 ) -> RasterPyramid:
+    """Bin the points once at level 0; each level t reduces the winners of
+    the next finer requested level (all binned points, for the finest) in bin
+    (u >> t, v >> t). Scaling by 2^-t is exact in floating point and the
+    (depth, index) minimum is associative, so level t equals the z-buffer at
+    `scale_intrinsics(K, t)`."""
     levels = sorted(set(levels))
     if not levels:
         raise DomainError("level set must be non-empty")
-    idx = _indices_of(indices)
-    source = indices.source_frame if isinstance(indices, VisibleSet) else -1
-    images = [rasterize(cloud, idx, pose, K, t, channels) for t in levels]
+    attrs = _attribute_array(cloud, channels)
+    if isinstance(indices, VisibleSet):
+        idx, source = indices.point_indices, indices.source_frame
+    else:
+        idx, source = np.asarray(indices, dtype=np.int64), -1
+    ok, ui, vi, depth = pixel_bins(pose, K, cloud.positions[idx])
+    idx, ui, vi, depth = idx[ok], ui[ok], vi[ok], depth[ok]
+    images, prev = [], 0
+    for t in levels:
+        Kt = scale_intrinsics(K, t)
+        ui, vi = ui >> (t - prev), vi >> (t - prev)
+        keep = (ui < Kt.width) & (vi < Kt.height)
+        idx, ui, vi, depth = reduce_bins(idx[keep], ui[keep], vi[keep], depth[keep], Kt.width, Kt.height)
+        features = np.zeros((Kt.height, Kt.width, attrs.shape[1]))
+        depth_img = np.full((Kt.height, Kt.width), np.inf)
+        mask = np.zeros((Kt.height, Kt.width), dtype=bool)
+        features[vi, ui] = attrs[idx]
+        depth_img[vi, ui] = depth
+        mask[vi, ui] = True
+        images.append(RasterImage(t, features, depth_img, mask))
+        prev = t
     return RasterPyramid(images, channels, source)
 
 

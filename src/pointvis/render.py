@@ -1,9 +1,9 @@
-"""Deterministic coarse-to-fine splat renderer and image-quality metrics.
+"""Deterministic finest-first splat renderer and image-quality metrics.
 
-The renderer fills holes in the full-resolution color raster from
-progressively coarser pyramid levels: a pixel takes the level-0 feature
-if present, otherwise the feature of the finest coarser level whose bin
-(u >> t, v >> t) is occupied, otherwise a constant background.
+The renderer walks the pyramid levels from finest to coarsest: a pixel
+(u, v) still empty takes the feature of level t when the bin
+(u >> t, v >> t) is occupied, and a constant background when no level
+has it. Level 0 is the case t = 0.
 """
 from __future__ import annotations
 
@@ -17,37 +17,28 @@ DEFAULT_BACKGROUND = 0.5
 
 
 def render_rgb(pyramid: RasterPyramid, background=DEFAULT_BACKGROUND) -> np.ndarray:
-    """Coarse-to-fine hole fill of a color pyramid into an (H, W, 3) image."""
+    """Finest-first hole fill of a color pyramid into an (H, W, 3) image."""
     if pyramid.channels is not Channels.COLOR:
         raise DomainError("renderer needs a color pyramid, got descriptors")
-    if not pyramid.has_level(0):
-        raise DomainError("pyramid must contain level 0")
+    h, w, c = pyramid.level(0).features.shape
     if len(pyramid.levels) < 2:
         raise DomainError("pyramid must contain at least one coarser level")
-    base = pyramid.level(0)
-    h, w, c = base.features.shape
     if c != 3:
         raise DomainError(f"renderer needs 3 channels, got {c}")
     bg = np.broadcast_to(np.asarray(background, dtype=np.float64), (3,))
-    out = np.tile(bg, (h, w, 1)).astype(np.float64)
-    # paint coarsest first so finer levels overwrite
-    for img in sorted(pyramid.levels, key=lambda im: -im.level):
-        t = img.level
-        if t == 0:
-            continue
-        lh, lw = img.mask.shape
-        up_mask = np.zeros((h, w), dtype=bool)
-        up_feat = np.zeros((h, w, 3))
-        s = 2**t
-        rep_mask = np.repeat(np.repeat(img.mask, s, axis=0), s, axis=1)
-        rep_feat = np.repeat(np.repeat(img.features, s, axis=0), s, axis=1)
-        up_mask[: lh * s, : lw * s] = rep_mask[:h, :w]
-        up_feat[: lh * s, : lw * s] = rep_feat[:h, :w]
-        out[up_mask] = up_feat[up_mask]
-    out[base.mask] = base.features[base.mask]
+    if not np.all(np.isfinite(bg)):
+        raise DomainError(f"background must be finite, got {background!r}")
+    out = np.empty((h, w, 3))
+    v, u = np.indices((h, w)).reshape(2, -1)  # the pixels no level has filled yet
+    for img in sorted(pyramid.levels, key=lambda im: im.level):
+        bv, bu = v >> img.level, u >> img.level
+        hit = (bv < img.mask.shape[0]) & (bu < img.mask.shape[1])
+        hit[hit] = img.mask[bv[hit], bu[hit]]
+        out[v[hit], u[hit]] = img.features[bv[hit], bu[hit]]
+        v, u = v[~hit], u[~hit]
+    out[v, u] = bg
     # points without a sampled color carry NaN; show background there
-    bad = ~np.all(np.isfinite(out), axis=2)
-    out[bad] = bg
+    out[~np.all(np.isfinite(out), axis=2)] = bg
     return np.clip(out, 0.0, 1.0)
 
 
@@ -149,10 +140,9 @@ def read_ppm(path) -> np.ndarray:
         if pos == start:
             raise FormatError(f"{path}: truncated header")
         fields.append(raw[start:pos])
-    try:
-        w, h, maxval = (int(x) for x in fields)
-    except ValueError as e:
-        raise FormatError(f"{path}: non-numeric header field ({e})") from e
+    if not all(x.isdigit() for x in fields):
+        raise FormatError(f"{path}: header fields must be unsigned decimal integers, got {fields}")
+    w, h, maxval = (int(x) for x in fields)
     if maxval != 255:
         raise FormatError(f"{path}: only maxval 255 supported, got {maxval}")
     pos += 1  # single whitespace after maxval

@@ -108,8 +108,8 @@ _PALETTE = np.array(
 def make_canyon(params: CanyonParams) -> SyntheticScene:
     p = params
     for name in ("length", "wall_gap", "point_spacing", "lidar_range", "frame_step"):
-        if getattr(p, name) <= 0:
-            raise DomainError(f"{name} must be positive")
+        if not 0 < getattr(p, name) < np.inf:
+            raise DomainError(f"{name} must be positive and finite")
     if p.occluders < 0 or p.seed < 0:
         raise DomainError("occluders and seed must be non-negative")
     if p.point_spacing > p.wall_gap:

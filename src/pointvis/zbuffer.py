@@ -29,18 +29,22 @@ def zbuffer_winners(
     """
     indices = np.asarray(indices, dtype=np.int64)
     ok, ui, vi, z = pixel_bins(pose, K, positions[indices])
-    idx = indices[ok]
-    pix = vi[ok] * K.width + ui[ok]
-    depth = z[ok]
+    return reduce_bins(indices[ok], ui[ok], vi[ok], z[ok], K.width, K.height)
 
-    best = np.full(K.width * K.height, np.inf)
+
+def reduce_bins(idx, ui, vi, depth, width: int, height: int):
+    """The (depth, index) minimum of each pixel over points already binned
+    inside the width x height image. Returns (winner_index, pixel_u,
+    pixel_v, winner_depth) sorted by point index."""
+    pix = vi * width + ui
+    best = np.full(width * height, np.inf)
     np.minimum.at(best, pix, depth)
     tie = depth == best[pix]
-    winner = np.full(K.width * K.height, _EMPTY)
+    winner = np.full(width * height, _EMPTY)
     np.minimum.at(winner, pix[tie], idx[tie])
 
     pix = np.flatnonzero(winner != _EMPTY)
     idx = winner[pix]
     order = np.argsort(idx)
     idx, pix = idx[order], pix[order]
-    return idx, pix % K.width, pix // K.width, best[pix]
+    return idx, pix % width, pix // width, best[pix]

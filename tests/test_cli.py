@@ -4,10 +4,20 @@ import shutil
 import numpy as np
 import pytest
 
+from pointvis.bench import Strategy, read_report_csv, run_strategy
 from pointvis.cli import main
-from pointvis.connectivity import load_graph
-from pointvis.ingest import accumulate, colorize_map, load_map, read_intrinsics, read_poses, read_scan
+from pointvis.connectivity import build_graph, load_graph
+from pointvis.ingest import (
+    Sequence,
+    accumulate,
+    colorize_map,
+    load_map,
+    read_intrinsics,
+    read_poses,
+    read_scan,
+)
 from pointvis.render import read_ppm
+from pointvis.synth import read_surfaces
 
 SCENE_ARGS = [
     "--length", "24", "--wall-gap", "6", "--spacing", "0.5", "--lidar-range", "9",
@@ -222,3 +232,51 @@ class TestBench:
         code = main(["bench", "--scene", str(scene_dir), "--strategies", "sorcery",
                      "--out", str(tmp_path / "x.csv")])
         assert code == 2
+
+    def test_each_strategy_runs_its_own_window(self, scene_dir, tmp_path):
+        code = main(["bench", "--scene", str(scene_dir), "--n", "3", "--every", "3",
+                     "--strategies", "connectivity,connectivity:1,connectivity:8",
+                     "--out", str(tmp_path / "r.csv")])
+        assert code == 0
+        frames = read_poses(scene_dir / "poses.txt")
+        scans = [read_scan(scene_dir / "scans" / f"{fid:06d}.bin", scan_id=fid) for fid, _ in frames]
+        cloud = accumulate(scans, [pose for _, pose in frames])
+        seq = Sequence(frames, read_intrinsics(scene_dir / "intrinsics.txt"), cloud)
+        queries = [pose for _, pose in frames][::3]
+        surfaces = read_surfaces(scene_dir / "surfaces.txt")
+        key = lambda r: (r.frame_id, r.retrieved, r.visible, repr(r.leak), repr(r.precision), repr(r.recall))
+        retrieved = {}
+        for n in (3, 1, 8):
+            got = read_report_csv(tmp_path / f"r_connectivity-{n}.csv").rows
+            want = run_strategy(Strategy.connectivity(n), seq, queries, build_graph(seq, n), surfaces).rows
+            assert [key(r) for r in got] == [key(r) for r in want]
+            retrieved[n] = [r.retrieved for r in got]
+        assert retrieved[1] != retrieved[3] != retrieved[8]
+
+
+# Each malformed input is rejected where it enters: exit 2, never exit 1 and
+# never exit 0 with bad output.
+@pytest.mark.parametrize("command,extra", [
+    ("render", ["--pose", "1 0 0 0 0 1 0 0 0 0 1 abc"]),
+    ("render", ["--frame", "3", "--background", "nan"]),
+    ("render", ["--frame", "3", "--reference", "NEGATIVE_PPM"]),
+    ("bench", ["--every", "0"]),
+    ("bench", ["--every", "-1"]),
+    ("bench", ["--strategies", "depth:abc"]),
+    ("bench", ["--strategies", "depth:nan"]),
+    ("bench", ["--strategies", "connectivity:2.5"]),
+    ("synth", ["--length", "nan"]),
+], ids=["pose-token", "background-nan", "reference-negative-size", "every-zero", "every-negative",
+        "strategy-text", "strategy-nan", "strategy-fractional-window", "synth-length-nan"])
+def test_malformed_input_usage_error(built, tmp_path, command, extra):
+    scene_dir, map_path, graph_path = built
+    negative = tmp_path / "neg.ppm"
+    negative.write_bytes(b"P6\n-2 -2\n255\n" + bytes(12))
+    extra = [str(negative) if x == "NEGATIVE_PPM" else x for x in extra]
+    base = {
+        "render": ["--map", str(map_path), "--graph", str(graph_path),
+                   "--intrinsics", str(scene_dir / "intrinsics.txt"), "--out", str(tmp_path / "v.ppm")],
+        "bench": ["--scene", str(scene_dir), "--out", str(tmp_path / "r.csv")],
+        "synth": ["--out", str(tmp_path / "scene")],
+    }[command]
+    assert main([command, *base, *extra]) == 2

@@ -199,6 +199,12 @@ class TestMapValidation:
         with pytest.raises(DomainError):
             PointCloudMap(np.zeros((4, 3)), [(1, 0, 2), (0, 2, 2)])
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_non_finite_positions_rejected(self, dtype):
+        for bad in ([[np.nan, 0, 1], [0, 0, 2]], [[0, 0, 1], [0, np.inf, 2]]):
+            with pytest.raises(DomainError, match="non-finite"):
+                PointCloudMap(np.array(bad, dtype=dtype), [(0, 0, 2)])
+
 
 class TestMapSerialization:
     def _cloud(self, with_colors=True, with_desc=True):
@@ -258,6 +264,17 @@ class TestMapSerialization:
         raw[off + 20 : off + 24] = np.float32(bad).tobytes()
         path.write_bytes(bytes(raw))
         with pytest.raises(FormatError, match="non-finite"):
+            load_map(path)
+
+    def test_corrupt_range_table(self, tmp_path):
+        cloud = self._cloud()
+        path = tmp_path / "r.map"
+        save_map(path, cloud)
+        raw = bytearray(path.read_bytes())
+        off = raw.index(struct.pack("<QQQ", 2, 10, 7))
+        raw[off + 8 : off + 16] = struct.pack("<Q", 11)  # second scan no longer contiguous
+        path.write_bytes(bytes(raw))
+        with pytest.raises(FormatError, match="contiguous"):
             load_map(path)
 
     def test_missing_color_still_loads(self, tmp_path):

@@ -2,10 +2,12 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from pointvis import raster
 from pointvis.connectivity import prune_visible
 from pointvis.errors import DomainError, FormatError
-from pointvis.geom import Intrinsics, Pose
+from pointvis.geom import Intrinsics, Pose, scale_intrinsics
 from pointvis.ingest import PointCloudMap, attach_descriptors
 from pointvis.raster import (
     Channels,
@@ -15,6 +17,7 @@ from pointvis.raster import (
     rasterize_pyramid,
     save_raster,
 )
+from conftest import brute_force_zbuffer
 
 IDENTITY = Pose(np.eye(3), np.zeros(3))
 
@@ -151,6 +154,66 @@ class TestRasterizePyramid:
         assert np.array_equal(a.mask, b.mask)
         assert np.array_equal(a.depth, b.depth)
         assert np.array_equal(a.features, b.features)
+
+    def test_points_binned_once_for_all_levels(self, monkeypatch):
+        calls = []
+        real = raster.pixel_bins
+        monkeypatch.setattr(raster, "pixel_bins", lambda *args: calls.append(args) or real(*args))
+        cloud = colored_map([[0, 0, 5.0], [1, 1, 4.0]])
+        rasterize_pyramid(cloud, np.array([0, 1]), IDENTITY, self.K)
+        rasterize(cloud, np.array([0, 1]), IDENTITY, self.K, level=3)
+        assert len(calls) == 2
+
+    def test_collapsed_level_rejected(self):
+        cloud = colored_map([[0, 0, 5.0]])
+        with pytest.raises(DomainError, match="collapses"):
+            rasterize_pyramid(cloud, np.array([0]), IDENTITY, self.K, levels=(0, 10))
+
+
+# The z-buffer property's scenes (exact half-unit coordinates, exact depth
+# ties, unsorted and repeated candidates, points behind the camera and out
+# of bounds) on image sizes not divisible by 2^t, fractional principal
+# points and random level subsets; each level must equal the brute-force
+# z-buffer at that level's intrinsics.
+@st.composite
+def _pyramid_case(draw):
+    coord = st.integers(-12, 12).map(lambda k: k * 0.5)
+    depth = st.sampled_from([-1.0, 0.0, 1.0, 2.0, 3.0])
+    points = draw(st.lists(st.tuples(coord, coord, depth), min_size=1, max_size=30))
+    cand = draw(st.lists(st.integers(0, len(points) - 1), max_size=60))
+    shift = draw(st.tuples(*[st.integers(-1, 1)] * 3))
+    width, height = draw(st.integers(1, 21)), draw(st.integers(1, 21))
+    f = draw(st.sampled_from([1.0, 2.5, 4.0]))
+    cx = draw(st.floats(-2.0, width + 2.0))
+    cy = draw(st.floats(-2.0, height + 2.0))
+    top = min(width, height).bit_length() - 1  # coarsest level that keeps a pixel
+    levels = draw(st.sets(st.integers(0, top), min_size=1))
+    K = Intrinsics(f, f, cx, cy, width, height)
+    return np.array(points), np.array(cand, dtype=np.int64), np.array(shift, dtype=float), K, levels
+
+
+@settings(max_examples=300, deadline=None)
+@given(_pyramid_case())
+def test_pyramid_levels_match_brute_force(case):
+    positions, cand, shift, K, levels = case
+    n = len(positions)
+    colors = np.column_stack([np.arange(n), -np.arange(n), np.ones(n)]).astype(float)
+    cloud = PointCloudMap(positions, [(0, 0, n)], colors)
+    pose = Pose(np.eye(3), shift)
+    pyr = rasterize_pyramid(cloud, cand, pose, K, levels)
+    assert [img.level for img in pyr.levels] == sorted(levels)
+    for img in pyr.levels:
+        Kt = scale_intrinsics(K, img.level)
+        mask = np.zeros((Kt.height, Kt.width), dtype=bool)
+        depth = np.full((Kt.height, Kt.width), np.inf)
+        features = np.zeros((Kt.height, Kt.width, 3))
+        for (u, v), i in brute_force_zbuffer(cloud, cand, pose, Kt).items():
+            mask[v, u] = True
+            depth[v, u] = positions[i, 2] - shift[2]
+            features[v, u] = colors[i]
+        assert np.array_equal(img.mask, mask)
+        assert np.array_equal(img.depth, depth)
+        assert np.array_equal(img.features, features)
 
 
 class TestOccupancy:

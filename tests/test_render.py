@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pointvis.errors import DomainError, FormatError
 from pointvis.geom import Intrinsics, Pose
@@ -83,6 +84,53 @@ class TestRenderRgb:
         empty = RasterImage(1, np.zeros((8, 8, 3)), np.full((8, 8), np.inf), np.zeros((8, 8), dtype=bool))
         again = render_rgb(RasterPyramid([full, empty], Channels.COLOR))
         assert np.array_equal(again, img)
+
+
+def render_loop(pyramid, background):
+    """Per-pixel reference: the finest level whose bin (v >> t, u >> t)
+    exists and is occupied, else the background; NaN colour shows as
+    background."""
+    h, w = pyramid.level(0).mask.shape
+    bg = np.full(3, background)
+    out = np.empty((h, w, 3))
+    for v in range(h):
+        for u in range(w):
+            color = bg
+            for img in sorted(pyramid.levels, key=lambda im: im.level):
+                bv, bu = v >> img.level, u >> img.level
+                if bv < img.mask.shape[0] and bu < img.mask.shape[1] and img.mask[bv, bu]:
+                    color = img.features[bv, bu]
+                    break
+            out[v, u] = np.clip(color if np.all(np.isfinite(color)) else bg, 0.0, 1.0)
+    return out
+
+
+# Image sizes not divisible by 2^t leave rows and columns past (h >> t) << t
+# that level t does not cover; features go outside [0, 1] and some are NaN.
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(2, 23), st.integers(2, 23), st.integers(0, 2**32 - 1),
+    st.floats(0.0, 1.0), st.sampled_from([0.0, 0.3, 1.0]),
+)
+def test_render_matches_per_pixel_loop(h, w, seed, density, background):
+    rng = np.random.default_rng(seed)
+    top = min(h, w).bit_length() - 1
+    coarser = [t for t in range(1, top + 1) if rng.random() < 0.7] or [top]
+    levels = []
+    for t in [0] + coarser:
+        lh, lw = h >> t, w >> t
+        mask = rng.random((lh, lw)) < density
+        feat = rng.uniform(-0.2, 1.2, (lh, lw, 3))
+        feat[rng.random((lh, lw)) < 0.1] = np.nan
+        levels.append(RasterImage(t, np.where(mask[..., None], feat, 0.0), np.where(mask, 1.0, np.inf), mask))
+    pyr = RasterPyramid(levels, Channels.COLOR)
+    assert np.array_equal(render_rgb(pyr, background), render_loop(pyr, background))
+
+
+@pytest.mark.parametrize("background", [np.nan, np.inf, (0.5, np.nan, 0.5)])
+def test_non_finite_background_rejected(background):
+    with pytest.raises(DomainError, match="background"):
+        render_rgb(pyramid_of({0: [], 1: []}), background=background)
 
 
 class TestPsnr:
@@ -188,7 +236,7 @@ class TestPpm:
         with pytest.raises(FormatError):
             read_ppm(path)
 
-    @pytest.mark.parametrize("raw", [b"P6\n4", b"P6\nx 2 255\n"])
+    @pytest.mark.parametrize("raw", [b"P6\n4", b"P6\nx 2 255\n", b"P6\n-2 -2 255\n" + bytes(12)])
     def test_malformed_header(self, tmp_path, raw):
         path = tmp_path / "bad.ppm"
         path.write_bytes(raw)
