@@ -3,6 +3,7 @@ intrinsics, map accumulation, train/test splits, and map serialization.
 """
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -42,7 +43,13 @@ class Scan:
 
 @dataclass
 class PointCloudMap:
-    """Accumulated world-frame point cloud with per-scan index ranges."""
+    """Accumulated world-frame point cloud with per-scan index ranges.
+
+    Position, color and descriptor arrays that are float32 or float64 are
+    kept as given (a loaded map keeps the file's float32); any other dtype
+    is widened to float64. Consumers widen the rows they gather to float64,
+    which is exact from float32, so results do not depend on the dtype.
+    """
 
     positions: np.ndarray  # (N, 3) world frame
     scan_ranges: list[tuple[int, int, int]]  # (scan_id, first_index, count)
@@ -50,13 +57,13 @@ class PointCloudMap:
     descriptors: np.ndarray | None = None  # (N, C)
 
     def __post_init__(self):
-        # Checked on the array as given (float32 from load_map), before the
-        # float64 copy. NaN propagates through min and max and an infinity is
-        # one of them, so unlike isfinite(...).all() no temporary array is made.
-        given = np.asarray(self.positions)
-        if given.size and not (np.isfinite(given.min()) and np.isfinite(given.max())):
+        self.positions = _float_array(self.positions).reshape(-1, 3)
+        # NaN propagates through min and max and an infinity is one of them,
+        # so unlike isfinite(...).all() no temporary array is made.
+        if self.positions.size and not (
+            np.isfinite(self.positions.min()) and np.isfinite(self.positions.max())
+        ):
             raise DomainError("non-finite point position")
-        self.positions = np.asarray(self.positions, dtype=np.float64).reshape(-1, 3)
         n = len(self.positions)
         total = sum(c for _, _, c in self.scan_ranges)
         if total != n:
@@ -71,11 +78,11 @@ class PointCloudMap:
             prev_id = scan_id
             cursor += count
         if self.colors is not None:
-            self.colors = np.asarray(self.colors, dtype=np.float64).reshape(-1, 3)
+            self.colors = _float_array(self.colors).reshape(-1, 3)
             if len(self.colors) != n:
                 raise DomainError("colors length does not match point count")
         if self.descriptors is not None:
-            self.descriptors = np.asarray(self.descriptors, dtype=np.float64)
+            self.descriptors = _float_array(self.descriptors)
             if self.descriptors.ndim != 2 or len(self.descriptors) != n:
                 raise DomainError("descriptors must be an (N, C) array")
 
@@ -85,6 +92,12 @@ class PointCloudMap:
     @property
     def channel_count(self) -> int | None:
         return None if self.descriptors is None else self.descriptors.shape[1]
+
+
+def _float_array(a) -> np.ndarray:
+    """`a` itself when it is a float32 or float64 array, else a float64 copy."""
+    a = np.asarray(a)
+    return a if a.dtype in (np.float32, np.float64) else a.astype(np.float64)
 
 
 @dataclass
@@ -129,37 +142,45 @@ def write_scan(path, scan: Scan) -> None:
         f.write(data.tobytes())
 
 
+def read_text(path) -> str:
+    """The whole file as UTF-8 text, line endings translated to "\\n"."""
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            return f.read()
+    except UnicodeDecodeError as e:
+        raise FormatError(f"{path}: not UTF-8 text ({e.reason} at byte {e.start})") from e
+
+
 def read_poses(path) -> list[tuple[int, Pose]]:
     """Parse trajectory lines: frame_id followed by a row-major 3x4
     camera-to-world matrix (13 whitespace-separated fields)."""
     out: list[tuple[int, Pose]] = []
     seen: set[int] = set()
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            if not line.strip():
-                continue
-            fields = line.split()
-            if len(fields) != 13:
-                raise FormatError(f"{path}:{lineno}: expected 13 fields, got {len(fields)}")
-            try:
-                frame_id = int(fields[0])
-                vals = [float(x) for x in fields[1:]]
-            except ValueError as e:
-                raise FormatError(f"{path}:{lineno}: non-numeric token ({e})") from e
-            if frame_id in seen:
-                raise FormatError(f"{path}:{lineno}: duplicate frame_id {frame_id}")
-            seen.add(frame_id)
-            mat = np.array(vals, dtype=np.float64).reshape(3, 4)
-            rot, t = mat[:, :3], mat[:, 3]
-            err = np.abs(rot.T @ rot - np.eye(3)).max()
-            if err > 1e-3 or np.linalg.det(rot) < 0:
-                raise FormatError(
-                    f"{path}:{lineno}: rotation block is not orthonormal "
-                    f"(error {err:.3g}, det {np.linalg.det(rot):.3f})"
-                )
-            if err > 1e-6:
-                rot = _nearest_rotation(rot)
-            out.append((frame_id, Pose(rot, t, frame_id)))
+    for lineno, line in enumerate(read_text(path).split("\n"), start=1):
+        if not line.strip():
+            continue
+        fields = line.split()
+        if len(fields) != 13:
+            raise FormatError(f"{path}:{lineno}: expected 13 fields, got {len(fields)}")
+        try:
+            frame_id = int(fields[0])
+            vals = [float(x) for x in fields[1:]]
+        except ValueError as e:
+            raise FormatError(f"{path}:{lineno}: non-numeric token ({e})") from e
+        if frame_id in seen:
+            raise FormatError(f"{path}:{lineno}: duplicate frame_id {frame_id}")
+        seen.add(frame_id)
+        mat = np.array(vals, dtype=np.float64).reshape(3, 4)
+        rot, t = mat[:, :3], mat[:, 3]
+        err = np.abs(rot.T @ rot - np.eye(3)).max()
+        if err > 1e-3 or np.linalg.det(rot) < 0:
+            raise FormatError(
+                f"{path}:{lineno}: rotation block is not orthonormal "
+                f"(error {err:.3g}, det {np.linalg.det(rot):.3f})"
+            )
+        if err > 1e-6:
+            rot = _nearest_rotation(rot)
+        out.append((frame_id, Pose(rot, t, frame_id)))
     return out
 
 
@@ -181,8 +202,7 @@ def _nearest_rotation(mat: np.ndarray) -> np.ndarray:
 
 def read_intrinsics(path) -> Intrinsics:
     """Parse a single-line 'fx fy cx cy width height' file."""
-    with open(path, "r", encoding="utf-8") as f:
-        fields = f.read().split()
+    fields = read_text(path).split()
     if len(fields) != 6:
         raise FormatError(f"{path}: expected 6 fields, got {len(fields)}")
     try:
@@ -292,9 +312,12 @@ def save_map(path, cloud: PointCloudMap) -> None:
 
 
 def load_map(path) -> PointCloudMap:
+    """Read a map file with one `readinto` into a byte buffer; the map's
+    arrays are writable little-endian float32 views of that buffer."""
     with open(path, "rb") as f:
-        raw = f.read()
-    if raw[: len(MAP_MAGIC)] != MAP_MAGIC:
+        raw = np.empty(os.fstat(f.fileno()).st_size, dtype=np.uint8)
+        raw = raw[: f.readinto(raw)]
+    if raw[: len(MAP_MAGIC)].tobytes() != MAP_MAGIC:
         raise FormatError(f"{path}: bad magic, not a map file")
     off = len(MAP_MAGIC)
     try:
@@ -304,26 +327,22 @@ def load_map(path) -> PointCloudMap:
             raise FormatError(f"{path}: unsupported map version {version}")
         (nranges,) = struct.unpack_from("<Q", raw, off)
         off += 8
-        ranges = []
-        for _ in range(nranges):
-            sid, first, count = struct.unpack_from("<QQQ", raw, off)
-            off += 24
-            ranges.append((sid, first, count))
-
-        def take(count):
-            nonlocal off
-            nbytes = count * 4
-            if off + nbytes > len(raw):
-                raise FormatError(f"{path}: truncated at byte {off}")
-            arr = np.frombuffer(raw, dtype="<f4", count=count, offset=off)
-            off += nbytes
-            return arr  # float32 view; PointCloudMap converts to float64
-
-        positions = take(n * 3).reshape(n, 3)
-        colors = take(n * 3).reshape(n, 3) if flags & 1 else None
-        descriptors = take(n * c).reshape(n, c) if flags & 2 else None
     except struct.error as e:
         raise FormatError(f"{path}: truncated header ({e})") from e
+
+    def take(count, dtype):
+        nonlocal off
+        nbytes = count * np.dtype(dtype).itemsize
+        if off + nbytes > len(raw):
+            raise FormatError(f"{path}: truncated at byte {off}")
+        arr = raw[off : off + nbytes].view(dtype)
+        off += nbytes
+        return arr
+
+    ranges = [tuple(r) for r in take(nranges * 3, "<u8").reshape(nranges, 3).tolist()]
+    positions = take(n * 3, "<f4").reshape(n, 3)
+    colors = take(n * 3, "<f4").reshape(n, 3) if flags & 1 else None
+    descriptors = take(n * c, "<f4").reshape(n, c) if flags & 2 else None
     if off != len(raw):
         raise FormatError(f"{path}: {len(raw) - off} trailing bytes")
     try:

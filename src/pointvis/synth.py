@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DomainError, FormatError
 from .geom import Intrinsics, Pose, pixel_bins
-from .ingest import PointCloudMap, Scan, accumulate, write_intrinsics, write_poses, write_scan
+from .ingest import PointCloudMap, Scan, accumulate, read_text, write_intrinsics, write_poses, write_scan
 
 SELF_HIT_EPS = 1e-4  # relative slack before the segment endpoint
 
@@ -312,16 +312,15 @@ def write_scene(out_dir, scene: SyntheticScene, with_images: bool = False) -> No
 
 def read_surfaces(path) -> list[Rect3]:
     surfaces = []
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            if not line.strip():
-                continue
-            fields = line.split()
-            if len(fields) != 12:
-                raise FormatError(f"{path}:{lineno}: expected 12 fields, got {len(fields)}")
-            try:
-                vals = np.array([float(x) for x in fields])
-            except ValueError as e:
-                raise FormatError(f"{path}:{lineno}: non-numeric token ({e})") from e
-            surfaces.append(Rect3(vals[0:3], vals[3:6], vals[6:9], vals[9:12]))
+    for lineno, line in enumerate(read_text(path).split("\n"), start=1):
+        if not line.strip():
+            continue
+        fields = line.split()
+        if len(fields) != 12:
+            raise FormatError(f"{path}:{lineno}: expected 12 fields, got {len(fields)}")
+        try:
+            vals = np.array([float(x) for x in fields])
+        except ValueError as e:
+            raise FormatError(f"{path}:{lineno}: non-numeric token ({e})") from e
+        surfaces.append(Rect3(vals[0:3], vals[3:6], vals[6:9], vals[9:12]))
     return surfaces

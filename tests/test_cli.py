@@ -266,16 +266,25 @@ class TestBench:
     ("bench", ["--strategies", "depth:nan"]),
     ("bench", ["--strategies", "connectivity:2.5"]),
     ("synth", ["--length", "nan"]),
+    ("render", ["--frame", "3", "--intrinsics", "MAP"]),
+    ("build-graph", ["--poses", "MAP"]),
+    ("render", ["--frame", "3", "--map", "SCENE"]),
+    ("build-graph", ["--poses", "SCENE"]),
+    ("render", ["--frame", "3", "--map", "UNDER_MAP"]),
 ], ids=["pose-token", "background-nan", "reference-negative-size", "every-zero", "every-negative",
-        "strategy-text", "strategy-nan", "strategy-fractional-window", "synth-length-nan"])
+        "strategy-text", "strategy-nan", "strategy-fractional-window", "synth-length-nan",
+        "intrinsics-binary", "poses-binary", "map-directory", "poses-directory", "map-under-file"])
 def test_malformed_input_usage_error(built, tmp_path, command, extra):
     scene_dir, map_path, graph_path = built
     negative = tmp_path / "neg.ppm"
     negative.write_bytes(b"P6\n-2 -2\n255\n" + bytes(12))
-    extra = [str(negative) if x == "NEGATIVE_PPM" else x for x in extra]
+    names = {"NEGATIVE_PPM": negative, "MAP": map_path, "UNDER_MAP": map_path / "x", "SCENE": scene_dir}
+    extra = [str(names.get(x, x)) for x in extra]
     base = {
         "render": ["--map", str(map_path), "--graph", str(graph_path),
                    "--intrinsics", str(scene_dir / "intrinsics.txt"), "--out", str(tmp_path / "v.ppm")],
+        "build-graph": ["--map", str(map_path), "--poses", str(scene_dir / "poses.txt"),
+                        "--out", str(tmp_path / "g.grf")],
         "bench": ["--scene", str(scene_dir), "--out", str(tmp_path / "r.csv")],
         "synth": ["--out", str(tmp_path / "scene")],
     }[command]

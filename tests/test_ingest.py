@@ -2,10 +2,11 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from pointvis.connectivity import candidate_indices, prune_visible
 from pointvis.errors import DomainError, FormatError
-from pointvis.geom import Pose, identity_pose
+from pointvis.geom import Intrinsics, Pose, identity_pose
 from pointvis.ingest import (
     NO_COLOR,
     PointCloudMap,
@@ -21,6 +22,9 @@ from pointvis.ingest import (
     write_poses,
     write_scan,
 )
+from pointvis.raster import rasterize_pyramid
+from pointvis.render import render_rgb
+from pointvis.synth import read_surfaces
 
 
 class TestReadScan:
@@ -123,6 +127,14 @@ class TestIntrinsicsIO:
             read_intrinsics(path)
 
 
+@pytest.mark.parametrize("reader", [read_poses, read_intrinsics, read_surfaces])
+def test_not_utf8_text(tmp_path, reader):
+    path = tmp_path / "binary.txt"
+    path.write_bytes(b"0 1 0 0\n\xff\xfe 1 0\n")
+    with pytest.raises(FormatError, match="binary.txt: not UTF-8 text"):
+        reader(path)
+
+
 class TestAccumulate:
     def test_two_scans_identity(self):
         scans = [Scan(0, np.arange(9).reshape(3, 3)), Scan(1, np.arange(9).reshape(3, 3) + 1)]
@@ -199,6 +211,15 @@ class TestMapValidation:
         with pytest.raises(DomainError):
             PointCloudMap(np.zeros((4, 3)), [(1, 0, 2), (0, 2, 2)])
 
+    @pytest.mark.parametrize("dtype,kept", [(np.float32, True), (np.float64, True),
+                                            (np.float16, False), (np.int64, False)])
+    def test_float32_and_float64_kept_others_widened(self, dtype, kept):
+        given_ = np.arange(6, dtype=dtype).reshape(2, 3)
+        cloud = PointCloudMap(given_, [(0, 0, 2)], given_, given_)
+        for arr in (cloud.positions, cloud.colors, cloud.descriptors):
+            assert arr.dtype == (dtype if kept else np.float64)
+            assert np.shares_memory(arr, given_) == kept
+
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_non_finite_positions_rejected(self, dtype):
         for bad in ([[np.nan, 0, 1], [0, 0, 2]], [[0, 0, 1], [0, np.inf, 2]]):
@@ -229,6 +250,14 @@ class TestMapSerialization:
             assert back.colors is None
         if desc:
             assert np.array_equal(back.descriptors, cloud.descriptors)
+
+    def test_loaded_arrays_keep_file_float32(self, tmp_path):
+        path = tmp_path / "m.map"
+        save_map(path, self._cloud())
+        back = load_map(path)
+        for arr in (back.positions, back.colors, back.descriptors):
+            assert arr.dtype == np.float32
+            assert arr.flags.writeable
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.map"
@@ -285,3 +314,86 @@ class TestMapSerialization:
         back = load_map(path)
         assert np.isnan(back.colors[3]).all()
         assert np.array_equal(back.colors[4:], cloud.colors[4:])
+
+
+@st.composite
+def _small_maps(draw):
+    """A valid map of 0..16 points in 0..4 scans, with or without colors
+    and descriptors."""
+    counts = draw(st.lists(st.integers(0, 4), max_size=4))
+    scan_ids = sorted(draw(st.sets(st.integers(0, 1000), min_size=len(counts), max_size=len(counts))))
+    first = np.concatenate([[0], np.cumsum(counts)]).astype(int)
+    n = int(first[-1])
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    colors = rng.uniform(0, 1, (n, 3)) if draw(st.booleans()) else None
+    desc = rng.normal(size=(n, draw(st.integers(1, 3)))) if draw(st.booleans()) else None
+    return PointCloudMap(rng.uniform(-10, 10, (n, 3)), list(zip(scan_ids, first[:-1].tolist(), counts)),
+                         colors, desc)
+
+
+def _map_bytes(directory, cloud) -> bytes:
+    path = directory / "valid.map"
+    save_map(path, cloud)
+    return path.read_bytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(_small_maps(), st.data())
+def test_every_map_truncation_rejected(tmp_path_factory, cloud, data):
+    work = tmp_path_factory.mktemp("cut")
+    raw = _map_bytes(work, cloud)
+    cut = data.draw(st.integers(0, len(raw) - 1))
+    path = work / "m.map"
+    path.write_bytes(raw[:cut])
+    with pytest.raises(FormatError):
+        load_map(path)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_small_maps(), st.data())
+def test_map_byte_mutation_loads_or_format_error(tmp_path_factory, cloud, data):
+    work = tmp_path_factory.mktemp("mut")
+    raw = _map_bytes(work, cloud)
+    pos = data.draw(st.integers(0, len(raw) - 1))
+    mutated = bytearray(raw)
+    mutated[pos] = data.draw(st.integers(0, 255).filter(lambda b: b != raw[pos]))
+    path = work / "m.map"
+    path.write_bytes(bytes(mutated))
+    try:
+        load_map(path)
+    except FormatError:
+        pass
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_loaded_map_renders_like_float64(tmp_path_factory, seed):
+    """The file's float32 arrays give the same visible set, pyramid and RGB,
+    bit for bit, as the same values widened to float64 in memory."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 400))
+    pos = np.column_stack([rng.uniform(-4, 4, n), rng.uniform(-2, 2, n), rng.uniform(-1, 8, n)])
+    pos[rng.integers(0, n, n // 4)] = pos[rng.integers(0, n, n // 4)]  # exact depth ties
+    colors = rng.uniform(0, 1, (n, 3))
+    colors[rng.random(n) < 0.1] = NO_COLOR
+    split = int(rng.integers(0, n + 1))
+    ranges = [(0, 0, split), (1, split, n - split)]
+    path = tmp_path_factory.mktemp("exact") / "m.map"
+    save_map(path, PointCloudMap(pos, ranges, colors))
+    loaded = load_map(path)
+    widened = PointCloudMap(loaded.positions.astype(np.float64), ranges, loaded.colors.astype(np.float64))
+    yaw, pitch = rng.uniform(-0.3, 0.3), rng.uniform(-0.2, 0.2)
+    cy, sy, cp, sp = np.cos(yaw), np.sin(yaw), np.cos(pitch), np.sin(pitch)
+    rot = np.array([[cy, 0, sy], [0, 1, 0], [-sy, 0, cy]]) @ np.array([[1, 0, 0], [0, cp, -sp], [0, sp, cp]])
+    pose = Pose(rot, rng.uniform(-0.5, 0.5, 3))
+    K = Intrinsics(32.0, 32.0, 32.0 + rng.uniform(-1, 1), 16.0 + rng.uniform(-1, 1), 64, 32)
+    cand = candidate_indices(ranges)
+    outs = []
+    for cloud in (loaded, widened):
+        vis = prune_visible(cand, cloud, pose, K)
+        pyr = rasterize_pyramid(cloud, vis, pose, K)
+        outs.append([vis.point_indices, vis.pixel_of, vis.depth_of, render_rgb(pyr)]
+                    + [a for img in pyr.levels for a in (img.features, img.depth, img.mask)])
+    assert loaded.positions.dtype == np.float32
+    for got, want in zip(*outs):
+        np.testing.assert_array_equal(got, want, strict=True)
