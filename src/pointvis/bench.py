@@ -16,7 +16,7 @@ from .connectivity import (
     candidate_indices,
     nearest_frame,
     prune_visible,
-    retrieve_candidates,
+    ranges_in_window,
 )
 from .errors import DomainError, FormatError
 from .geom import Pose, world_to_camera_many
@@ -117,15 +117,10 @@ def _select_candidates(strategy, sequence, graph, query):
     if graph is None:
         raise DomainError(f"strategy {strategy.kind!r} needs a connectivity graph")
     fid = nearest_frame(graph, query)
-    if strategy.kind == "connectivity":
-        return candidate_indices(retrieve_candidates(graph, cloud, fid)), fid
-    # sliding window: symmetric [t - 2n, t + 2n], includes scans behind the camera
-    ranges = [
-        (sid, first, count)
-        for sid, first, count in cloud.scan_ranges
-        if fid - 2 * n <= sid <= fid + 2 * n
-    ]
-    return candidate_indices(ranges), fid
+    # connectivity takes the graph's window; the sliding window is the
+    # symmetric [t - 2n, t + 2n], which includes scans behind the camera
+    lo, hi = graph.window(fid) if strategy.kind == "connectivity" else (fid - 2 * n, fid + 2 * n)
+    return candidate_indices(ranges_in_window(cloud, lo, hi)), fid
 
 
 def run_strategy(

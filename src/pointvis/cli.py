@@ -11,15 +11,7 @@ import sys
 import numpy as np
 
 from . import bench as bench_mod
-from .connectivity import (
-    build_graph,
-    candidate_indices,
-    load_graph,
-    nearest_frame,
-    prune_visible,
-    retrieve_candidates,
-    save_graph,
-)
+from .connectivity import build_graph, load_graph, save_graph, visible_set_for
 from .errors import DomainError, FormatError
 from .geom import Pose
 from .ingest import (
@@ -144,13 +136,11 @@ def cmd_render(args) -> int:
         raise DomainError(f"frame {args.frame} not in graph; pass --pose instead")
     else:
         query = _query_pose(args)
-    fid = nearest_frame(graph, query)
-    cand = candidate_indices(retrieve_candidates(graph, cloud, fid))
-    vis = prune_visible(cand, cloud, query, K, source_frame=fid)
+    vis = visible_set_for(graph, cloud, query, K)
     pyramid = rasterize_pyramid(cloud, vis, query, K, _parse_levels(args.levels), Channels.COLOR)
     img = render_rgb(pyramid, background=args.background)
     write_ppm(args.out, img)
-    print(f"wrote {args.out} ({len(vis)} visible points from frame {fid})")
+    print(f"wrote {args.out} ({len(vis)} visible points from frame {vis.source_frame})")
     if args.reference:
         ref = read_ppm(args.reference)
         print(f"psnr={psnr(img, ref)} ssim={ssim(img, ref)}")

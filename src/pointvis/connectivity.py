@@ -34,12 +34,17 @@ class ConnectivityGraph:
 
 @dataclass
 class VisibleSet:
-    """Points surviving pruning for one query view, sorted by map index."""
+    """Points surviving pruning for one query view, sorted by map index,
+    with the pose and intrinsics they were pruned at (None when built by
+    hand). At that pose and K the set is level 0 of the pyramid: each point
+    is the (depth, index) minimum of its own pixel."""
 
     point_indices: np.ndarray  # strictly increasing
     source_frame: int
     pixel_of: np.ndarray  # (M, 2) integer (u, v)
     depth_of: np.ndarray  # (M,) meters
+    pose: Pose | None = None
+    K: Intrinsics | None = None
 
     def __len__(self):
         return len(self.point_indices)
@@ -79,7 +84,11 @@ def retrieve_candidates(
     graph: ConnectivityGraph, cloud: PointCloudMap, frame_id: int
 ) -> list[tuple[int, int, int]]:
     """Map scan_ranges falling inside the frame's window."""
-    lo, hi = graph.window(frame_id)
+    return ranges_in_window(cloud, *graph.window(frame_id))
+
+
+def ranges_in_window(cloud: PointCloudMap, lo: int, hi: int) -> list[tuple[int, int, int]]:
+    """Map scan_ranges whose scan id lies in [lo, hi]."""
     return [(sid, first, count) for sid, first, count in cloud.scan_ranges if lo <= sid <= hi]
 
 
@@ -101,7 +110,7 @@ def prune_visible(
     full-resolution pixel, and minimal depth among all candidates binned
     to the same pixel (depth ties broken by smallest point index)."""
     idx, pu, pv, depth = zbuffer_winners(candidates, query, K, cloud.positions)
-    return VisibleSet(idx, source_frame, np.stack([pu, pv], axis=1), depth)
+    return VisibleSet(idx, source_frame, np.stack([pu, pv], axis=1), depth, query, K)
 
 
 def visible_set_for(
@@ -113,19 +122,25 @@ def visible_set_for(
     return prune_visible(cand, cloud, query, K, source_frame=fid)
 
 
+_GRAPH_HEADER = struct.Struct("<HHQQ")  # version, n, frame count, scans built over
+_GRAPH_ENTRY = np.dtype([("frame", "<u8"), ("pose", "<f8", (3, 4)), ("window", "<u8", (2,))])
+
+
 def save_graph(path, graph: ConnectivityGraph) -> None:
-    if not 0 <= graph.n <= 0xFFFF:
-        raise DomainError(f"window parameter n={graph.n} does not fit the graph format (max 65535)")
+    if not 1 <= graph.n <= 0xFFFF:
+        raise DomainError(f"window parameter n={graph.n} does not fit the graph format (1..65535)")
+    for fid, (_, (lo, hi)) in graph.entries.items():
+        if lo > hi:
+            raise DomainError(f"frame {fid} has an empty scan window ({lo} > {hi})")
+    table = np.zeros(len(graph.entries), _GRAPH_ENTRY)
+    for row, fid in zip(table, sorted(graph.entries)):
+        pose, window = graph.entries[fid]
+        row["frame"], row["window"] = fid, window
+        row["pose"] = np.hstack([pose.rotation, pose.translation[:, None]])
     with open(path, "wb") as f:
         f.write(GRAPH_MAGIC)
-        f.write(struct.pack("<HHQ", GRAPH_VERSION, graph.n, len(graph.entries)))
-        f.write(struct.pack("<Q", graph.built_over))
-        for fid in sorted(graph.entries):
-            pose, (lo, hi) = graph.entries[fid]
-            mat = np.hstack([pose.rotation, pose.translation[:, None]])
-            f.write(struct.pack("<Q", fid))
-            f.write(mat.astype("<f8").tobytes())
-            f.write(struct.pack("<QQ", lo, hi))
+        f.write(_GRAPH_HEADER.pack(GRAPH_VERSION, graph.n, len(graph.entries), graph.built_over))
+        f.write(table.tobytes())
 
 
 def load_graph(path) -> ConnectivityGraph:
@@ -133,28 +148,28 @@ def load_graph(path) -> ConnectivityGraph:
         raw = f.read()
     if raw[: len(GRAPH_MAGIC)] != GRAPH_MAGIC:
         raise FormatError(f"{path}: bad magic, not a connectivity graph file")
-    off = len(GRAPH_MAGIC)
+    off = len(GRAPH_MAGIC) + _GRAPH_HEADER.size
+    if len(raw) < off:
+        raise FormatError(f"{path}: truncated header ({len(raw)} bytes)")
+    version, n, count, built_over = _GRAPH_HEADER.unpack_from(raw, len(GRAPH_MAGIC))
+    if version != GRAPH_VERSION:
+        raise FormatError(f"{path}: unsupported graph version {version}")
+    if n < 1:
+        raise FormatError(f"{path}: window parameter n=0")
+    expected = off + count * _GRAPH_ENTRY.itemsize
+    if len(raw) != expected:
+        raise FormatError(f"{path}: expected {expected} bytes for {count} frames, got {len(raw)}")
+    table = np.frombuffer(raw, _GRAPH_ENTRY, count, off)
+    fids, windows = table["frame"].tolist(), table["window"].tolist()
+    if len(set(fids)) != count:
+        raise FormatError(f"{path}: repeated frame id")
+    if any(lo > hi for lo, hi in windows):
+        raise FormatError(f"{path}: a window has lo > hi")
     try:
-        version, n, count = struct.unpack_from("<HHQ", raw, off)
-        off += struct.calcsize("<HHQ")
-        if version != GRAPH_VERSION:
-            raise FormatError(f"{path}: unsupported graph version {version}")
-        (built_over,) = struct.unpack_from("<Q", raw, off)
-        off += 8
-        entries = {}
-        entry_size = 8 + 12 * 8 + 16
-        for _ in range(count):
-            if off + entry_size > len(raw):
-                raise FormatError(f"{path}: truncated at byte {off}")
-            (fid,) = struct.unpack_from("<Q", raw, off)
-            off += 8
-            mat = np.frombuffer(raw, dtype="<f8", count=12, offset=off).reshape(3, 4)
-            off += 96
-            lo, hi = struct.unpack_from("<QQ", raw, off)
-            off += 16
-            entries[fid] = (Pose(mat[:, :3], mat[:, 3], fid), (lo, hi))
-    except struct.error as e:
-        raise FormatError(f"{path}: truncated header ({e})") from e
-    if off != len(raw):
-        raise FormatError(f"{path}: {len(raw) - off} trailing bytes")
+        entries = {
+            fid: (Pose(mat[:, :3], mat[:, 3], fid), tuple(window))
+            for fid, mat, window in zip(fids, table["pose"].astype(np.float64), windows)
+        }
+    except DomainError as e:
+        raise FormatError(f"{path}: {e}") from e
     return ConnectivityGraph(entries, n, built_over)

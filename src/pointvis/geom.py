@@ -41,8 +41,9 @@ class Pose:
     def __post_init__(self):
         rot = _as_matrix(self.rotation, (3, 3), "rotation")
         t = _as_matrix(self.translation, (3,), "translation")
-        err = np.abs(rot.T @ rot - np.eye(3)).max()
-        if err > _ORTHO_TOL:
+        with np.errstate(over="ignore", invalid="ignore"):  # overflow gives inf or nan: rejected
+            err = np.abs(rot.T @ rot - np.eye(3)).max()
+        if not err <= _ORTHO_TOL:
             raise DomainError(f"rotation is not orthonormal (|R^T R - I|_max = {err:.3g})")
         det = np.linalg.det(rot)
         if not (1.0 - _ORTHO_TOL <= det <= 1.0 + _ORTHO_TOL):

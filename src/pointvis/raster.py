@@ -1,7 +1,8 @@
 """Point rasterization into single-level feature images and the
 multi-resolution pyramid (levels t store an H/2^t x W/2^t x C image
-under z-buffer semantics). Every level comes from one level-0 binning:
-level t reads the level-0 pixel (u, v) at bin (u >> t, v >> t).
+under z-buffer semantics). Level 0 is the visible set, the one z-buffer
+of the view; level t reads the level-0 pixel (u, v) at bin
+(u >> t, v >> t).
 """
 from __future__ import annotations
 
@@ -11,9 +12,9 @@ from enum import Enum
 
 import numpy as np
 
-from .connectivity import VisibleSet
+from .connectivity import VisibleSet, prune_visible
 from .errors import DomainError, FormatError
-from .geom import Intrinsics, Pose, pixel_bins, scale_intrinsics
+from .geom import Intrinsics, Pose, scale_intrinsics
 from .ingest import PointCloudMap
 from .zbuffer import reduce_bins
 
@@ -84,27 +85,30 @@ def rasterize_pyramid(
     levels=DEFAULT_LEVELS,
     channels: Channels = Channels.COLOR,
 ) -> RasterPyramid:
-    """Bin the points once at level 0; each level t reduces the winners of
-    the next finer requested level (all binned points, for the finest) in bin
-    (u >> t, v >> t). Scaling by 2^-t is exact in floating point and the
-    (depth, index) minimum is associative, so level t equals the z-buffer at
+    """Level 0 is the visible set: a `VisibleSet` pruned at this pose and K
+    is used as it is, and any other input (an index array, or a set pruned
+    elsewhere or built by hand) is pruned here first. Each level t reduces
+    the winners of the next finer requested level in bin (u >> t, v >> t).
+    Scaling by 2^-t is exact in floating point and the (depth, index)
+    minimum is associative, so level t equals the z-buffer at
     `scale_intrinsics(K, t)`."""
     levels = sorted(set(levels))
     if not levels:
         raise DomainError("level set must be non-empty")
     attrs = _attribute_array(cloud, channels)
-    if isinstance(indices, VisibleSet):
-        idx, source = indices.point_indices, indices.source_frame
-    else:
-        idx, source = np.asarray(indices, dtype=np.int64), -1
-    ok, ui, vi, depth = pixel_bins(pose, K, cloud.positions[idx])
-    idx, ui, vi, depth = idx[ok], ui[ok], vi[ok], depth[ok]
+    vis = indices
+    if not isinstance(vis, VisibleSet):
+        vis = prune_visible(indices, cloud, pose, K)
+    elif vis.pose != pose or vis.K != K:
+        vis = prune_visible(vis.point_indices, cloud, pose, K, vis.source_frame)
+    idx, ui, vi, depth = vis.point_indices, vis.pixel_of[:, 0], vis.pixel_of[:, 1], vis.depth_of
     images, prev = [], 0
     for t in levels:
         Kt = scale_intrinsics(K, t)
-        ui, vi = ui >> (t - prev), vi >> (t - prev)
-        keep = (ui < Kt.width) & (vi < Kt.height)
-        idx, ui, vi, depth = reduce_bins(idx[keep], ui[keep], vi[keep], depth[keep], Kt.width, Kt.height)
+        if t != prev:  # level 0 is already reduced
+            ui, vi = ui >> (t - prev), vi >> (t - prev)
+            keep = (ui < Kt.width) & (vi < Kt.height)
+            idx, ui, vi, depth = reduce_bins(idx[keep], ui[keep], vi[keep], depth[keep], Kt.width, Kt.height)
         features = np.zeros((Kt.height, Kt.width, attrs.shape[1]))
         depth_img = np.full((Kt.height, Kt.width), np.inf)
         mask = np.zeros((Kt.height, Kt.width), dtype=bool)
@@ -113,7 +117,7 @@ def rasterize_pyramid(
         mask[vi, ui] = True
         images.append(RasterImage(t, features, depth_img, mask))
         prev = t
-    return RasterPyramid(images, channels, source)
+    return RasterPyramid(images, channels, vis.source_frame)
 
 
 def occupancy(image: RasterImage) -> float:

@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -57,3 +58,25 @@ def brute_force_zbuffer(cloud, candidate_idx, pose, K):
         if key not in best or (depth, i) < best[key]:
             best[key] = (depth, i)
     return {key: idx for key, (_, idx) in best.items()}
+
+
+GRAPH_DEFECTS = ("rotation", "repeated-frame", "window-lo-above-hi", "n-zero")
+
+
+def corrupt_graph(raw: bytes, defect: str) -> bytes:
+    """A copy of a v1 graph file (two frames or more) with one defect from
+    GRAPH_DEFECTS. The header is 31 bytes; each 120-byte entry holds the
+    frame id, the row-major 3x4 pose and the (lo, hi) window."""
+    raw = bytearray(raw)
+    first, second = 31, 31 + 120
+    if defect == "rotation":
+        raw[first + 8 : first + 16] = struct.pack("<d", 2.0)
+    elif defect == "repeated-frame":
+        raw[second : second + 8] = raw[first : first + 8]
+    elif defect == "window-lo-above-hi":
+        raw[first + 104 : first + 120] = struct.pack("<QQ", 5, 3)
+    elif defect == "n-zero":
+        raw[13:15] = struct.pack("<H", 0)
+    else:
+        raise ValueError(defect)
+    return bytes(raw)

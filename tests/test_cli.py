@@ -19,6 +19,8 @@ from pointvis.ingest import (
 from pointvis.render import read_ppm
 from pointvis.synth import read_surfaces
 
+from conftest import GRAPH_DEFECTS, corrupt_graph
+
 SCENE_ARGS = [
     "--length", "24", "--wall-gap", "6", "--spacing", "0.5", "--lidar-range", "9",
     "--frame-step", "2", "--seed", "4", "--width", "64", "--height", "32",
@@ -271,14 +273,19 @@ class TestBench:
     ("render", ["--frame", "3", "--map", "SCENE"]),
     ("build-graph", ["--poses", "SCENE"]),
     ("render", ["--frame", "3", "--map", "UNDER_MAP"]),
+    *[("render", ["--frame", "3", "--graph", f"GRAPH_{defect}"]) for defect in GRAPH_DEFECTS],
 ], ids=["pose-token", "background-nan", "reference-negative-size", "every-zero", "every-negative",
         "strategy-text", "strategy-nan", "strategy-fractional-window", "synth-length-nan",
-        "intrinsics-binary", "poses-binary", "map-directory", "poses-directory", "map-under-file"])
+        "intrinsics-binary", "poses-binary", "map-directory", "poses-directory", "map-under-file",
+        *[f"graph-{defect}" for defect in GRAPH_DEFECTS]])
 def test_malformed_input_usage_error(built, tmp_path, command, extra):
     scene_dir, map_path, graph_path = built
     negative = tmp_path / "neg.ppm"
     negative.write_bytes(b"P6\n-2 -2\n255\n" + bytes(12))
     names = {"NEGATIVE_PPM": negative, "MAP": map_path, "UNDER_MAP": map_path / "x", "SCENE": scene_dir}
+    for defect in GRAPH_DEFECTS:
+        names[f"GRAPH_{defect}"] = tmp_path / f"{defect}.grf"
+        names[f"GRAPH_{defect}"].write_bytes(corrupt_graph(graph_path.read_bytes(), defect))
     extra = [str(names.get(x, x)) for x in extra]
     base = {
         "render": ["--map", str(map_path), "--graph", str(graph_path),

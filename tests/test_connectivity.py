@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pointvis.connectivity import (
+    ConnectivityGraph,
     build_graph,
     candidate_indices,
     load_graph,
@@ -19,7 +20,7 @@ from pointvis.geom import Intrinsics, Pose
 from pointvis.ingest import PointCloudMap, Sequence
 from pointvis.zbuffer import zbuffer_winners
 
-from conftest import brute_force_zbuffer, uniform_sequence
+from conftest import GRAPH_DEFECTS, brute_force_zbuffer, corrupt_graph, uniform_sequence
 
 
 class TestBuildGraph:
@@ -220,3 +221,85 @@ class TestGraphSerialization:
         path.write_bytes(path.read_bytes()[:-4])
         with pytest.raises(FormatError):
             load_graph(path)
+
+    @pytest.mark.parametrize("defect", GRAPH_DEFECTS)
+    def test_defect_rejected(self, tmp_path, defect):
+        path = tmp_path / "g.grf"
+        save_graph(path, build_graph(uniform_sequence(4, 5, seed=13), 1))
+        path.write_bytes(corrupt_graph(path.read_bytes(), defect))
+        with pytest.raises(FormatError, match=str(path)):
+            load_graph(path)
+
+    def test_trailing_bytes(self, tmp_path):
+        path = tmp_path / "g.grf"
+        save_graph(path, build_graph(uniform_sequence(3, 5, seed=14), 1))
+        path.write_bytes(path.read_bytes() + b"\x00")
+        with pytest.raises(FormatError, match="bytes"):
+            load_graph(path)
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_window_below_one_not_saved(self, tmp_path, n):
+        graph = build_graph(uniform_sequence(3, 5, seed=15), 1)
+        graph.n = n
+        path = tmp_path / "small.grf"
+        with pytest.raises(DomainError):
+            save_graph(path, graph)
+        assert not path.exists()
+
+    def test_window_lo_above_hi_not_saved(self, tmp_path):
+        graph = build_graph(uniform_sequence(3, 5, seed=16), 1)
+        graph.entries[1] = (graph.entries[1][0], (2, 1))
+        path = tmp_path / "lohi.grf"
+        with pytest.raises(DomainError):
+            save_graph(path, graph)
+        assert not path.exists()
+
+
+@st.composite
+def _small_graphs(draw):
+    """A valid graph of 0..4 frames with random rotations, translations,
+    windows, n and scan count."""
+    fids = draw(st.sets(st.integers(0, 2**40), max_size=4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    entries = {}
+    for fid in fids:
+        q = np.linalg.qr(rng.normal(size=(3, 3)))[0]
+        q[:, 0] *= np.sign(np.linalg.det(q))  # a rotation, not a reflection
+        lo = draw(st.integers(0, 1000))
+        entries[fid] = (Pose(q, rng.uniform(-100, 100, 3), fid), (lo, lo + draw(st.integers(0, 50))))
+    return ConnectivityGraph(entries, draw(st.integers(1, 0xFFFF)), draw(st.integers(0, 2**32)))
+
+
+def _graph_bytes(directory, graph) -> bytes:
+    path = directory / "valid.grf"
+    save_graph(path, graph)
+    assert load_graph(path) == graph
+    return path.read_bytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(_small_graphs(), st.data())
+def test_every_graph_truncation_rejected(tmp_path_factory, graph, data):
+    work = tmp_path_factory.mktemp("cut")
+    raw = _graph_bytes(work, graph)
+    cut = data.draw(st.integers(0, len(raw) - 1))
+    path = work / "g.grf"
+    path.write_bytes(raw[:cut])
+    with pytest.raises(FormatError):
+        load_graph(path)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_small_graphs(), st.data())
+def test_graph_byte_mutation_loads_or_format_error(tmp_path_factory, graph, data):
+    work = tmp_path_factory.mktemp("mut")
+    raw = _graph_bytes(work, graph)
+    pos = data.draw(st.integers(0, len(raw) - 1))
+    mutated = bytearray(raw)
+    mutated[pos] = data.draw(st.integers(0, 255).filter(lambda b: b != raw[pos]))
+    path = work / "g.grf"
+    path.write_bytes(bytes(mutated))
+    try:
+        load_graph(path)
+    except FormatError:
+        pass

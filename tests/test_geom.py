@@ -27,6 +27,13 @@ class TestPose:
         with pytest.raises(DomainError):
             Pose(np.eye(3) * 1.01, np.zeros(3))
 
+    # entries near the float64 limit overflow in R^T R; that must still be
+    # a DomainError, with no RuntimeWarning on the way
+    @pytest.mark.filterwarnings("error")
+    def test_rejects_overflowing_rotation_without_warning(self):
+        with pytest.raises(DomainError, match="orthonormal"):
+            Pose(np.array([[1e300, 1e300, 0.0], [1e300, -1e300, 0.0], [0.0, 0.0, 1.0]]), np.zeros(3))
+
     def test_rejects_reflection(self):
         with pytest.raises(DomainError):
             Pose(np.diag([1.0, 1.0, -1.0]), np.zeros(3))

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pointvis import raster
-from pointvis.connectivity import prune_visible
+from pointvis import zbuffer
+from pointvis.connectivity import VisibleSet, prune_visible
 from pointvis.errors import DomainError, FormatError
 from pointvis.geom import Intrinsics, Pose, scale_intrinsics
 from pointvis.ingest import PointCloudMap, attach_descriptors
@@ -157,12 +157,34 @@ class TestRasterizePyramid:
 
     def test_points_binned_once_for_all_levels(self, monkeypatch):
         calls = []
-        real = raster.pixel_bins
-        monkeypatch.setattr(raster, "pixel_bins", lambda *args: calls.append(args) or real(*args))
+        real = zbuffer.pixel_bins
+        monkeypatch.setattr(zbuffer, "pixel_bins", lambda *args: calls.append(args) or real(*args))
         cloud = colored_map([[0, 0, 5.0], [1, 1, 4.0]])
         rasterize_pyramid(cloud, np.array([0, 1]), IDENTITY, self.K)
         rasterize(cloud, np.array([0, 1]), IDENTITY, self.K, level=3)
         assert len(calls) == 2
+        # one view in `pointvis render` order: the visible set is level 0
+        vis = prune_visible(np.array([0, 1]), cloud, IDENTITY, self.K)
+        rasterize_pyramid(cloud, vis, IDENTITY, self.K)
+        assert len(calls) == 3
+
+    def test_foreign_visible_set_pruned_at_the_given_view(self):
+        rng = np.random.default_rng(16)
+        K = Intrinsics(64.0, 64.0, 64.0, 32.0, 128, 64)
+        n = 2000
+        pts = np.column_stack([rng.uniform(-3, 3, n), rng.uniform(-2, 2, n), rng.uniform(0.5, 10, n)])
+        cloud = colored_map(pts, rng.uniform(0, 1, (n, 3)))
+        moved = prune_visible(np.arange(n), cloud, Pose(np.eye(3), [0.4, -0.3, 0.5]), K, source_frame=7)
+        other_k = prune_visible(np.arange(n), cloud, IDENTITY, Intrinsics(50.0, 50.0, 60.0, 30.0, 120, 60), 7)
+        by_hand = VisibleSet(moved.point_indices, 7, moved.pixel_of, moved.depth_of)
+        for vis in (moved, other_k, by_hand):
+            got = rasterize_pyramid(cloud, vis, IDENTITY, K)
+            want = rasterize_pyramid(cloud, vis.point_indices, IDENTITY, K)
+            assert got.source_frame == 7
+            for a, b in zip(got.levels, want.levels):
+                assert np.array_equal(a.mask, b.mask)
+                assert np.array_equal(a.depth, b.depth)
+                assert np.array_equal(a.features, b.features)
 
     def test_collapsed_level_rejected(self):
         cloud = colored_map([[0, 0, 5.0]])
@@ -200,10 +222,9 @@ def test_pyramid_levels_match_brute_force(case):
     colors = np.column_stack([np.arange(n), -np.arange(n), np.ones(n)]).astype(float)
     cloud = PointCloudMap(positions, [(0, 0, n)], colors)
     pose = Pose(np.eye(3), shift)
-    pyr = rasterize_pyramid(cloud, cand, pose, K, levels)
-    assert [img.level for img in pyr.levels] == sorted(levels)
-    for img in pyr.levels:
-        Kt = scale_intrinsics(K, img.level)
+    want = {}
+    for t in levels:
+        Kt = scale_intrinsics(K, t)
         mask = np.zeros((Kt.height, Kt.width), dtype=bool)
         depth = np.full((Kt.height, Kt.width), np.inf)
         features = np.zeros((Kt.height, Kt.width, 3))
@@ -211,9 +232,16 @@ def test_pyramid_levels_match_brute_force(case):
             mask[v, u] = True
             depth[v, u] = positions[i, 2] - shift[2]
             features[v, u] = colors[i]
-        assert np.array_equal(img.mask, mask)
-        assert np.array_equal(img.depth, depth)
-        assert np.array_equal(img.features, features)
+        want[t] = mask, depth, features
+    # the candidates themselves, and the visible set pruned at the same view
+    for source in (cand, prune_visible(cand, cloud, pose, K)):
+        pyr = rasterize_pyramid(cloud, source, pose, K, levels)
+        assert [img.level for img in pyr.levels] == sorted(levels)
+        for img in pyr.levels:
+            mask, depth, features = want[img.level]
+            assert np.array_equal(img.mask, mask)
+            assert np.array_equal(img.depth, depth)
+            assert np.array_equal(img.features, features)
 
 
 class TestOccupancy:
