@@ -31,10 +31,19 @@ from .synth import CanyonParams, make_canyon, read_surfaces, write_scene
 
 
 def _parse_levels(text: str) -> list[int]:
+    """The sorted levels of `render --levels`: level 0, at least one coarser
+    level (the renderer fills holes from it) and no negative level."""
     try:
-        return sorted({int(x) for x in text.split(",") if x.strip() != ""})
+        levels = sorted({int(x) for x in text.split(",") if x.strip() != ""})
     except ValueError as e:
         raise DomainError(f"bad level list {text!r}") from e
+    if 0 not in levels:
+        raise DomainError(f"level list {text!r} lacks level 0")
+    if levels[0] < 0:
+        raise DomainError(f"level list {text!r} has a negative level")
+    if len(levels) < 2:
+        raise DomainError(f"level list {text!r} has no level coarser than 0")
+    return levels
 
 
 def _load_scans(scan_dir: str, poses_path: str) -> tuple[list[tuple[int, Pose]], PointCloudMap]:
@@ -127,6 +136,7 @@ def _query_pose(args) -> Pose:
 
 
 def cmd_render(args) -> int:
+    levels = _parse_levels(args.levels)
     cloud = load_map(args.map)
     graph = load_graph(args.graph)
     K = read_intrinsics(args.intrinsics)
@@ -137,7 +147,7 @@ def cmd_render(args) -> int:
     else:
         query = _query_pose(args)
     vis = visible_set_for(graph, cloud, query, K)
-    pyramid = rasterize_pyramid(cloud, vis, query, K, _parse_levels(args.levels), Channels.COLOR)
+    pyramid = rasterize_pyramid(cloud, vis, query, K, levels, Channels.COLOR)
     img = render_rgb(pyramid, background=args.background)
     write_ppm(args.out, img)
     print(f"wrote {args.out} ({len(vis)} visible points from frame {vis.source_frame})")

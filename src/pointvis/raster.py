@@ -157,11 +157,15 @@ def load_raster(path) -> RasterImage:
         np.frombuffer(raw, dtype=np.uint8, count=mask_bytes, offset=off), count=npix
     ).astype(bool).reshape(h, w)
     off += mask_bytes
-    depth = np.frombuffer(raw, dtype="<f4", count=npix, offset=off).astype(np.float64).reshape(h, w)
-    off += npix * 4
-    features = (
-        np.frombuffer(raw, dtype="<f4", count=npix * c, offset=off)
-        .astype(np.float64)
-        .reshape(h, w, c)
-    )
+    with np.errstate(invalid="ignore"):  # a signalling NaN in the file widens to a quiet NaN
+        depth = np.frombuffer(raw, dtype="<f4", count=npix, offset=off).astype(np.float64).reshape(h, w)
+        off += npix * 4
+        features = (
+            np.frombuffer(raw, dtype="<f4", count=npix * c, offset=off)
+            .astype(np.float64)
+            .reshape(h, w, c)
+        )
+    set_depth = depth[mask]
+    if not np.all(np.isfinite(set_depth) & (set_depth > 0)):
+        raise FormatError(f"{path}: a set pixel has a depth that is not finite and positive")
     return RasterImage(level, features, depth, mask)

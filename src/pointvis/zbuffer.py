@@ -3,8 +3,10 @@
 This is the single reduction shared by visibility pruning and
 rasterization: bin projected points into integer pixels and keep, per
 pixel, the candidate with minimal depth (ties broken by smallest point
-index). Two scatter-min passes over a W*H buffer decide it, depth
-first and then index among the exact-depth ties; it runs in one thread.
+index). Candidates are binned in blocks of `_BLOCK` rows, keeping each
+block's in-bounds rows, and the kept rows of all blocks are reduced once.
+Two scatter-min passes over a W*H buffer decide it, depth first and then
+index among the exact-depth ties; it runs in one thread.
 """
 from __future__ import annotations
 
@@ -13,6 +15,11 @@ import numpy as np
 from .geom import Intrinsics, Pose, pixel_bins
 
 _EMPTY = np.iinfo(np.int64).max
+# Candidates binned per block: a block's projection temporaries (a few MB)
+# stay in cache, where one pass over a whole window would stream hundreds
+# of MB through memory about eight times. On 11.6M rows at 1024x512,
+# 2^15 and 2^16 rows measured fastest, 2^14 and 2^17 about 15% slower.
+_BLOCK = 1 << 15
 
 
 def zbuffer_winners(
@@ -28,8 +35,13 @@ def zbuffer_winners(
     dropped before the reduction; a repeated candidate counts once.
     """
     indices = np.asarray(indices, dtype=np.int64)
-    ok, ui, vi, z = pixel_bins(pose, K, positions[indices])
-    return reduce_bins(indices[ok], ui[ok], vi[ok], z[ok], K.width, K.height)
+    kept = []
+    for s in range(0, max(len(indices), 1), _BLOCK):  # an empty input is one empty block
+        idx = indices[s : s + _BLOCK]
+        ok, ui, vi, z = pixel_bins(pose, K, positions[idx])
+        kept.append((idx[ok], ui[ok], vi[ok], z[ok]))
+    idx, ui, vi, z = (np.concatenate(rows) for rows in zip(*kept))
+    return reduce_bins(idx, ui, vi, z, K.width, K.height)
 
 
 def reduce_bins(idx, ui, vi, depth, width: int, height: int):

@@ -4,6 +4,7 @@ import shutil
 import numpy as np
 import pytest
 
+from pointvis import cli
 from pointvis.bench import Strategy, read_report_csv, run_strategy
 from pointvis.cli import main
 from pointvis.connectivity import build_graph, load_graph
@@ -254,6 +255,18 @@ class TestBench:
             assert [key(r) for r in got] == [key(r) for r in want]
             retrieved[n] = [r.retrieved for r in got]
         assert retrieved[1] != retrieved[3] != retrieved[8]
+
+
+@pytest.mark.parametrize("levels", ["1,3", "0", "-1,0"])
+def test_render_levels_checked_before_loading(built, tmp_path, monkeypatch, levels):
+    scene_dir, map_path, graph_path = built
+    loads = []
+    monkeypatch.setattr(cli, "load_map", lambda path: loads.append(path))
+    code = main(["render", "--map", str(map_path), "--graph", str(graph_path),
+                 "--intrinsics", str(scene_dir / "intrinsics.txt"), "--frame", "3",
+                 f"--levels={levels}", "--out", str(tmp_path / "v.ppm")])
+    assert code == 2
+    assert loads == []
 
 
 # Each malformed input is rejected where it enters: exit 2, never exit 1 and

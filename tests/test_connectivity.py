@@ -1,9 +1,11 @@
 import struct
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pointvis import zbuffer
 from pointvis.connectivity import (
     ConnectivityGraph,
     build_graph,
@@ -169,9 +171,7 @@ def _zbuffer_case(draw):
     return np.array(points), np.array(cand, dtype=np.int64), np.array(shift, dtype=float)
 
 
-@settings(max_examples=300, deadline=None)
-@given(_zbuffer_case())
-def test_zbuffer_matches_brute_force_on_random_clouds(case):
+def _check_zbuffer_case(case):
     positions, cand, shift = case
     cloud = PointCloudMap(positions, [(0, 0, len(positions))])
     pose = Pose(np.eye(3), shift)
@@ -181,6 +181,29 @@ def test_zbuffer_matches_brute_force_on_random_clouds(case):
     assert np.array_equal(depth, positions[idx, 2] - shift[2])
     got = {(int(u), int(v)): int(i) for u, v, i in zip(pu, pv, idx)}
     assert got == brute_force_zbuffer(cloud, cand, pose, K)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_zbuffer_case())
+def test_zbuffer_matches_brute_force_on_random_clouds(case):
+    _check_zbuffer_case(case)
+
+
+# Blocks of a few rows put repeated candidates and exact depth ties in
+# different blocks, which the one reduction after the block loop must join.
+@pytest.mark.parametrize("block", [1, 2, 7])
+@settings(max_examples=300, deadline=None)
+@given(case=_zbuffer_case())
+def test_zbuffer_matches_brute_force_across_blocks(block, case):
+    with mock.patch.object(zbuffer, "_BLOCK", block):
+        _check_zbuffer_case(case)
+
+
+def test_zbuffer_empty_candidates():
+    K = Intrinsics(4.0, 4.0, 4.0, 3.0, 8, 6)
+    out = zbuffer_winners(np.zeros(0, dtype=np.int64), Pose(np.eye(3), np.zeros(3)), K, np.ones((3, 3)))
+    assert [len(a) for a in out] == [0, 0, 0, 0]
+    assert [a.dtype for a in out] == [np.int64, np.int64, np.int64, np.float64]
 
 
 class TestGraphSerialization:

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pointvis.errors import DomainError
 from pointvis.geom import (
@@ -159,3 +160,29 @@ class TestPixelBins:
                 assert z[i] == pytest.approx(hit[2], rel=1e-12)
         assert np.all(ui[z <= 0] == -1) and np.all(vi[z <= 0] == -1)
         assert 0 < np.count_nonzero(ok) < len(pts)
+
+
+# The z-buffer bins its candidates block by block, so binning must not
+# depend on how many rows share one call: the (n, 3) @ (3, 3) product and
+# every step after it must give each row the same bits in a block of any
+# size as in the whole array.
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(0, 3000),
+    block=st.integers(1, 3000),
+    dtype=st.sampled_from([np.float32, np.float64]),
+)
+def test_pixel_bins_per_block_equals_whole(seed, n, block, dtype):
+    rng = np.random.default_rng(seed)
+    q, r = np.linalg.qr(rng.normal(size=(3, 3)))
+    q = q * np.sign(np.diag(r))
+    if np.linalg.det(q) < 0:
+        q[:, 0] = -q[:, 0]
+    pose = Pose(q, rng.uniform(-5, 5, size=3))
+    K = Intrinsics(40.0, 30.0, 31.5, 23.5, 64, 48)
+    pts = rng.uniform(-20, 20, size=(n, 3)).astype(dtype)
+    whole = pixel_bins(pose, K, pts)
+    parts = [pixel_bins(pose, K, pts[s : s + block]) for s in range(0, max(n, 1), block)]
+    for a, b in zip(whole, zip(*parts)):
+        assert np.concatenate(b).tobytes() == a.tobytes()

@@ -1,4 +1,5 @@
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from pointvis.geom import Intrinsics, Pose, scale_intrinsics
 from pointvis.ingest import PointCloudMap, attach_descriptors
 from pointvis.raster import (
     Channels,
+    RasterImage,
     load_raster,
     occupancy,
     rasterize,
@@ -295,3 +297,66 @@ class TestRasterSerialization:
         path.write_bytes(path.read_bytes()[:-4])
         with pytest.raises(FormatError):
             load_raster(path)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0, -1.0])
+    def test_set_pixel_depth_not_positive_finite(self, tmp_path, bad):
+        cloud = colored_map([[0, 0, 2.0]])
+        K = Intrinsics(8.0, 8.0, 8.0, 8.0, 16, 16)
+        img = rasterize(cloud, np.array([0]), IDENTITY, K, level=0)
+        img.depth[img.mask] = bad
+        path = tmp_path / "d.ras"
+        save_raster(path, img)
+        with pytest.raises(FormatError, match="d.ras"):
+            load_raster(path)
+
+
+@st.composite
+def _small_rasters(draw):
+    """A valid raster image of 0..5 x 0..5 pixels and 1..4 channels: set
+    pixels have positive finite depth, empty ones +inf, and features may be
+    NaN (points without a color)."""
+    h, w, c = draw(st.integers(0, 5)), draw(st.integers(0, 5)), draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mask = rng.random((h, w)) < 0.5
+    depth = np.where(mask, rng.uniform(0.1, 50, (h, w)), np.inf)
+    features = rng.uniform(0, 1, (h, w, c))
+    features[rng.random((h, w)) < 0.2] = np.nan
+    return RasterImage(draw(st.integers(0, 5)), features, depth, mask)
+
+
+def _raster_bytes(directory, image) -> bytes:
+    path = directory / "valid.ras"
+    save_raster(path, image)
+    return path.read_bytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(_small_rasters(), st.data())
+def test_every_raster_truncation_rejected(tmp_path_factory, image, data):
+    work = tmp_path_factory.mktemp("cut")
+    raw = _raster_bytes(work, image)
+    cut = data.draw(st.integers(0, len(raw) - 1))
+    path = work / "r.ras"
+    path.write_bytes(raw[:cut])
+    with pytest.raises(FormatError):
+        load_raster(path)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_small_rasters(), st.data())
+def test_raster_byte_mutation_loads_or_format_error(tmp_path_factory, image, data):
+    work = tmp_path_factory.mktemp("mut")
+    raw = _raster_bytes(work, image)
+    pos = data.draw(st.integers(0, len(raw) - 1))
+    mutated = bytearray(raw)
+    mutated[pos] = data.draw(st.integers(0, 255).filter(lambda b: b != raw[pos]))
+    path = work / "r.ras"
+    path.write_bytes(bytes(mutated))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            back = load_raster(path)
+        except FormatError:
+            return
+    set_depth = back.depth[back.mask]
+    assert np.all(np.isfinite(set_depth) & (set_depth > 0))
