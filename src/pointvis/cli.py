@@ -13,7 +13,7 @@ import numpy as np
 from . import bench as bench_mod
 from .connectivity import build_graph, load_graph, save_graph, visible_set_for
 from .errors import DomainError, FormatError
-from .geom import Pose
+from .geom import Pose, scale_intrinsics
 from .ingest import (
     PointCloudMap,
     Sequence,
@@ -137,9 +137,10 @@ def _query_pose(args) -> Pose:
 
 def cmd_render(args) -> int:
     levels = _parse_levels(args.levels)
+    K = read_intrinsics(args.intrinsics)
+    scale_intrinsics(K, levels[-1])  # a level too coarse for the image fails before the map is read
     cloud = load_map(args.map)
     graph = load_graph(args.graph)
-    K = read_intrinsics(args.intrinsics)
     if args.frame is not None and args.frame in graph.entries:
         query = graph.entries[args.frame][0]
     elif args.frame is not None:

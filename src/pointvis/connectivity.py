@@ -1,6 +1,6 @@
 """Camera-to-scan connectivity: a generous per-frame scan window built
-once per sequence, plus per-query candidate retrieval and z-buffer
-pruning down to the visible set.
+once per sequence, per-query candidate retrieval, z-buffer pruning down
+to the visible set, and the graph file (via `ingest.read_binary`).
 """
 from __future__ import annotations
 
@@ -11,7 +11,7 @@ import numpy as np
 
 from .errors import DomainError, FormatError
 from .geom import Intrinsics, Pose
-from .ingest import PointCloudMap, Sequence
+from .ingest import PointCloudMap, Sequence, read_binary, write_binary
 from .zbuffer import zbuffer_winners
 
 GRAPH_MAGIC = b"CENPBG-GRF\x00"
@@ -137,29 +137,16 @@ def save_graph(path, graph: ConnectivityGraph) -> None:
         pose, window = graph.entries[fid]
         row["frame"], row["window"] = fid, window
         row["pose"] = np.hstack([pose.rotation, pose.translation[:, None]])
-    with open(path, "wb") as f:
-        f.write(GRAPH_MAGIC)
-        f.write(_GRAPH_HEADER.pack(GRAPH_VERSION, graph.n, len(graph.entries), graph.built_over))
-        f.write(table.tobytes())
+    header = (GRAPH_VERSION, graph.n, len(graph.entries), graph.built_over)
+    write_binary(path, GRAPH_MAGIC, _GRAPH_HEADER, header, [table])
 
 
 def load_graph(path) -> ConnectivityGraph:
-    with open(path, "rb") as f:
-        raw = f.read()
-    if raw[: len(GRAPH_MAGIC)] != GRAPH_MAGIC:
-        raise FormatError(f"{path}: bad magic, not a connectivity graph file")
-    off = len(GRAPH_MAGIC) + _GRAPH_HEADER.size
-    if len(raw) < off:
-        raise FormatError(f"{path}: truncated header ({len(raw)} bytes)")
-    version, n, count, built_over = _GRAPH_HEADER.unpack_from(raw, len(GRAPH_MAGIC))
-    if version != GRAPH_VERSION:
-        raise FormatError(f"{path}: unsupported graph version {version}")
+    (_, n, count, built_over), (table,) = read_binary(
+        path, GRAPH_MAGIC, GRAPH_VERSION, _GRAPH_HEADER, lambda fields: [(fields[2], _GRAPH_ENTRY)]
+    )
     if n < 1:
         raise FormatError(f"{path}: window parameter n=0")
-    expected = off + count * _GRAPH_ENTRY.itemsize
-    if len(raw) != expected:
-        raise FormatError(f"{path}: expected {expected} bytes for {count} frames, got {len(raw)}")
-    table = np.frombuffer(raw, _GRAPH_ENTRY, count, off)
     fids, windows = table["frame"].tolist(), table["window"].tolist()
     if len(set(fids)) != count:
         raise FormatError(f"{path}: repeated frame id")

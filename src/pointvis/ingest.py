@@ -1,8 +1,10 @@
 """KITTI-style sensor ingest: binary LiDAR scans, trajectory files,
-intrinsics, map accumulation, train/test splits, and map serialization.
+intrinsics, map accumulation, train/test splits, the map file, and
+`read_binary`/`write_binary`: the one reader and writer of v1 binary files.
 """
 from __future__ import annotations
 
+import itertools
 import os
 import struct
 from dataclasses import dataclass, field
@@ -14,6 +16,7 @@ from .geom import Intrinsics, Pose, pixel_bins
 
 MAP_MAGIC = b"CENPBG-MAP\x00"
 MAP_VERSION = 1
+_MAP_HEADER = struct.Struct("<HQHBQ")  # version, N, C, flags, range count
 
 NO_COLOR = np.float32(np.nan)  # sentinel for points without a sampled color
 
@@ -167,20 +170,26 @@ def read_poses(path) -> list[tuple[int, Pose]]:
             vals = [float(x) for x in fields[1:]]
         except ValueError as e:
             raise FormatError(f"{path}:{lineno}: non-numeric token ({e})") from e
+        if not np.all(np.isfinite(vals)):
+            raise FormatError(f"{path}:{lineno}: non-finite field")
         if frame_id in seen:
             raise FormatError(f"{path}:{lineno}: duplicate frame_id {frame_id}")
         seen.add(frame_id)
         mat = np.array(vals, dtype=np.float64).reshape(3, 4)
         rot, t = mat[:, :3], mat[:, 3]
-        err = np.abs(rot.T @ rot - np.eye(3)).max()
-        if err > 1e-3 or np.linalg.det(rot) < 0:
+        with np.errstate(over="ignore", invalid="ignore"):  # huge entries give inf or nan: rejected
+            err = np.abs(rot.T @ rot - np.eye(3)).max()
+            det = np.linalg.det(rot)
+        if not err <= 1e-3 or det < 0:
             raise FormatError(
-                f"{path}:{lineno}: rotation block is not orthonormal "
-                f"(error {err:.3g}, det {np.linalg.det(rot):.3f})"
+                f"{path}:{lineno}: rotation block is not orthonormal (error {err:.3g}, det {det:.3f})"
             )
         if err > 1e-6:
             rot = _nearest_rotation(rot)
-        out.append((frame_id, Pose(rot, t, frame_id)))
+        try:
+            out.append((frame_id, Pose(rot, t, frame_id)))
+        except DomainError as e:
+            raise FormatError(f"{path}:{lineno}: {e}") from e
     return out
 
 
@@ -210,6 +219,8 @@ def read_intrinsics(path) -> Intrinsics:
         w, h = int(fields[4]), int(fields[5])
     except ValueError as e:
         raise FormatError(f"{path}: non-numeric token ({e})") from e
+    if not np.all(np.isfinite([fx, fy, cx, cy])):
+        raise FormatError(f"{path}: non-finite field")
     return Intrinsics(fx, fy, cx, cy, w, h)
 
 
@@ -294,58 +305,67 @@ def colorize_map(
     return PointCloudMap(cloud.positions, list(cloud.scan_ranges), colors, cloud.descriptors)
 
 
-def save_map(path, cloud: PointCloudMap) -> None:
-    """Binary map format: magic, version, N, C, flags, range table, arrays."""
-    flags = (1 if cloud.colors is not None else 0) | (2 if cloud.descriptors is not None else 0)
-    c = cloud.channel_count or 0
+def write_binary(path, magic: bytes, header: struct.Struct, fields, arrays) -> None:
+    """Write a format-v1 file: the magic, the header packed from `fields`
+    (version first), then each array's bytes in order."""
     with open(path, "wb") as f:
-        f.write(MAP_MAGIC)
-        f.write(struct.pack("<HQHB", MAP_VERSION, len(cloud), c, flags))
-        f.write(struct.pack("<Q", len(cloud.scan_ranges)))
-        for sid, first, count in cloud.scan_ranges:
-            f.write(struct.pack("<QQQ", sid, first, count))
-        f.write(cloud.positions.astype("<f4").tobytes())
-        if cloud.colors is not None:
-            f.write(cloud.colors.astype("<f4").tobytes())
-        if cloud.descriptors is not None:
-            f.write(cloud.descriptors.astype("<f4").tobytes())
+        f.write(magic)
+        f.write(header.pack(*fields))
+        for arr in arrays:
+            f.write(arr.tobytes())
 
 
-def load_map(path) -> PointCloudMap:
-    """Read a map file with one `readinto` into a byte buffer; the map's
-    arrays are writable little-endian float32 views of that buffer."""
+def read_binary(path, magic: bytes, version: int, header: struct.Struct, sizes):
+    """Read a format-v1 file with one `readinto` into a byte buffer.
+
+    Checks the magic, the header and its version, then that the file is
+    exactly as long as the header implies: `sizes(fields)` gives each
+    array's `(count, dtype)` in file order. Returns the header fields and
+    one flat writable view of the buffer per array."""
     with open(path, "rb") as f:
         raw = np.empty(os.fstat(f.fileno()).st_size, dtype=np.uint8)
         raw = raw[: f.readinto(raw)]
-    if raw[: len(MAP_MAGIC)].tobytes() != MAP_MAGIC:
-        raise FormatError(f"{path}: bad magic, not a map file")
-    off = len(MAP_MAGIC)
-    try:
-        version, n, c, flags = struct.unpack_from("<HQHB", raw, off)
-        off += struct.calcsize("<HQHB")
-        if version != MAP_VERSION:
-            raise FormatError(f"{path}: unsupported map version {version}")
-        (nranges,) = struct.unpack_from("<Q", raw, off)
-        off += 8
-    except struct.error as e:
-        raise FormatError(f"{path}: truncated header ({e})") from e
+    if raw[: len(magic)].tobytes() != magic:
+        raise FormatError(f"{path}: bad magic, expected {magic!r}")
+    off = len(magic) + header.size
+    if len(raw) < off:
+        raise FormatError(f"{path}: truncated header ({len(raw)} bytes)")
+    fields = header.unpack_from(raw, len(magic))
+    if fields[0] != version:
+        raise FormatError(f"{path}: unsupported version {fields[0]}")
+    spans = [(count * np.dtype(dtype).itemsize, dtype) for count, dtype in sizes(fields)]
+    bounds = list(itertools.accumulate((nbytes for nbytes, _ in spans), initial=off))
+    if len(raw) != bounds[-1]:
+        raise FormatError(f"{path}: expected {bounds[-1]} bytes, got {len(raw)}")
+    return fields, [raw[a:b].view(dtype) for a, b, (_, dtype) in zip(bounds, bounds[1:], spans)]
 
-    def take(count, dtype):
-        nonlocal off
-        nbytes = count * np.dtype(dtype).itemsize
-        if off + nbytes > len(raw):
-            raise FormatError(f"{path}: truncated at byte {off}")
-        arr = raw[off : off + nbytes].view(dtype)
-        off += nbytes
-        return arr
 
-    ranges = [tuple(r) for r in take(nranges * 3, "<u8").reshape(nranges, 3).tolist()]
-    positions = take(n * 3, "<f4").reshape(n, 3)
-    colors = take(n * 3, "<f4").reshape(n, 3) if flags & 1 else None
-    descriptors = take(n * c, "<f4").reshape(n, c) if flags & 2 else None
-    if off != len(raw):
-        raise FormatError(f"{path}: {len(raw) - off} trailing bytes")
+def save_map(path, cloud: PointCloudMap) -> None:
+    """Binary map format: magic, version, N, C, flags, range table, arrays."""
+    flags = (1 if cloud.colors is not None else 0) | (2 if cloud.descriptors is not None else 0)
+    header = (MAP_VERSION, len(cloud), cloud.channel_count or 0, flags, len(cloud.scan_ranges))
+    arrays = [np.array(cloud.scan_ranges, dtype="<u8"), cloud.positions.astype("<f4")]
+    arrays += [a.astype("<f4") for a in (cloud.colors, cloud.descriptors) if a is not None]
+    write_binary(path, MAP_MAGIC, _MAP_HEADER, header, arrays)
+
+
+def _map_sizes(fields):
+    """Range table, positions, colors, descriptors; an array the flags omit has count 0."""
+    _, n, c, flags, nranges = fields
+    colors, descriptors = (n * 3 if flags & 1 else 0), (n * c if flags & 2 else 0)
+    return [(nranges * 3, "<u8"), (n * 3, "<f4"), (colors, "<f4"), (descriptors, "<f4")]
+
+
+def load_map(path) -> PointCloudMap:
+    """Read a map file; the map's arrays are writable little-endian float32
+    views of the file's bytes."""
+    (_, n, c, flags, nranges), (ranges, positions, colors, descriptors) = read_binary(
+        path, MAP_MAGIC, MAP_VERSION, _MAP_HEADER, _map_sizes
+    )
+    ranges = [tuple(r) for r in ranges.reshape(nranges, 3).tolist()]
+    colors = colors.reshape(n, 3) if flags & 1 else None
+    descriptors = descriptors.reshape(n, c) if flags & 2 else None
     try:
-        return PointCloudMap(positions, ranges, colors, descriptors)
+        return PointCloudMap(positions.reshape(n, 3), ranges, colors, descriptors)
     except DomainError as e:
         raise FormatError(f"{path}: {e}") from e

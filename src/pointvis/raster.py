@@ -2,7 +2,7 @@
 multi-resolution pyramid (levels t store an H/2^t x W/2^t x C image
 under z-buffer semantics). Level 0 is the visible set, the one z-buffer
 of the view; level t reads the level-0 pixel (u, v) at bin
-(u >> t, v >> t).
+(u >> t, v >> t). Raster dumps go through `ingest.read_binary`.
 """
 from __future__ import annotations
 
@@ -15,11 +15,12 @@ import numpy as np
 from .connectivity import VisibleSet, prune_visible
 from .errors import DomainError, FormatError
 from .geom import Intrinsics, Pose, scale_intrinsics
-from .ingest import PointCloudMap
+from .ingest import PointCloudMap, read_binary, write_binary
 from .zbuffer import reduce_bins
 
 RASTER_MAGIC = b"CENPBG-RAS\x00"
 RASTER_VERSION = 1
+_RASTER_HEADER = struct.Struct("<HHIIH")  # version, level, h, w, C
 
 DEFAULT_LEVELS = (0, 1, 2, 3, 4, 5)  # 1..5 are the pyramid proper; 0 feeds the renderer
 
@@ -125,47 +126,36 @@ def occupancy(image: RasterImage) -> float:
     return float(np.count_nonzero(image.mask)) / image.mask.size
 
 
+def _bad_depth(depth: np.ndarray, mask: np.ndarray) -> bool:
+    """Whether a set pixel has a depth that is NaN, infinite or not positive."""
+    set_depth = depth[mask]
+    return not np.all(np.isfinite(set_depth) & (set_depth > 0))
+
+
 def save_raster(path, image: RasterImage) -> None:
     h, w, c = image.features.shape
-    with open(path, "wb") as f:
-        f.write(RASTER_MAGIC)
-        f.write(struct.pack("<HHIIH", RASTER_VERSION, image.level, h, w, c))
-        f.write(np.packbits(image.mask.reshape(-1)).tobytes())
-        f.write(image.depth.astype("<f4").tobytes())
-        f.write(image.features.astype("<f4").tobytes())
+    with np.errstate(over="ignore"):  # a depth beyond float32 becomes inf: refused below
+        depth = image.depth.astype("<f4")
+    if _bad_depth(depth, image.mask):
+        raise DomainError("a set pixel has a depth that is not finite and positive in float32")
+    arrays = [np.packbits(image.mask.reshape(-1)), depth, image.features.astype("<f4")]
+    write_binary(path, RASTER_MAGIC, _RASTER_HEADER, (RASTER_VERSION, image.level, h, w, c), arrays)
+
+
+def _raster_sizes(fields):
+    """Packed mask bits, depth and features of an h x w x C image."""
+    _, _, h, w, c = fields
+    return [((h * w + 7) // 8, np.uint8), (h * w, "<f4"), (h * w * c, "<f4")]
 
 
 def load_raster(path) -> RasterImage:
-    with open(path, "rb") as f:
-        raw = f.read()
-    if raw[: len(RASTER_MAGIC)] != RASTER_MAGIC:
-        raise FormatError(f"{path}: bad magic, not a raster dump")
-    off = len(RASTER_MAGIC)
-    try:
-        version, level, h, w, c = struct.unpack_from("<HHIIH", raw, off)
-    except struct.error as e:
-        raise FormatError(f"{path}: truncated header ({e})") from e
-    if version != RASTER_VERSION:
-        raise FormatError(f"{path}: unsupported raster version {version}")
-    off += struct.calcsize("<HHIIH")
-    npix = h * w
-    mask_bytes = (npix + 7) // 8
-    expected = off + mask_bytes + npix * 4 + npix * c * 4
-    if len(raw) != expected:
-        raise FormatError(f"{path}: expected {expected} bytes, got {len(raw)}")
-    mask = np.unpackbits(
-        np.frombuffer(raw, dtype=np.uint8, count=mask_bytes, offset=off), count=npix
-    ).astype(bool).reshape(h, w)
-    off += mask_bytes
+    (_, level, h, w, c), (mask, depth, features) = read_binary(
+        path, RASTER_MAGIC, RASTER_VERSION, _RASTER_HEADER, _raster_sizes
+    )
+    mask = np.unpackbits(mask, count=h * w).astype(bool).reshape(h, w)
     with np.errstate(invalid="ignore"):  # a signalling NaN in the file widens to a quiet NaN
-        depth = np.frombuffer(raw, dtype="<f4", count=npix, offset=off).astype(np.float64).reshape(h, w)
-        off += npix * 4
-        features = (
-            np.frombuffer(raw, dtype="<f4", count=npix * c, offset=off)
-            .astype(np.float64)
-            .reshape(h, w, c)
-        )
-    set_depth = depth[mask]
-    if not np.all(np.isfinite(set_depth) & (set_depth > 0)):
+        depth = depth.astype(np.float64).reshape(h, w)
+        features = features.astype(np.float64).reshape(h, w, c)
+    if _bad_depth(depth, mask):
         raise FormatError(f"{path}: a set pixel has a depth that is not finite and positive")
     return RasterImage(level, features, depth, mask)

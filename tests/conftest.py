@@ -1,10 +1,12 @@
 import math
 import struct
+import warnings
 
 import numpy as np
 import pytest
 
 from pointvis.connectivity import build_graph
+from pointvis.errors import FormatError
 from pointvis.geom import Intrinsics, Pose, project, world_to_camera
 from pointvis.ingest import PointCloudMap, Scan, Sequence, accumulate
 from pointvis.synth import CanyonParams, make_canyon, scene_map
@@ -80,3 +82,13 @@ def corrupt_graph(raw: bytes, defect: str) -> bytes:
     else:
         raise ValueError(defect)
     return bytes(raw)
+
+
+def loads_or_format_error(reader, path):
+    """`reader(path)` either returns or raises FormatError, and warns nothing."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            reader(path)
+        except FormatError:
+            pass

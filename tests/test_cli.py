@@ -257,7 +257,7 @@ class TestBench:
         assert retrieved[1] != retrieved[3] != retrieved[8]
 
 
-@pytest.mark.parametrize("levels", ["1,3", "0", "-1,0"])
+@pytest.mark.parametrize("levels", ["1,3", "0", "-1,0", "0,12"])
 def test_render_levels_checked_before_loading(built, tmp_path, monkeypatch, levels):
     scene_dir, map_path, graph_path = built
     loads = []

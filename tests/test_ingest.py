@@ -1,10 +1,11 @@
+import hashlib
 import struct
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pointvis.connectivity import candidate_indices, prune_visible
+from pointvis.connectivity import ConnectivityGraph, candidate_indices, prune_visible, save_graph
 from pointvis.errors import DomainError, FormatError
 from pointvis.geom import Intrinsics, Pose, identity_pose
 from pointvis.ingest import (
@@ -22,9 +23,11 @@ from pointvis.ingest import (
     write_poses,
     write_scan,
 )
-from pointvis.raster import rasterize_pyramid
+from pointvis.raster import RasterImage, rasterize_pyramid, save_raster
 from pointvis.render import render_rgb
 from pointvis.synth import read_surfaces
+
+from conftest import loads_or_format_error
 
 
 class TestReadScan:
@@ -90,6 +93,15 @@ class TestReadPoses:
         with pytest.raises(FormatError, match="non-numeric"):
             read_poses(path)
 
+    # a frame id Pose rejects, and an entry whose square overflows
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("line", ["-3 1 0 0 0 0 1 0 0 0 0 1 0", "0 1e200 0 0 0 0 1 0 0 0 0 1 0"])
+    def test_rejected_without_warning(self, tmp_path, line):
+        path = tmp_path / "poses.txt"
+        path.write_text(line + "\n")
+        with pytest.raises(FormatError, match="poses.txt:1"):
+            read_poses(path)
+
     def test_mild_drift_reorthonormalized(self, tmp_path):
         rot = np.eye(3) + np.random.default_rng(5).normal(0, 1e-5, (3, 3))
         vals = np.hstack([rot, np.zeros((3, 1))]).reshape(-1)
@@ -133,6 +145,68 @@ def test_not_utf8_text(tmp_path, reader):
     path.write_bytes(b"0 1 0 0\n\xff\xfe 1 0\n")
     with pytest.raises(FormatError, match="binary.txt: not UTF-8 text"):
         reader(path)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("reader,text,where", [
+    (read_poses, "0 nan 0 0 0 0 1 0 0 0 0 1 0\n", "f.txt:1"),
+    (read_poses, "0 1 0 0 0 0 1 0 0 0 0 1 0\n1 1 0 0 1e999 0 1 0 0 0 0 1 0\n", "f.txt:2"),
+    (read_intrinsics, "nan 1 0 0 4 4\n", "f.txt"),
+    (read_intrinsics, "1 1 -inf 0 4 4\n", "f.txt"),
+])
+def test_non_finite_field(tmp_path, reader, text, where):
+    path = tmp_path / "f.txt"
+    path.write_text(text)
+    with pytest.raises(FormatError, match=f"{where}: non-finite"):
+        reader(path)
+
+
+@st.composite
+def _small_trajectories(draw):
+    """0..4 posed frames: random rotations, or quarter turns about z whose
+    near-zero entries print with an exponent."""
+    fids = sorted(draw(st.sets(st.integers(0, 10**6), max_size=4)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    frames = []
+    for fid in fids:
+        if draw(st.booleans()):
+            rot = np.linalg.qr(rng.normal(size=(3, 3)))[0]
+            rot[:, 0] *= np.sign(np.linalg.det(rot))  # a rotation, not a reflection
+        else:
+            a = draw(st.sampled_from([0.5, 1.0, 1.5])) * np.pi
+            rot = np.array([[np.cos(a), -np.sin(a), 0], [np.sin(a), np.cos(a), 0], [0, 0, 1]])
+        frames.append((fid, Pose(rot, rng.uniform(-100, 100, 3), fid)))
+    return frames
+
+
+def _poses_bytes(directory, frames) -> bytes:
+    path = directory / "valid.txt"
+    write_poses(path, frames)
+    assert read_poses(path) == frames
+    return path.read_bytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(_small_trajectories(), st.data())
+def test_every_poses_truncation_loads_or_format_error(tmp_path_factory, frames, data):
+    work = tmp_path_factory.mktemp("cut")
+    raw = _poses_bytes(work, frames)
+    path = work / "p.txt"
+    path.write_bytes(raw[: data.draw(st.integers(0, max(len(raw) - 1, 0)))])
+    loads_or_format_error(read_poses, path)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_small_trajectories().filter(len), st.data())
+def test_poses_byte_mutation_loads_or_format_error(tmp_path_factory, frames, data):
+    work = tmp_path_factory.mktemp("mut")
+    raw = _poses_bytes(work, frames)
+    pos = data.draw(st.integers(0, len(raw) - 1))
+    mutated = bytearray(raw)
+    mutated[pos] = data.draw(st.integers(0, 255).filter(lambda b: b != raw[pos]))
+    path = work / "p.txt"
+    path.write_bytes(bytes(mutated))
+    loads_or_format_error(read_poses, path)
 
 
 class TestAccumulate:
@@ -397,3 +471,37 @@ def test_loaded_map_renders_like_float64(tmp_path_factory, seed):
     assert loaded.positions.dtype == np.float32
     for got, want in zip(*outs):
         np.testing.assert_array_equal(got, want, strict=True)
+
+
+def _golden_files(directory):
+    """A fixed map with colors and descriptors, one without, a graph and a
+    raster dump, every array built from np.arange."""
+    pos = np.arange(36.0).reshape(12, 3) * 0.25 - 4
+    colors = np.arange(36.0).reshape(12, 3) / 64
+    colors[7] = NO_COLOR
+    desc = np.arange(48.0).reshape(12, 4) * 0.5 - 10
+    ranges = [(0, 0, 5), (3, 5, 0), (4, 5, 7)]
+    save_map(directory / "full.map", PointCloudMap(pos, ranges, colors, desc))
+    save_map(directory / "bare.map", PointCloudMap(pos, ranges))
+    rot = np.eye(3)[[1, 2, 0]]
+    entries = {fid: (Pose(rot, np.arange(3.0) * 1.5 + fid, fid), (max(0, fid - 2), fid + 4)) for fid in (0, 3, 8)}
+    save_graph(directory / "g.grf", ConnectivityGraph(entries, 2, 9))
+    mask = np.arange(15).reshape(3, 5) % 3 == 0
+    depth = np.where(mask, np.arange(15.0).reshape(3, 5) * 0.75 + 1, np.inf)
+    save_raster(directory / "r.ras", RasterImage(1, np.arange(30.0).reshape(3, 5, 2) / 8, depth, mask))
+
+
+# sha256 of each file as format v1 writes it; a change to these bytes is a
+# format change and needs a new version.
+GOLDEN_SHA256 = {
+    "full.map": "e05e7d4a893a5ab4ff06e165191683ba62ce37f1bf374c25c1d0a18c425d9945",
+    "bare.map": "59cf5d3f8999426ad2f546bea36e1f53f6fc68359866e703974bb14f30459c97",
+    "g.grf": "a6e927c404ab6b6787d153a46016d3d22f698b881e74421834b086c60f18dc36",
+    "r.ras": "204a41cbc2249c810ffb762ee915e546e029fb670bcd046542badcc403ec9f53",
+}
+
+
+def test_format_v1_golden_bytes(tmp_path):
+    _golden_files(tmp_path)
+    got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in GOLDEN_SHA256}
+    assert got == GOLDEN_SHA256

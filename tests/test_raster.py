@@ -303,11 +303,27 @@ class TestRasterSerialization:
         cloud = colored_map([[0, 0, 2.0]])
         K = Intrinsics(8.0, 8.0, 8.0, 8.0, 16, 16)
         img = rasterize(cloud, np.array([0]), IDENTITY, K, level=0)
-        img.depth[img.mask] = bad
         path = tmp_path / "d.ras"
         save_raster(path, img)
+        raw = bytearray(path.read_bytes())
+        off = raw.index(img.depth.astype("<f4").tobytes()) + 4 * int(np.flatnonzero(img.mask)[0])
+        raw[off : off + 4] = np.float32(bad).tobytes()
+        path.write_bytes(bytes(raw))
         with pytest.raises(FormatError, match="d.ras"):
             load_raster(path)
+
+    # 1e-50 and 1e39 are positive and finite in float64 but 0 and inf as written
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0, -1.0, 1e-50, 1e39])
+    def test_bad_depth_not_saved(self, tmp_path, bad):
+        cloud = colored_map([[0, 0, 2.0]])
+        K = Intrinsics(8.0, 8.0, 8.0, 8.0, 16, 16)
+        img = rasterize(cloud, np.array([0]), IDENTITY, K, level=0)
+        img.depth[img.mask] = bad
+        path = tmp_path / "d.ras"
+        with pytest.raises(DomainError):
+            save_raster(path, img)
+        assert not path.exists()
 
 
 @st.composite

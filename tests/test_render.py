@@ -8,6 +8,8 @@ from pointvis.ingest import PointCloudMap, attach_descriptors
 from pointvis.raster import Channels, RasterImage, RasterPyramid, rasterize_pyramid
 from pointvis.render import psnr, read_ppm, render_rgb, ssim, write_ppm
 
+from conftest import loads_or_format_error
+
 IDENTITY = Pose(np.eye(3), np.zeros(3))
 
 
@@ -242,3 +244,41 @@ class TestPpm:
         path.write_bytes(raw)
         with pytest.raises(FormatError):
             read_ppm(path)
+
+
+@st.composite
+def _small_images(draw):
+    """An (h, w, 3) image of 0..4 x 0..4 pixels with values on the 1/255 grid."""
+    h, w = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return rng.integers(0, 256, (h, w, 3)) / 255.0
+
+
+def _ppm_bytes(directory, img) -> bytes:
+    path = directory / "valid.ppm"
+    write_ppm(path, img)
+    assert np.array_equal(read_ppm(path), img)
+    return path.read_bytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(_small_images(), st.data())
+def test_every_ppm_truncation_loads_or_format_error(tmp_path_factory, img, data):
+    work = tmp_path_factory.mktemp("cut")
+    raw = _ppm_bytes(work, img)
+    path = work / "i.ppm"
+    path.write_bytes(raw[: data.draw(st.integers(0, len(raw) - 1))])
+    loads_or_format_error(read_ppm, path)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_small_images(), st.data())
+def test_ppm_byte_mutation_loads_or_format_error(tmp_path_factory, img, data):
+    work = tmp_path_factory.mktemp("mut")
+    raw = _ppm_bytes(work, img)
+    pos = data.draw(st.integers(0, len(raw) - 1))
+    mutated = bytearray(raw)
+    mutated[pos] = data.draw(st.integers(0, 255).filter(lambda b: b != raw[pos]))
+    path = work / "i.ppm"
+    path.write_bytes(bytes(mutated))
+    loads_or_format_error(read_ppm, path)
