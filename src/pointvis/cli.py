@@ -122,7 +122,12 @@ def cmd_build_graph(args) -> int:
     return 0
 
 
-def _query_pose(args) -> Pose:
+def _query_pose(args, graph) -> Pose:
+    """The pose `render` views from: `--frame`'s stored pose, else `--pose`."""
+    if args.frame is not None:
+        if args.frame not in graph.entries:
+            raise DomainError(f"frame {args.frame} not in graph; pass --pose instead")
+        return graph.entries[args.frame][0]
     if args.pose:
         try:
             vals = [float(x) for x in args.pose.replace(",", " ").split()]
@@ -136,24 +141,25 @@ def _query_pose(args) -> Pose:
 
 
 def cmd_render(args) -> int:
+    # Every argument and every file but the map is checked first, so a bad
+    # request exits before the largest file is read or any output is written.
     levels = _parse_levels(args.levels)
     K = read_intrinsics(args.intrinsics)
-    scale_intrinsics(K, levels[-1])  # a level too coarse for the image fails before the map is read
-    cloud = load_map(args.map)
+    scale_intrinsics(K, levels[-1])  # a level too coarse for the image
+    if not np.isfinite(args.background):
+        raise DomainError(f"--background must be finite, got {args.background!r}")
+    ref = read_ppm(args.reference) if args.reference else None
+    if ref is not None and ref.shape[:2] != (K.height, K.width):
+        raise DomainError(f"--reference is {ref.shape[1]}x{ref.shape[0]}, the view {K.width}x{K.height}")
     graph = load_graph(args.graph)
-    if args.frame is not None and args.frame in graph.entries:
-        query = graph.entries[args.frame][0]
-    elif args.frame is not None:
-        raise DomainError(f"frame {args.frame} not in graph; pass --pose instead")
-    else:
-        query = _query_pose(args)
+    query = _query_pose(args, graph)
+    cloud = load_map(args.map)
     vis = visible_set_for(graph, cloud, query, K)
     pyramid = rasterize_pyramid(cloud, vis, query, K, levels, Channels.COLOR)
     img = render_rgb(pyramid, background=args.background)
     write_ppm(args.out, img)
     print(f"wrote {args.out} ({len(vis)} visible points from frame {vis.source_frame})")
-    if args.reference:
-        ref = read_ppm(args.reference)
+    if ref is not None:
         print(f"psnr={psnr(img, ref)} ssim={ssim(img, ref)}")
     return 0
 
@@ -170,9 +176,11 @@ def cmd_bench(args) -> int:
     graph = build_graph(seq, args.n)
     queries = [pose for _, pose in frames][:: args.every]
 
-    # a bare `connectivity` runs with the --n window; `connectivity:N` with its own
+    # a bare `window` or `connectivity` runs with the --n window; `kind:N` with its own
     texts = [s.strip() for s in args.strategies.split(",") if s.strip()]
-    strategies = [bench_mod.Strategy.parse(f"connectivity:{args.n}" if s == "connectivity" else s) for s in texts]
+    strategies = [
+        bench_mod.Strategy.parse(f"{s}:{args.n}" if s in ("window", "connectivity") else s) for s in texts
+    ]
     if not strategies:
         raise DomainError("no strategies given")
     multi = len(strategies) > 1

@@ -221,7 +221,10 @@ def read_intrinsics(path) -> Intrinsics:
         raise FormatError(f"{path}: non-numeric token ({e})") from e
     if not np.all(np.isfinite([fx, fy, cx, cy])):
         raise FormatError(f"{path}: non-finite field")
-    return Intrinsics(fx, fy, cx, cy, w, h)
+    try:
+        return Intrinsics(fx, fy, cx, cy, w, h)
+    except DomainError as e:
+        raise FormatError(f"{path}: {e}") from e
 
 
 def write_intrinsics(path, K: Intrinsics) -> None:

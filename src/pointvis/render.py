@@ -4,11 +4,15 @@ The renderer walks the pyramid levels from finest to coarsest: a pixel
 (u, v) still empty takes the feature of level t when the bin
 (u >> t, v >> t) is occupied, and a constant background when no level
 has it. Level 0 is the case t = 0.
+
+PSNR and SSIM score a render against a reference. SSIM averages the local
+index over every window that fits in the image, with no padding, so even
+windows score the same patches as odd ones.
 """
 from __future__ import annotations
 
 import numpy as np
-from scipy.ndimage import correlate1d
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DomainError, FormatError
 from .raster import Channels, RasterPyramid
@@ -61,11 +65,9 @@ def _gaussian_kernel(size: int = 11, sigma: float = 1.5) -> np.ndarray:
 
 
 def _window_mean(img: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    """Separable valid-region Gaussian window mean."""
-    pad = (len(kernel) - 1) // 2
-    out = correlate1d(img, kernel, axis=0, mode="constant")
-    out = correlate1d(out, kernel, axis=1, mode="constant")
-    return out[pad:-pad, pad:-pad]
+    """Separable Gaussian mean over every window that fits in the image."""
+    k = len(kernel)
+    return sliding_window_view(sliding_window_view(img, k, axis=0) @ kernel, k, axis=1) @ kernel
 
 
 def ssim(
@@ -77,7 +79,16 @@ def ssim(
     k2: float = 0.03,
     data_range: float = 1.0,
 ) -> float:
-    """Mean local SSIM with a Gaussian window, per channel then averaged."""
+    """Mean local SSIM with a Gaussian window, per channel then averaged.
+
+    The mean runs over every window x window patch that fits in the image.
+    """
+    if not isinstance(window, (int, np.integer)) or window < 1:
+        raise DomainError(f"window must be an integer >= 1, got {window!r}")
+    if not 0 < sigma < np.inf:
+        raise DomainError(f"sigma must be positive and finite, got {sigma!r}")
+    if not 0 < data_range < np.inf:
+        raise DomainError(f"data_range must be positive and finite, got {data_range!r}")
     img = np.asarray(img, dtype=np.float64)
     ref = np.asarray(ref, dtype=np.float64)
     if img.shape != ref.shape:

@@ -1,5 +1,7 @@
 import os
 import shutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -238,7 +240,7 @@ class TestBench:
 
     def test_each_strategy_runs_its_own_window(self, scene_dir, tmp_path):
         code = main(["bench", "--scene", str(scene_dir), "--n", "3", "--every", "3",
-                     "--strategies", "connectivity,connectivity:1,connectivity:8",
+                     "--strategies", "connectivity,connectivity:1,connectivity:8,window",
                      "--out", str(tmp_path / "r.csv")])
         assert code == 0
         frames = read_poses(scene_dir / "poses.txt")
@@ -255,6 +257,9 @@ class TestBench:
             assert [key(r) for r in got] == [key(r) for r in want]
             retrieved[n] = [r.retrieved for r in got]
         assert retrieved[1] != retrieved[3] != retrieved[8]
+        got = read_report_csv(tmp_path / "r_window-3.csv").rows  # a bare `window` runs with --n too
+        want = run_strategy(Strategy.sliding_window(3), seq, queries, build_graph(seq, 3), surfaces).rows
+        assert [key(r) for r in got] == [key(r) for r in want]
 
 
 @pytest.mark.parametrize("levels", ["1,3", "0", "-1,0", "0,12"])
@@ -267,6 +272,41 @@ def test_render_levels_checked_before_loading(built, tmp_path, monkeypatch, leve
                  f"--levels={levels}", "--out", str(tmp_path / "v.ppm")])
     assert code == 2
     assert loads == []
+
+
+# `render` checks the whole request, and reads every input but the map,
+# before it reads the map; a bad request writes no output.
+@pytest.mark.parametrize("extra", [
+    ["--pose", "1 0 0 0 0 1 0 0 0 0 1 abc"],
+    ["--pose", "1 0 0 0 0 1 0 0 0 0 1"],
+    ["--frame", "999"],
+    [],
+    ["--frame", "3", "--background", "nan"],
+    ["--frame", "3", "--reference", "MISSING"],
+    ["--frame", "3", "--reference", "SMALL"],
+    ["--frame", "3", "--graph", "MISSING"],
+], ids=["pose-token", "pose-short", "frame-unknown", "no-pose-or-frame", "background-nan",
+        "reference-missing", "reference-size", "graph-missing"])
+def test_render_request_checked_before_loading(built, tmp_path, monkeypatch, extra):
+    scene_dir, map_path, graph_path = built
+    small = tmp_path / "small.ppm"
+    small.write_bytes(b"P6\n2 2\n255\n" + bytes(12))
+    names = {"MISSING": tmp_path / "missing", "SMALL": small}
+    loads = []
+    monkeypatch.setattr(cli, "load_map", lambda path: loads.append(path))
+    out = tmp_path / "v.ppm"
+    code = main(["render", "--map", str(map_path), "--graph", str(graph_path),
+                 "--intrinsics", str(scene_dir / "intrinsics.txt"), "--out", str(out),
+                 *[str(names.get(x, x)) for x in extra]])
+    assert code == 2
+    assert loads == []
+    assert not out.exists()
+
+
+def test_import_needs_no_scipy():
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    code = "import sys, pointvis.cli; sys.exit('scipy' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src}).returncode == 0
 
 
 # Each malformed input is rejected where it enters: exit 2, never exit 1 and

@@ -138,6 +138,13 @@ class TestIntrinsicsIO:
         with pytest.raises(FormatError):
             read_intrinsics(path)
 
+    @pytest.mark.parametrize("text", ["-5 1 0 0 4 4\n", "1 1 0 0 0 4\n"])
+    def test_rejected_field_names_file(self, tmp_path, text):
+        path = tmp_path / "K.txt"
+        path.write_text(text)
+        with pytest.raises(FormatError, match="K.txt: "):
+            read_intrinsics(path)
+
 
 @pytest.mark.parametrize("reader", [read_poses, read_intrinsics, read_surfaces])
 def test_not_utf8_text(tmp_path, reader):

@@ -201,11 +201,23 @@ class TestSsim:
         img = (rng.uniform(0, 1, (16, 16, 3)) > 0.5).astype(float)
         assert ssim(img, 1.0 - img) < 0.0
 
+    @pytest.mark.filterwarnings("error")
     def test_matches_independent_implementation(self):
         rng = np.random.default_rng(25)
         a = rng.uniform(0, 1, (32, 32, 3))
         b = np.clip(a + rng.normal(0, 0.1, (32, 32, 3)), 0, 1)
-        assert abs(ssim(a, b) - ssim_naive(a, b)) <= 1e-6
+        for window in (11, 1, 2, 3, 10, 12):  # even windows too: every window that fits, none padded
+            assert abs(ssim(a, b, window=window) - ssim_naive(a, b, window=window)) <= 1e-12
+
+    @pytest.mark.parametrize("param", [
+        {"window": 0}, {"window": -3}, {"window": 2.5}, {"window": np.nan},
+        {"sigma": 0.0}, {"sigma": -1.5}, {"sigma": np.nan}, {"sigma": np.inf},
+        {"data_range": 0.0}, {"data_range": -1.0}, {"data_range": np.nan}, {"data_range": np.inf},
+    ], ids=lambda param: "{}={}".format(*next(iter(param.items()))))
+    def test_invalid_parameter_rejected(self, param):
+        img = np.zeros((16, 16, 3))
+        with pytest.raises(DomainError, match=next(iter(param))):
+            ssim(img, img, **param)
 
     def test_too_small_rejected(self):
         with pytest.raises(DomainError):
