@@ -108,7 +108,7 @@ def _select_candidates(strategy, sequence, graph, query):
     if strategy.kind == "fullmap":
         return np.arange(len(cloud), dtype=np.int64), -1
     if strategy.kind == "depth":
-        z = world_to_camera_many(query, cloud.positions)[:, 2]
+        z = world_to_camera_many(query, cloud.positions)[2]
         return np.nonzero((z > 0) & (z <= strategy.param))[0].astype(np.int64), -1
     if strategy.kind == "radius":
         d2 = np.sum((cloud.positions - query.translation) ** 2, axis=1)

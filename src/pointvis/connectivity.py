@@ -52,7 +52,9 @@ class VisibleSet:
 
 def build_graph(sequence: Sequence, n: int) -> ConnectivityGraph:
     """Associate every frame t with scans [t-n, t+2n], clamped to the
-    sequence. Assumes one scan per frame sharing the frame's index."""
+    sequence. Assumes one scan per frame sharing the frame's index. A frame
+    whose clamped window is empty (more than n past the last scan, or more
+    than 2n before the first) raises DomainError."""
     if n <= 0:
         raise DomainError("window parameter n must be positive")
     if not sequence.frames:
@@ -64,6 +66,10 @@ def build_graph(sequence: Sequence, n: int) -> ConnectivityGraph:
     for fid, pose in sequence.frames:
         lo = max(first_scan, fid - n)
         hi = min(last_scan, fid + 2 * n)
+        if lo > hi:
+            raise DomainError(
+                f"frame {fid} has an empty scan window ({lo}, {hi}) after clamping to scans {first_scan}..{last_scan}"
+            )
         # re-tag so a graph reloaded from disk compares equal
         entries[fid] = (Pose(pose.rotation, pose.translation, fid), (lo, hi))
     return ConnectivityGraph(entries, n, built_over=len(scan_ids) or len(sequence.frames))

@@ -304,7 +304,7 @@ def colorize_map(
             continue
         img = images[scan_id]
         ok, ui, vi, _ = pixel_bins(pose_of[scan_id], K, cloud.positions[first : first + count])
-        colors[first : first + count][ok] = img[vi[ok], ui[ok]]
+        colors[first : first + count][ok] = img[vi, ui]
     return PointCloudMap(cloud.positions, list(cloud.scan_ranges), colors, cloud.descriptors)
 
 

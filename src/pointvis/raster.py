@@ -109,7 +109,8 @@ def rasterize_pyramid(
         if t != prev:  # level 0 is already reduced
             ui, vi = ui >> (t - prev), vi >> (t - prev)
             keep = (ui < Kt.width) & (vi < Kt.height)
-            idx, ui, vi, depth = reduce_bins(idx[keep], ui[keep], vi[keep], depth[keep], Kt.width, Kt.height)
+            block = idx[keep], vi[keep] * Kt.width + ui[keep], depth[keep]
+            idx, ui, vi, depth = reduce_bins([block], Kt.width, Kt.height)
         features = np.zeros((Kt.height, Kt.width, attrs.shape[1]))
         depth_img = np.full((Kt.height, Kt.width), np.inf)
         mask = np.zeros((Kt.height, Kt.width), dtype=bool)

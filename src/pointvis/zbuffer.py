@@ -3,10 +3,13 @@
 This is the single reduction shared by visibility pruning and
 rasterization: bin projected points into integer pixels and keep, per
 pixel, the candidate with minimal depth (ties broken by smallest point
-index). Candidates are binned in blocks of `_BLOCK` rows, keeping each
-block's in-bounds rows, and the kept rows of all blocks are reduced once.
-Two scatter-min passes over a W*H buffer decide it, depth first and then
-index among the exact-depth ties; it runs in one thread.
+index). Candidates are gathered and binned in blocks of `_BLOCK` rows;
+`pixel_bins` returns only a block's in-bounds rows. Each block's depths
+are scatter-min'ed into the view's one W*H `best` buffer, and only the
+rows that still tie or beat `best` at their pixel are kept: `best` only
+decreases, so a dropped row can never equal the final minimum. After the
+last block, one scatter-min of the index over the exact-depth ties
+decides each pixel. It runs in one thread.
 """
 from __future__ import annotations
 
@@ -35,25 +38,31 @@ def zbuffer_winners(
     dropped before the reduction; a repeated candidate counts once.
     """
     indices = np.asarray(indices, dtype=np.int64)
-    kept = []
-    for s in range(0, max(len(indices), 1), _BLOCK):  # an empty input is one empty block
-        idx = indices[s : s + _BLOCK]
-        ok, ui, vi, z = pixel_bins(pose, K, positions[idx])
-        kept.append((idx[ok], ui[ok], vi[ok], z[ok]))
-    idx, ui, vi, z = (np.concatenate(rows) for rows in zip(*kept))
-    return reduce_bins(idx, ui, vi, z, K.width, K.height)
+
+    def blocks():
+        for s in range(0, max(len(indices), 1), _BLOCK):  # an empty input is one empty block
+            idx = indices[s : s + _BLOCK]
+            ok, ui, vi, z = pixel_bins(pose, K, np.take(positions, idx, axis=0))
+            yield idx.compress(ok), vi * K.width + ui, z
+
+    return reduce_bins(blocks(), K.width, K.height)
 
 
-def reduce_bins(idx, ui, vi, depth, width: int, height: int):
-    """The (depth, index) minimum of each pixel over points already binned
-    inside the width x height image. Returns (winner_index, pixel_u,
-    pixel_v, winner_depth) sorted by point index."""
-    pix = vi * width + ui
+def reduce_bins(blocks, width: int, height: int):
+    """The (depth, index) minimum of each pixel of a width x height image
+    over `blocks`, an iterable of (idx, pix, depth) rows already binned
+    inside the image, with pix = v * width + u. Returns (winner_index,
+    pixel_u, pixel_v, winner_depth) sorted by point index."""
     best = np.full(width * height, np.inf)
-    np.minimum.at(best, pix, depth)
-    tie = depth == best[pix]
+    kept = []
+    for idx, pix, depth in blocks:
+        np.minimum.at(best, pix, depth)
+        keep = np.flatnonzero(depth <= best[pix])
+        kept.append((idx.take(keep), pix.take(keep), depth.take(keep)))
+    idx, pix, depth = (np.concatenate(rows) for rows in zip(*kept))
+    tie = np.flatnonzero(depth == best[pix])
     winner = np.full(width * height, _EMPTY)
-    np.minimum.at(winner, pix[tie], idx[tie])
+    np.minimum.at(winner, pix.take(tie), idx.take(tie))
 
     pix = np.flatnonzero(winner != _EMPTY)
     idx = winner[pix]

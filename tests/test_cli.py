@@ -136,6 +136,18 @@ class TestBuildGraph:
         ])
         assert code == 2
 
+    def test_frame_past_the_scans_usage_error(self, built, tmp_path, capsys):
+        scene_dir, map_path, _ = built
+        lines = (scene_dir / "poses.txt").read_text().split("\n")
+        last = lines[-1] if lines[-1].strip() else lines[-2]
+        poses = tmp_path / "poses.txt"
+        poses.write_text("\n".join(lines) + "\n" + " ".join(["1000", *last.split()[1:]]) + "\n")
+        code = main(["build-graph", "--map", str(map_path), "--poses", str(poses),
+                     "--n", "5", "--out", str(tmp_path / "g.grf")])
+        assert code == 2
+        assert "frame 1000 has an empty scan window" in capsys.readouterr().err
+        assert not (tmp_path / "g.grf").exists()
+
 
 class TestRender:
     def test_render_known_frame(self, built, tmp_path, capsys):

@@ -1,4 +1,5 @@
 import struct
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -18,7 +19,7 @@ from pointvis.connectivity import (
     visible_set_for,
 )
 from pointvis.errors import DomainError, FormatError
-from pointvis.geom import Intrinsics, Pose
+from pointvis.geom import Intrinsics, Pose, identity_pose
 from pointvis.ingest import PointCloudMap, Sequence
 from pointvis.zbuffer import zbuffer_winners
 
@@ -44,6 +45,14 @@ class TestBuildGraph:
         seq = uniform_sequence(10, 5, seed=0)
         with pytest.raises(DomainError):
             build_graph(seq, 0)
+
+    def test_empty_window_rejected(self):
+        scans = uniform_sequence(5, 5, seed=0)
+        poses = uniform_sequence(20, 1, seed=0).frames
+        seq = Sequence(poses, scans.intrinsics, scans.map)
+        with pytest.raises(DomainError, match=r"frame 7 has an empty scan window \(5, 4\)"):
+            build_graph(seq, 2)
+        assert build_graph(Sequence(poses[:7], scans.intrinsics, scans.map), 2).window(6) == (4, 4)
 
     def test_every_frame_has_entry(self):
         seq = uniform_sequence(50, 5, seed=1)
@@ -197,6 +206,50 @@ def test_zbuffer_matches_brute_force_on_random_clouds(case):
 def test_zbuffer_matches_brute_force_across_blocks(block, case):
     with mock.patch.object(zbuffer, "_BLOCK", block):
         _check_zbuffer_case(case)
+
+
+# The block loop keeps only the rows that tie or beat the running per-pixel
+# minimum: a row beaten by a later block, an exact depth tie whose smaller
+# index comes in the later block, and a candidate repeated in two blocks
+# must all end as the one reduction over every row would decide.
+@pytest.mark.parametrize("block", [1, 2, 7])
+def test_zbuffer_prefilter_across_blocks(block):
+    K = Intrinsics(4.0, 4.0, 4.0, 3.0, 8, 6)
+    positions = np.array([
+        [1.1, 0.0, 2.0],   # 0: pixel (6, 3) at depth 2, ties with 4 and wins on index
+        [0.0, 0.0, 1.0],   # 1: pixel (4, 3) at depth 1, beats 3
+        [-1.0, 0.0, 2.0],  # 2: pixel (2, 3), a candidate in both blocks
+        [0.0, 0.0, 3.0],   # 3: pixel (4, 3) at depth 3
+        [1.0, 0.0, 2.0],   # 4: pixel (6, 3) at depth 2
+        [0.0, -1.0, 2.0],  # 5: pixel (4, 1)
+        [0.0, 0.0, -1.0],  # 6: behind the camera
+        [100.0, 0.0, 1.0],  # 7: right of the image
+    ])
+    cand = np.array([3, 4, 2, 5, 6, 7, 3, 1, 0, 2, 7, 6, 5, 4])
+    cloud = PointCloudMap(positions, [(0, 0, len(positions))])
+    with mock.patch.object(zbuffer, "_BLOCK", block):
+        idx, pu, pv, depth = zbuffer_winners(cand, identity_pose(), K, positions)
+    got = {(int(u), int(v)): int(i) for u, v, i in zip(pu, pv, idx)}
+    assert got == brute_force_zbuffer(cloud, cand, identity_pose(), K)
+    assert got == {(6, 3): 0, (4, 3): 1, (2, 3): 2, (4, 1): 5}
+    assert idx.tolist() == [0, 1, 2, 5] and depth.tolist() == [2.0, 1.0, 2.0, 2.0]
+
+
+def test_zbuffer_drops_far_off_image_points_without_warning():
+    """Projections too large for int64, or overflowing to inf, are out of
+    bounds: they are dropped, and nothing is cast or warned about."""
+    K = Intrinsics(20.0, 20.0, 16.0, 8.0, 32, 16)
+    positions = np.array([
+        [1.0, 0.0, 1e-300],
+        [1e30, 0.0, 1.0],
+        [0.0, -1e30, 1.0],
+        [1e300, 0.0, 1e-10],
+        [0.0, 0.0, 4.0],
+    ])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        idx, pu, pv, depth = zbuffer_winners(np.arange(5), identity_pose(), K, positions)
+    assert (idx.tolist(), pu.tolist(), pv.tolist(), depth.tolist()) == ([4], [16], [8], [4.0])
 
 
 def test_zbuffer_empty_candidates():

@@ -1,9 +1,11 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pointvis import geom
 from pointvis.errors import DomainError
 from pointvis.geom import (
     CamPoint,
@@ -13,6 +15,7 @@ from pointvis.geom import (
     identity_pose,
     pixel_bins,
     project,
+    project_points,
     scale_intrinsics,
     world_to_camera,
 )
@@ -151,15 +154,69 @@ class TestPixelBins:
         pose = Pose(rot_z(0.3), np.array([0.5, -0.2, 1.0]))
         pts = np.random.default_rng(3).uniform(-6, 6, size=(500, 3))
         ok, ui, vi, z = pixel_bins(pose, K, pts)
+        assert len(ui) == len(vi) == len(z) == np.count_nonzero(ok)
+        kept = iter(zip(ui, vi, z))
         for i, p in enumerate(pts):
             hit = project(K, world_to_camera(pose, p))
             inside = hit is not None and 0 <= math.floor(hit[0]) < 32 and 0 <= math.floor(hit[1]) < 16
             assert ok[i] == inside
             if inside:
-                assert (ui[i], vi[i]) == (math.floor(hit[0]), math.floor(hit[1]))
-                assert z[i] == pytest.approx(hit[2], rel=1e-12)
-        assert np.all(ui[z <= 0] == -1) and np.all(vi[z <= 0] == -1)
+                u, v, depth = next(kept)
+                assert (u, v) == (math.floor(hit[0]), math.floor(hit[1]))
+                assert depth == pytest.approx(hit[2], rel=1e-12)
         assert 0 < np.count_nonzero(ok) < len(pts)
+
+
+def _full_length_rule(K, u, v, z):
+    """The binning rule as it was before bounds were decided on the float
+    (u, v): floor and cast every row (rows behind the camera as -1), mark
+    the in-bounds ones, then keep those."""
+    ahead = z > 0
+    with np.errstate(invalid="ignore"):  # an infinite or huge u does not fit int64: out of bounds either way
+        ui = np.floor(np.where(ahead, u, -1)).astype(np.int64)
+        vi = np.floor(np.where(ahead, v, -1)).astype(np.int64)
+    ok = ahead & (ui >= 0) & (ui < K.width) & (vi >= 0) & (vi < K.height)
+    return ok, ui[ok], vi[ok], z[ok]
+
+
+def _coord(size):
+    edges = [
+        -0.0, 0.0, float(size), float(np.nextafter(size, 0)), float(np.nextafter(np.float32(size), np.float32(0))),
+        -5e-324, size / 2, -1.0, 1e30,
+    ]
+    return st.one_of(st.sampled_from(edges), st.floats(-2.0 * size, 2.0 * size))
+
+
+_DEPTH = st.one_of(st.sampled_from([1.0, 0.0, -0.0, -1.0, 1e-300, 0.5]), st.floats(-4.0, 4.0))
+
+
+# Deciding the bounds on the float (u, v) and flooring only the kept rows
+# must keep exactly the rows, pixels and depths of the full-length rule.
+# With the identity pose and unit focal lengths, a point at depth 1 lands at
+# u = x, v = y, so the drawn coordinates hit the image edges exactly; the
+# same rows, given to the rule as (u, v, z) directly, also reach u = -0.0
+# and u = +-inf.
+@settings(max_examples=300, deadline=None)
+@given(
+    data=st.data(),
+    width=st.integers(1, 40),
+    height=st.integers(1, 40),
+    dtype=st.sampled_from([np.float32, np.float64]),
+)
+def test_pixel_bins_matches_full_length_rule(data, width, height, dtype):
+    rows = data.draw(st.lists(st.tuples(_coord(width), _coord(height), _DEPTH), max_size=40))
+    K = Intrinsics(1.0, 1.0, 0.0, 0.0, width, height)
+    pose = identity_pose()
+    pts = np.array(rows, dtype=np.float64).reshape(-1, 3).astype(dtype)
+    want = _full_length_rule(K, *project_points(pose, K, pts))
+    for a, b in zip(pixel_bins(pose, K, pts), want):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+    u, v, z = np.array(rows + [(-0.0, -0.0, 1.0), (np.inf, 0.0, 1.0), (0.0, -np.inf, 2.0)]).T
+    with mock.patch.object(geom, "project_points", lambda *args: (u, v, z)):
+        got = pixel_bins(pose, K, np.zeros((len(u), 3)))
+    for a, b in zip(got, _full_length_rule(K, u, v, z)):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 # The z-buffer bins its candidates block by block, so binning must not
