@@ -114,9 +114,10 @@ def rasterize_pyramid(
         features = np.zeros((Kt.height, Kt.width, attrs.shape[1]))
         depth_img = np.full((Kt.height, Kt.width), np.inf)
         mask = np.zeros((Kt.height, Kt.width), dtype=bool)
-        features[vi, ui] = attrs[idx]
-        depth_img[vi, ui] = depth
-        mask[vi, ui] = True
+        pix = vi * Kt.width + ui  # written through flat views: one index array, not two
+        features.reshape(-1, attrs.shape[1])[pix] = attrs.take(idx, axis=0)
+        depth_img.reshape(-1)[pix] = depth
+        mask.reshape(-1)[pix] = True
         images.append(RasterImage(t, features, depth_img, mask))
         prev = t
     return RasterPyramid(images, channels, vis.source_frame)

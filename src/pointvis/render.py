@@ -1,9 +1,17 @@
-"""Deterministic finest-first splat renderer and image-quality metrics.
+"""Deterministic splat renderer and image-quality metrics.
 
-The renderer walks the pyramid levels from finest to coarsest: a pixel
-(u, v) still empty takes the feature of level t when the bin
-(u >> t, v >> t) is occupied, and a constant background when no level
-has it. Level 0 is the case t = 0.
+The hole-fill rule: a pixel (u, v) takes the feature of the finest level t
+whose bin (u >> t, v >> t) is occupied, and a constant background when no
+level has it. Level 0 is the case t = 0. A winner without a color (NaN)
+shows the background, not a coarser level.
+
+The renderer applies the rule to indices, not colors. Every level's
+features are stacked into one table, with a last row for the background.
+Going from the coarsest level to the finest, on each level's own grid, a
+cell's source row is its own table row when the level is occupied there,
+else the source row of its coarser bin, repeated 2^dt times along both
+axes; cells past the coarser level's cover take the background row. The
+image is then one gather from the table with level 0's map.
 
 PSNR and SSIM score a render against a reference. SSIM averages the local
 index over every window that fits in the image, with no padding, so even
@@ -21,7 +29,8 @@ DEFAULT_BACKGROUND = 0.5
 
 
 def render_rgb(pyramid: RasterPyramid, background=DEFAULT_BACKGROUND) -> np.ndarray:
-    """Finest-first hole fill of a color pyramid into an (H, W, 3) image."""
+    """Hole fill of a color pyramid into an (H, W, 3) image: one source-index
+    map, built coarse to fine, then one gather."""
     if pyramid.channels is not Channels.COLOR:
         raise DomainError("renderer needs a color pyramid, got descriptors")
     h, w, c = pyramid.level(0).features.shape
@@ -29,21 +38,42 @@ def render_rgb(pyramid: RasterPyramid, background=DEFAULT_BACKGROUND) -> np.ndar
         raise DomainError("pyramid must contain at least one coarser level")
     if c != 3:
         raise DomainError(f"renderer needs 3 channels, got {c}")
-    bg = np.broadcast_to(np.asarray(background, dtype=np.float64), (3,))
+    try:
+        bg = np.broadcast_to(np.asarray(background, dtype=np.float64), (3,))
+    except (TypeError, ValueError):
+        raise DomainError(f"background must be one number or 3 numbers, got {background!r}") from None
     if not np.all(np.isfinite(bg)):
         raise DomainError(f"background must be finite, got {background!r}")
-    out = np.empty((h, w, 3))
-    v, u = np.indices((h, w)).reshape(2, -1)  # the pixels no level has filled yet
-    for img in sorted(pyramid.levels, key=lambda im: im.level):
-        bv, bu = v >> img.level, u >> img.level
-        hit = (bv < img.mask.shape[0]) & (bu < img.mask.shape[1])
-        hit[hit] = img.mask[bv[hit], bu[hit]]
-        out[v[hit], u[hit]] = img.features[bv[hit], bu[hit]]
-        v, u = v[~hit], u[~hit]
-    out[v, u] = bg
+    levels = sorted(pyramid.levels, key=lambda im: im.level)
+    for img in levels:
+        t = img.level
+        if t < 0:
+            raise DomainError(f"level {t} is negative")
+        if img.mask.shape != (h >> t, w >> t) or img.features.shape != (h >> t, w >> t, 3):
+            raise DomainError(
+                f"level {t} has mask {img.mask.shape} and features {img.features.shape},"
+                f" expected {(h >> t, w >> t)} and {(h >> t, w >> t, 3)}"
+            )
+    # table row k is the k-th cell of the levels laid end to end, finest
+    # first; the last row is the background
+    offsets = np.cumsum([0] + [img.mask.size for img in levels])
+    table = np.concatenate([img.features.reshape(-1, 3) for img in levels] + [bg[None]])
+    src = None  # source row of each cell of the coarser level just done
+    for img, off in zip(reversed(levels), reversed(offsets[:-1])):
+        rows = np.full(img.mask.shape, offsets[-1])
+        if src is not None:
+            s = 1 << (prev - img.level)
+            hc, wc = src.shape
+            # splitting axes is always a view, so this writes into rows
+            rows[: hc * s, : wc * s].reshape(hc, s, wc, s)[...] = src[:, None, :, None]
+        own = np.flatnonzero(img.mask)
+        rows.reshape(-1)[own] = off + own
+        src, prev = rows, img.level
+    out = table.take(src.reshape(-1), axis=0)
     # points without a sampled color carry NaN; show background there
-    out[~np.all(np.isfinite(out), axis=2)] = bg
-    return np.clip(out, 0.0, 1.0)
+    finite = np.isfinite(out[:, 0]) & np.isfinite(out[:, 1]) & np.isfinite(out[:, 2])
+    out[~finite] = bg
+    return np.clip(out, 0.0, 1.0, out=out).reshape(h, w, 3)
 
 
 def psnr(img: np.ndarray, ref: np.ndarray) -> float:

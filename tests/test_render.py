@@ -129,10 +129,60 @@ def test_render_matches_per_pixel_loop(h, w, seed, density, background):
     assert np.array_equal(render_rgb(pyr, background), render_loop(pyr, background))
 
 
+# Pyramids as the pipeline makes them: level lists with gaps, sizes not
+# divisible by the coarsest 2^t, and map points without a color (NaN rows).
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from([((0, 2, 5), 70, 45), ((0, 1), 37, 23), ((0, 3), 37, 23), ((0, 1, 2, 3, 4, 5), 37, 33)]),
+    st.integers(0, 2**32 - 1), st.integers(0, 600), st.sampled_from([0.0, 0.3, 1.0]),
+)
+def test_render_of_rasterized_pyramid_matches_per_pixel_loop(case, seed, n, background):
+    levels, w, h = case
+    rng = np.random.default_rng(seed)
+    positions = np.column_stack([rng.uniform(-3, 3, n), rng.uniform(-2, 2, n), rng.uniform(1, 6, n)])
+    colors = rng.uniform(0, 1, (n, 3))
+    colors[rng.random(n) < 0.15] = np.nan
+    cloud = PointCloudMap(positions, [(0, 0, n)], colors=colors)
+    K = Intrinsics(w / 2, w / 2, w / 2, h / 2, w, h)
+    pyr = rasterize_pyramid(cloud, np.arange(n), IDENTITY, K, levels)
+    assert [img.level for img in pyr.levels] == list(levels)
+    assert np.array_equal(render_rgb(pyr, background), render_loop(pyr, background))
+
+
 @pytest.mark.parametrize("background", [np.nan, np.inf, (0.5, np.nan, 0.5)])
 def test_non_finite_background_rejected(background):
     with pytest.raises(DomainError, match="background"):
         render_rgb(pyramid_of({0: [], 1: []}), background=background)
+
+
+@pytest.mark.parametrize("background", [(0.1, 0.2), "x", np.zeros((2, 3)), {}])
+def test_malformed_background_rejected(background):
+    with pytest.raises(DomainError, match="background"):
+        render_rgb(pyramid_of({0: [], 1: []}), background=background)
+
+
+def _level(t, mask_shape, features_shape):
+    return RasterImage(t, np.zeros(features_shape), np.full(mask_shape, np.inf), np.zeros(mask_shape, dtype=bool))
+
+
+@pytest.mark.parametrize("t, mask_shape, features_shape", [
+    (1, (8, 8), (7, 8, 3)),  # features and mask disagree
+    (1, (8, 8), (8, 8, 4)),  # features have a 4th channel
+    (1, (9, 8), (9, 8, 3)),  # larger than 16 >> 1
+    (1, (8, 7), (8, 7, 3)),  # smaller than 16 >> 1
+    (-1, (32, 32), (32, 32, 3)),  # a negative level
+])
+def test_level_of_wrong_shape_rejected(t, mask_shape, features_shape):
+    base = _level(0, (16, 16), (16, 16, 3))
+    pyr = RasterPyramid([base, _level(t, mask_shape, features_shape)], Channels.COLOR)
+    with pytest.raises(DomainError, match=f"level {t}"):
+        render_rgb(pyr)
+
+
+def test_level_0_mask_of_wrong_shape_rejected():
+    pyr = RasterPyramid([_level(0, (16, 15), (16, 16, 3)), _level(1, (8, 8), (8, 8, 3))], Channels.COLOR)
+    with pytest.raises(DomainError, match="level 0"):
+        render_rgb(pyr)
 
 
 class TestPsnr:
