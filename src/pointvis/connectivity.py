@@ -99,10 +99,17 @@ def ranges_in_window(cloud: PointCloudMap, lo: int, hi: int) -> list[tuple[int, 
 
 
 def candidate_indices(ranges: list[tuple[int, int, int]]) -> np.ndarray:
-    """Flatten index ranges into a sorted index array."""
-    if not ranges:
-        return np.zeros(0, dtype=np.int64)
-    return np.concatenate([np.arange(first, first + count, dtype=np.int64) for _, first, count in ranges])
+    """Flatten index ranges into a sorted index array, with one `arange`
+    per run of ranges that follow each other in the map (a window's ranges
+    are one run)."""
+    runs: list[list[int]] = []
+    for _, first, count in ranges:
+        if runs and runs[-1][1] == first:
+            runs[-1][1] += count
+        else:
+            runs.append([first, first + count])
+    parts = [np.arange(a, b, dtype=np.int64) for a, b in runs] or [np.zeros(0, dtype=np.int64)]
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 def prune_visible(

@@ -238,11 +238,14 @@ def accumulate(
     colors: list[np.ndarray] | None = None,
     extrinsic: np.ndarray | None = None,
 ) -> PointCloudMap:
-    """Transform each scan to the world frame and concatenate.
+    """Transform each scan to the world frame and lay the scans out in
+    scan-id order.
 
     `extrinsic` is an optional 3x4 sensor-to-camera transform applied
     before the pose (identity by default). `colors` is an optional
-    per-scan list of (N_i, 3) arrays.
+    per-scan list of (N_i, 3) arrays. The map's arrays are allocated once
+    at their final size and each scan is written into its own rows, so no
+    step holds a second copy of the map.
     """
     if len(scans) != len(sensor_poses):
         raise DomainError(f"{len(scans)} scans but {len(sensor_poses)} poses")
@@ -250,8 +253,9 @@ def accumulate(
         raise DomainError("colors list length does not match scans")
     triples = list(zip(scans, sensor_poses, colors if colors is not None else [None] * len(scans)))
     triples.sort(key=lambda t: t[0].scan_id)
-    parts = []
-    color_parts = []
+    n = sum(len(scan) for scan, _, _ in triples)
+    positions = np.empty((n, 3))
+    color_arr = np.empty((n, 3)) if colors is not None else None
     ranges = []
     cursor = 0
     for scan, pose, col in triples:
@@ -259,15 +263,28 @@ def accumulate(
         if extrinsic is not None:
             ext = np.asarray(extrinsic, dtype=np.float64).reshape(3, 4)
             pts = pts @ ext[:, :3].T + ext[:, 3]
-        world = pts @ pose.rotation.T + pose.translation
-        parts.append(world)
-        if col is not None:
-            color_parts.append(np.asarray(col, dtype=np.float64).reshape(-1, 3))
+        rows = positions[cursor : cursor + len(scan)]
+        # the two steps of `pts @ R.T + t`, written into the map's own rows
+        np.matmul(pts, pose.rotation.T, out=rows)
+        rows += pose.translation
+        if color_arr is not None:
+            color_arr[cursor : cursor + len(scan)] = _scan_colors(scan, col)
         ranges.append((scan.scan_id, cursor, len(scan)))
         cursor += len(scan)
-    positions = np.concatenate(parts) if parts else np.zeros((0, 3))
-    color_arr = np.concatenate(color_parts) if colors is not None else None
     return PointCloudMap(positions, ranges, colors=color_arr)
+
+
+def _scan_colors(scan: Scan, col) -> np.ndarray:
+    """`col` as a float64 (len(scan), 3) array, or DomainError naming the scan."""
+    try:
+        col = np.asarray(col, dtype=np.float64)
+    except (TypeError, ValueError) as e:
+        raise DomainError(f"scan {scan.scan_id}: colors are not numeric ({e})") from e
+    if col.shape != (len(scan), 3):
+        raise DomainError(
+            f"scan {scan.scan_id}: colors have shape {col.shape}, expected ({len(scan)}, 3)"
+        )
+    return col
 
 
 def split_train_test(frame_ids: list[int]) -> tuple[list[int], list[int]]:
@@ -310,12 +327,14 @@ def colorize_map(
 
 def write_binary(path, magic: bytes, header: struct.Struct, fields, arrays) -> None:
     """Write a format-v1 file: the magic, the header packed from `fields`
-    (version first), then each array's bytes in order."""
+    (version first), then each array's bytes in order. `arrays` may be any
+    iterable, such as a generator of chunks; each array is written from its
+    own buffer, with no bytes copy."""
     with open(path, "wb") as f:
         f.write(magic)
         f.write(header.pack(*fields))
         for arr in arrays:
-            f.write(arr.tobytes())
+            f.write(np.ascontiguousarray(arr))
 
 
 def read_binary(path, magic: bytes, version: int, header: struct.Struct, sizes):
@@ -343,13 +362,27 @@ def read_binary(path, magic: bytes, version: int, header: struct.Struct, sizes):
     return fields, [raw[a:b].view(dtype) for a, b, (_, dtype) in zip(bounds, bounds[1:], spans)]
 
 
+# Rows cast to float32 per chunk by `save_map`: one chunk (768 KB of
+# positions) is the write's only transient.
+_SAVE_ROWS = 1 << 16
+
+
 def save_map(path, cloud: PointCloudMap) -> None:
-    """Binary map format: magic, version, N, C, flags, range table, arrays."""
+    """Binary map format: magic, version, N, C, flags, range table, arrays.
+
+    The arrays are cast to little-endian float32 in chunks of `_SAVE_ROWS`
+    rows as they are written, so no float32 copy of the whole map is made."""
     flags = (1 if cloud.colors is not None else 0) | (2 if cloud.descriptors is not None else 0)
     header = (MAP_VERSION, len(cloud), cloud.channel_count or 0, flags, len(cloud.scan_ranges))
-    arrays = [np.array(cloud.scan_ranges, dtype="<u8"), cloud.positions.astype("<f4")]
-    arrays += [a.astype("<f4") for a in (cloud.colors, cloud.descriptors) if a is not None]
-    write_binary(path, MAP_MAGIC, _MAP_HEADER, header, arrays)
+    arrays = [a for a in (cloud.positions, cloud.colors, cloud.descriptors) if a is not None]
+
+    def chunks():
+        yield np.array(cloud.scan_ranges, dtype="<u8")
+        for a in arrays:
+            for s in range(0, len(a), _SAVE_ROWS):
+                yield a[s : s + _SAVE_ROWS].astype("<f4")
+
+    write_binary(path, MAP_MAGIC, _MAP_HEADER, header, chunks())
 
 
 def _map_sizes(fields):

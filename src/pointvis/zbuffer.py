@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import DomainError
 from .geom import Intrinsics, Pose, pixel_bins
 
 _EMPTY = np.iinfo(np.int64).max
@@ -36,12 +37,22 @@ def zbuffer_winners(
     Returns (winner_index, pixel_u, pixel_v, winner_depth) sorted by
     point index. Candidates behind the camera or out of bounds are
     dropped before the reduction; a repeated candidate counts once.
+    `indices` must be a 1-D integer array with every entry in [0, N); an
+    empty one may have any dtype. Anything else raises DomainError.
     """
-    indices = np.asarray(indices, dtype=np.int64)
+    indices = np.asarray(indices)
+    if indices.ndim != 1 or (indices.size and not np.issubdtype(indices.dtype, np.integer)):
+        raise DomainError(f"candidate indices must be a 1-D integer array, got {indices.dtype} {indices.shape}")
+    indices = indices.astype(np.int64, copy=False)
+    n = len(positions)
 
     def blocks():
         for s in range(0, max(len(indices), 1), _BLOCK):  # an empty input is one empty block
             idx = indices[s : s + _BLOCK]
+            # a negative index reads as a huge unsigned one, so one max checks both ends
+            if idx.size and idx.view(np.uint64).max() >= n:
+                bad = idx[(idx < 0) | (idx >= n)][0]
+                raise DomainError(f"candidate index {bad} is outside the map's {n} points")
             ok, ui, vi, z = pixel_bins(pose, K, np.take(positions, idx, axis=0))
             yield idx.compress(ok), vi * K.width + ui, z
 

@@ -259,6 +259,53 @@ def test_zbuffer_empty_candidates():
     assert [a.dtype for a in out] == [np.int64, np.int64, np.int64, np.float64]
 
 
+# A candidate index names one map row: a negative index must not wrap round
+# to the end of the map, a float must not be truncated, and an index past
+# the end is a DomainError, not a stray IndexError.
+@pytest.mark.parametrize(
+    "cand",
+    [[-1], [-3, 0], [3], [0, 2, 3], np.array([0.5]), np.array([0.0, 1.0]), np.array([True, False]),
+     np.array([[0, 1]]), np.array([2**63], dtype=np.uint64)],
+)
+def test_zbuffer_rejects_bad_candidate_indices(cand):
+    K = Intrinsics(4.0, 4.0, 4.0, 3.0, 8, 6)
+    cloud = PointCloudMap(np.array([[0.0, 0.0, 1.0], [0.5, 0.0, 2.0], [-0.5, 0.0, 2.0]]), [(0, 0, 3)])
+    with pytest.raises(DomainError):
+        prune_visible(np.asarray(cand), cloud, identity_pose(), K)
+
+
+@pytest.mark.parametrize("block", [1, 2, 7])
+def test_zbuffer_rejects_bad_index_in_a_later_block(block):
+    K = Intrinsics(4.0, 4.0, 4.0, 3.0, 8, 6)
+    positions = np.ones((8, 3))
+    with mock.patch.object(zbuffer, "_BLOCK", block), pytest.raises(DomainError, match="-1"):
+        zbuffer_winners(np.array([0, 1, 2, 3, 4, 5, 6, -1]), identity_pose(), K, positions)
+
+
+@pytest.mark.parametrize("cand", [[], np.zeros(0), np.zeros(0, dtype=np.uint8)])
+def test_zbuffer_empty_candidates_of_any_dtype(cand):
+    K = Intrinsics(4.0, 4.0, 4.0, 3.0, 8, 6)
+    idx, _, _, _ = zbuffer_winners(cand, identity_pose(), K, np.ones((3, 3)))
+    assert idx.dtype == np.int64 and len(idx) == 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 5)), max_size=8), st.booleans())
+def test_candidate_indices_flatten_ranges_in_order(gaps_counts, shuffle):
+    """One `arange` per run of adjacent ranges gives the same array as one
+    per range, for adjacent, gapped, empty and out-of-order ranges."""
+    ranges, cursor = [], 0
+    for sid, (gap, count) in enumerate(gaps_counts):
+        cursor += gap
+        ranges.append((sid, cursor, count))
+        cursor += count
+    if shuffle:
+        ranges = ranges[::-1]
+    want = [i for _, first, count in ranges for i in range(first, first + count)]
+    got = candidate_indices(ranges)
+    assert got.dtype == np.int64 and got.tolist() == want
+
+
 class TestGraphSerialization:
     def test_round_trip(self, tmp_path):
         seq = uniform_sequence(3, 5, seed=9)
