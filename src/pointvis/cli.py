@@ -118,16 +118,17 @@ def cmd_build_graph(args) -> int:
     seq = Sequence(frames, K, cloud)
     graph = build_graph(seq, args.n)
     save_graph(args.out, graph)
-    print(f"wrote graph {args.out}: {len(graph.entries)} frames, n={graph.n}")
+    print(f"wrote graph {args.out}: {len(graph.table)} frames, n={graph.n}")
     return 0
 
 
 def _query_pose(args, graph) -> Pose:
     """The pose `render` views from: `--frame`'s stored pose, else `--pose`."""
     if args.frame is not None:
-        if args.frame not in graph.entries:
-            raise DomainError(f"frame {args.frame} not in graph; pass --pose instead")
-        return graph.entries[args.frame][0]
+        try:
+            return graph.pose(args.frame)
+        except DomainError as e:
+            raise DomainError(f"{e}; pass --pose instead") from e
     if args.pose:
         try:
             vals = [float(x) for x in args.pose.replace(",", " ").split()]

@@ -10,26 +10,40 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, FormatError
-from .geom import Intrinsics, Pose
+from .geom import Intrinsics, Pose, check_rotations
 from .ingest import PointCloudMap, Sequence, read_binary, write_binary
 from .zbuffer import zbuffer_winners
 
 GRAPH_MAGIC = b"CENPBG-GRF\x00"
 GRAPH_VERSION = 1
+_GRAPH_HEADER = struct.Struct("<HHQQ")  # version, n, frame count, scans built over
+_GRAPH_ENTRY = np.dtype([("frame", "<u8"), ("pose", "<f8", (3, 4)), ("window", "<u8", (2,))])
 
 
-@dataclass
+@dataclass(eq=False)
 class ConnectivityGraph:
-    """frame_id -> (pose, inclusive scan-id window)."""
+    """The graph file's frame table: `_GRAPH_ENTRY` rows (frame, pose `[R | t]`, scan window) by frame id."""
 
-    entries: dict[int, tuple[Pose, tuple[int, int]]]
+    table: np.ndarray
     n: int
     built_over: int  # scans in the sequence
 
-    def window(self, frame_id: int) -> tuple[int, int]:
-        if frame_id not in self.entries:
+    def _row(self, frame_id: int):
+        i = np.searchsorted(self.table["frame"], frame_id) if 0 <= frame_id < 2**64 else len(self.table)
+        if i == len(self.table) or self.table["frame"][i] != frame_id:
             raise DomainError(f"frame {frame_id} not in graph")
-        return self.entries[frame_id][1]
+        return self.table[i]
+
+    def window(self, frame_id: int) -> tuple[int, int]:
+        return tuple(self._row(frame_id)["window"].tolist())
+
+    def pose(self, frame_id: int) -> Pose:
+        mat = self._row(frame_id)["pose"]
+        return Pose(mat[:, :3].copy(), mat[:, 3].copy(), frame_id)
+
+    def __eq__(self, other) -> bool:
+        same = isinstance(other, ConnectivityGraph) and (self.n, self.built_over) == (other.n, other.built_over)
+        return same and np.array_equal(self.table, other.table)
 
 
 @dataclass
@@ -59,31 +73,30 @@ def build_graph(sequence: Sequence, n: int) -> ConnectivityGraph:
         raise DomainError("window parameter n must be positive")
     if not sequence.frames:
         raise DomainError("sequence has no frames")
+    fids = sequence.frame_ids()
     scan_ids = [sid for sid, _, _ in sequence.map.scan_ranges]
-    last_scan = max(scan_ids) if scan_ids else max(sequence.frame_ids())
+    last_scan = max(scan_ids) if scan_ids else fids[-1]
     first_scan = min(scan_ids) if scan_ids else 0
-    entries = {}
-    for fid, pose in sequence.frames:
-        lo = max(first_scan, fid - n)
-        hi = min(last_scan, fid + 2 * n)
+    windows = [(max(first_scan, fid - n), min(last_scan, fid + 2 * n)) for fid in fids]
+    for fid, (lo, hi) in zip(fids, windows):
         if lo > hi:
             raise DomainError(
                 f"frame {fid} has an empty scan window ({lo}, {hi}) after clamping to scans {first_scan}..{last_scan}"
             )
-        # re-tag so a graph reloaded from disk compares equal
-        entries[fid] = (Pose(pose.rotation, pose.translation, fid), (lo, hi))
-    return ConnectivityGraph(entries, n, built_over=len(scan_ids) or len(sequence.frames))
+    table = np.zeros(len(fids), _GRAPH_ENTRY)
+    table["frame"], table["window"] = fids, windows
+    table["pose"][:, :, :3] = [pose.rotation for _, pose in sequence.frames]
+    table["pose"][:, :, 3] = [pose.translation for _, pose in sequence.frames]
+    return ConnectivityGraph(table, n, built_over=len(scan_ids) or len(fids))
 
 
 def nearest_frame(graph: ConnectivityGraph, query: Pose) -> int:
     """Frame whose camera center is nearest the query's (Euclidean,
     translation only); ties go to the smallest frame_id."""
-    if not graph.entries:
+    if not len(graph.table):
         raise DomainError("graph is empty")
-    fids = sorted(graph.entries)
-    centers = np.array([graph.entries[f][0].translation for f in fids])
-    d2 = np.sum((centers - query.translation) ** 2, axis=1)
-    return fids[int(np.argmin(d2))]
+    d2 = np.sum((graph.table["pose"][:, :, 3] - query.translation) ** 2, axis=1)
+    return int(graph.table["frame"][np.argmin(d2)])
 
 
 def retrieve_candidates(
@@ -135,41 +148,31 @@ def visible_set_for(
     return prune_visible(cand, cloud, query, K, source_frame=fid)
 
 
-_GRAPH_HEADER = struct.Struct("<HHQQ")  # version, n, frame count, scans built over
-_GRAPH_ENTRY = np.dtype([("frame", "<u8"), ("pose", "<f8", (3, 4)), ("window", "<u8", (2,))])
-
-
 def save_graph(path, graph: ConnectivityGraph) -> None:
     if not 1 <= graph.n <= 0xFFFF:
         raise DomainError(f"window parameter n={graph.n} does not fit the graph format (1..65535)")
-    for fid, (_, (lo, hi)) in graph.entries.items():
+    for fid, (lo, hi) in zip(graph.table["frame"].tolist(), graph.table["window"].tolist()):
         if lo > hi:
             raise DomainError(f"frame {fid} has an empty scan window ({lo} > {hi})")
-    table = np.zeros(len(graph.entries), _GRAPH_ENTRY)
-    for row, fid in zip(table, sorted(graph.entries)):
-        pose, window = graph.entries[fid]
-        row["frame"], row["window"] = fid, window
-        row["pose"] = np.hstack([pose.rotation, pose.translation[:, None]])
-    header = (GRAPH_VERSION, graph.n, len(graph.entries), graph.built_over)
-    write_binary(path, GRAPH_MAGIC, _GRAPH_HEADER, header, [table])
+    header = (GRAPH_VERSION, graph.n, len(graph.table), graph.built_over)
+    write_binary(path, GRAPH_MAGIC, _GRAPH_HEADER, header, [graph.table])
 
 
 def load_graph(path) -> ConnectivityGraph:
-    (_, n, count, built_over), (table,) = read_binary(
+    (_, n, _, built_over), (table,) = read_binary(
         path, GRAPH_MAGIC, GRAPH_VERSION, _GRAPH_HEADER, lambda fields: [(fields[2], _GRAPH_ENTRY)]
     )
     if n < 1:
         raise FormatError(f"{path}: window parameter n=0")
-    fids, windows = table["frame"].tolist(), table["window"].tolist()
-    if len(set(fids)) != count:
+    table = table[np.argsort(table["frame"], kind="stable")]
+    if np.any(table["frame"][1:] == table["frame"][:-1]):
         raise FormatError(f"{path}: repeated frame id")
-    if any(lo > hi for lo, hi in windows):
+    if np.any(table["window"][:, 0] > table["window"][:, 1]):
         raise FormatError(f"{path}: a window has lo > hi")
+    if not np.isfinite(table["pose"]).all():
+        raise FormatError(f"{path}: non-finite pose entry")
     try:
-        entries = {
-            fid: (Pose(mat[:, :3], mat[:, 3], fid), tuple(window))
-            for fid, mat, window in zip(fids, table["pose"].astype(np.float64), windows)
-        }
+        check_rotations(table["pose"][:, :, :3])
     except DomainError as e:
         raise FormatError(f"{path}: {e}") from e
-    return ConnectivityGraph(entries, n, built_over)
+    return ConnectivityGraph(table, n, built_over)

@@ -30,6 +30,17 @@ def _as_matrix(value, shape, name: str) -> np.ndarray:
     return arr
 
 
+def check_rotations(rot: np.ndarray) -> None:
+    """DomainError, naming the worst, unless each finite 3x3 in `rot` (..., 3, 3) is a rotation within _ORTHO_TOL."""
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow gives inf or nan: rejected
+        err = np.abs(np.swapaxes(rot, -1, -2) @ rot - np.eye(3)).max(axis=(-2, -1))
+    if not np.all(err <= _ORTHO_TOL):
+        raise DomainError(f"rotation is not orthonormal (|R^T R - I|_max = {np.max(err):.3g})")
+    det = np.linalg.det(rot)
+    if not np.all((1.0 - _ORTHO_TOL <= det) & (det <= 1.0 + _ORTHO_TOL)):
+        raise DomainError(f"rotation determinant {np.ravel(det)[np.argmax(np.abs(det - 1.0))]:.6f} is not +1")
+
+
 @dataclass(frozen=True, eq=False)
 class Pose:
     """Camera-to-world rigid transform."""
@@ -41,13 +52,7 @@ class Pose:
     def __post_init__(self):
         rot = _as_matrix(self.rotation, (3, 3), "rotation")
         t = _as_matrix(self.translation, (3,), "translation")
-        with np.errstate(over="ignore", invalid="ignore"):  # overflow gives inf or nan: rejected
-            err = np.abs(rot.T @ rot - np.eye(3)).max()
-        if not err <= _ORTHO_TOL:
-            raise DomainError(f"rotation is not orthonormal (|R^T R - I|_max = {err:.3g})")
-        det = np.linalg.det(rot)
-        if not (1.0 - _ORTHO_TOL <= det <= 1.0 + _ORTHO_TOL):
-            raise DomainError(f"rotation determinant {det:.6f} is not +1")
+        check_rotations(rot)
         if self.frame_id is not None and self.frame_id < 0:
             raise DomainError("frame_id must be non-negative")
         rot.setflags(write=False)

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, FormatError
-from .geom import Intrinsics, Pose, pixel_bins
+from .geom import Intrinsics, Pose, _as_matrix, pixel_bins
 
 MAP_MAGIC = b"CENPBG-MAP\x00"
 MAP_VERSION = 1
@@ -113,8 +113,8 @@ class Sequence:
 
     def __post_init__(self):
         ids = [fid for fid, _ in self.frames]
-        if any(b <= a for a, b in zip(ids, ids[1:])):
-            raise DomainError("frame_ids must be strictly increasing")
+        if any(b <= a for a, b in zip([-1, *ids], ids)):
+            raise DomainError("frame_ids must be non-negative and strictly increasing")
 
     def frame_ids(self) -> list[int]:
         return [fid for fid, _ in self.frames]
@@ -241,16 +241,17 @@ def accumulate(
     """Transform each scan to the world frame and lay the scans out in
     scan-id order.
 
-    `extrinsic` is an optional 3x4 sensor-to-camera transform applied
-    before the pose (identity by default). `colors` is an optional
-    per-scan list of (N_i, 3) arrays. The map's arrays are allocated once
-    at their final size and each scan is written into its own rows, so no
-    step holds a second copy of the map.
+    `extrinsic` is an optional finite 3x4 sensor-to-camera transform
+    applied before the pose (identity by default); any other raises
+    DomainError. `colors` is an optional per-scan list of (N_i, 3) arrays.
+    The map's arrays are allocated once at their final size and each scan
+    is written into its own rows, so no step holds a second copy of the map.
     """
     if len(scans) != len(sensor_poses):
         raise DomainError(f"{len(scans)} scans but {len(sensor_poses)} poses")
     if colors is not None and len(colors) != len(scans):
         raise DomainError("colors list length does not match scans")
+    ext = _as_matrix(extrinsic, (3, 4), "extrinsic") if extrinsic is not None else None
     triples = list(zip(scans, sensor_poses, colors if colors is not None else [None] * len(scans)))
     triples.sort(key=lambda t: t[0].scan_id)
     n = sum(len(scan) for scan, _, _ in triples)
@@ -260,8 +261,7 @@ def accumulate(
     cursor = 0
     for scan, pose, col in triples:
         pts = scan.points
-        if extrinsic is not None:
-            ext = np.asarray(extrinsic, dtype=np.float64).reshape(3, 4)
+        if ext is not None:
             pts = pts @ ext[:, :3].T + ext[:, 3]
         rows = positions[cursor : cursor + len(scan)]
         # the two steps of `pts @ R.T + t`, written into the map's own rows
@@ -371,7 +371,14 @@ def save_map(path, cloud: PointCloudMap) -> None:
     """Binary map format: magic, version, N, C, flags, range table, arrays.
 
     The arrays are cast to little-endian float32 in chunks of `_SAVE_ROWS`
-    rows as they are written, so no float32 copy of the whole map is made."""
+    rows as they are written, so no float32 copy of the whole map is made.
+    A position beyond the float32 range raises DomainError before the file
+    is opened, since `load_map` rejects the inf it would become."""
+    if len(cloud):
+        with np.errstate(over="ignore"):  # beyond float32 becomes inf: refused below
+            extremes = np.array([cloud.positions.min(), cloud.positions.max()]).astype("<f4")
+        if np.isinf(extremes).any():
+            raise DomainError("a point position is beyond the float32 range of the map format")
     flags = (1 if cloud.colors is not None else 0) | (2 if cloud.descriptors is not None else 0)
     header = (MAP_VERSION, len(cloud), cloud.channel_count or 0, flags, len(cloud.scan_ranges))
     arrays = [a for a in (cloud.positions, cloud.colors, cloud.descriptors) if a is not None]

@@ -126,7 +126,7 @@ class TestBuildGraph:
         _, _, graph_path = built
         graph = load_graph(graph_path)
         assert graph.n == 5
-        assert len(graph.entries) > 0
+        assert len(graph.table) > 0
 
     def test_n_zero_usage_error(self, built, tmp_path):
         scene_dir, map_path, _ = built
@@ -187,6 +187,17 @@ class TestRender:
         ])
         assert code == 0
         assert out.exists()
+
+    @pytest.mark.parametrize("frame", ["-1", "999", str(2**64)])
+    def test_frame_not_in_graph_suggests_pose(self, built, tmp_path, capsys, frame):
+        scene_dir, map_path, graph_path = built
+        code = main([
+            "render", "--map", str(map_path), "--graph", str(graph_path),
+            "--intrinsics", str(scene_dir / "intrinsics.txt"), f"--frame={frame}",
+            "--out", str(tmp_path / "v.ppm"),
+        ])
+        assert code == 2
+        assert f"frame {frame} not in graph; pass --pose instead" in capsys.readouterr().err
 
     def test_malformed_reference_usage_error(self, built, tmp_path):
         scene_dir, map_path, graph_path = built

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from pointvis import zbuffer
 from pointvis.connectivity import (
+    _GRAPH_ENTRY,
     ConnectivityGraph,
     build_graph,
     candidate_indices,
@@ -54,10 +55,17 @@ class TestBuildGraph:
             build_graph(seq, 2)
         assert build_graph(Sequence(poses[:7], scans.intrinsics, scans.map), 2).window(6) == (4, 4)
 
+    @pytest.mark.parametrize("fids", [[-1, 0], [0, 0], [2, 1]])
+    def test_frame_ids_non_negative_and_increasing(self, fids):
+        """The graph table stores frame ids unsigned and searches them sorted."""
+        seq = uniform_sequence(3, 5, seed=24)
+        with pytest.raises(DomainError, match="non-negative and strictly increasing"):
+            Sequence([(fid, identity_pose()) for fid in fids], seq.intrinsics, seq.map)
+
     def test_every_frame_has_entry(self):
         seq = uniform_sequence(50, 5, seed=1)
         graph = build_graph(seq, 3)
-        assert sorted(graph.entries) == seq.frame_ids()
+        assert graph.table["frame"].tolist() == seq.frame_ids()
 
 
 class TestNearestFrame:
@@ -371,26 +379,96 @@ class TestGraphSerialization:
 
     def test_window_lo_above_hi_not_saved(self, tmp_path):
         graph = build_graph(uniform_sequence(3, 5, seed=16), 1)
-        graph.entries[1] = (graph.entries[1][0], (2, 1))
+        graph.table["window"][1] = (2, 1)
         path = tmp_path / "lohi.grf"
         with pytest.raises(DomainError):
             save_graph(path, graph)
         assert not path.exists()
 
 
+class TestGraphTable:
+    def test_pose_and_window_by_frame(self):
+        seq = uniform_sequence(6, 5, seed=17)
+        graph = build_graph(seq, 2)
+        for fid, pose in seq.frames:
+            assert graph.pose(fid) == pose
+            assert graph.window(fid) == (max(0, fid - 2), min(5, fid + 4))
+
+    @pytest.mark.parametrize("fid", [-1, 6, 2**64 - 1, 2**64, 2**70])
+    def test_missing_frame(self, fid):
+        graph = build_graph(uniform_sequence(6, 5, seed=18), 2)
+        for lookup in (graph.pose, graph.window):
+            with pytest.raises(DomainError, match=f"frame {fid} not in graph"):
+                lookup(fid)
+
+    def test_pose_does_not_alias_the_table(self):
+        seq = uniform_sequence(4, 5, seed=19)
+        graph = build_graph(seq, 1)
+        pose = graph.pose(2)
+        graph.table["pose"][:] = 7.0
+        assert np.array_equal(pose.rotation, np.eye(3))
+        assert np.array_equal(pose.translation, seq.frames[2][1].translation)
+
+    def test_load_query_and_save_build_no_pose(self, tmp_path):
+        seq = uniform_sequence(5, 5, seed=20)
+        graph = build_graph(seq, 2)
+        query = Pose(np.eye(3), [0.0, 0.0, 2.2])
+        path = tmp_path / "g.grf"
+        post_init = Pose.__post_init__
+        with mock.patch.object(Pose, "__post_init__", autospec=True, side_effect=post_init) as made:
+            save_graph(path, graph)
+            loaded = load_graph(path)
+            assert nearest_frame(loaded, query) == 2 and loaded.window(2) == (0, 4)
+            assert made.call_count == 0
+            loaded.pose(2)
+            assert made.call_count == 1
+
+    def test_rows_out_of_order_load_sorted(self, tmp_path):
+        """A v1 file may hold its frame rows in any order; they load sorted."""
+        graph = build_graph(uniform_sequence(5, 5, seed=21), 1)
+        path, reversed_path = tmp_path / "g.grf", tmp_path / "rev.grf"
+        save_graph(path, graph)
+        raw = path.read_bytes()
+        rows = [raw[31 + 120 * i : 31 + 120 * (i + 1)] for i in range(5)]
+        reversed_path.write_bytes(raw[:31] + b"".join(rows[::-1]))
+        loaded = load_graph(reversed_path)
+        assert loaded == graph
+        assert loaded.table["frame"].tolist() == [0, 1, 2, 3, 4]
+        assert nearest_frame(loaded, Pose(np.eye(3), [0.0, 0.0, 3.5])) == 3  # tie goes to the smaller id
+
+    def test_equality_compares_table_n_and_scans(self):
+        graph = build_graph(uniform_sequence(4, 5, seed=22), 1)
+        same = ConnectivityGraph(graph.table.copy(), graph.n, graph.built_over)
+        assert graph == same
+        assert graph != ConnectivityGraph(graph.table, graph.n + 1, graph.built_over)
+        assert graph != ConnectivityGraph(graph.table, graph.n, graph.built_over + 1)
+        same.table["window"][0, 1] += 1
+        assert graph != same
+
+    def test_non_finite_pose_entry_rejected(self, tmp_path):
+        path = tmp_path / "g.grf"
+        save_graph(path, build_graph(uniform_sequence(3, 5, seed=23), 1))
+        raw = bytearray(path.read_bytes())
+        raw[31 + 120 + 8 + 8 * 3 : 31 + 120 + 8 + 8 * 4] = struct.pack("<d", float("nan"))  # frame 1's t_x
+        path.write_bytes(bytes(raw))
+        with pytest.raises(FormatError, match="non-finite"):
+            load_graph(path)
+
+
 @st.composite
 def _small_graphs(draw):
     """A valid graph of 0..4 frames with random rotations, translations,
     windows, n and scan count."""
-    fids = draw(st.sets(st.integers(0, 2**40), max_size=4))
+    fids = sorted(draw(st.sets(st.integers(0, 2**40), max_size=4)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    entries = {}
-    for fid in fids:
+    table = np.zeros(len(fids), _GRAPH_ENTRY)
+    for row, fid in zip(table, fids):
         q = np.linalg.qr(rng.normal(size=(3, 3)))[0]
         q[:, 0] *= np.sign(np.linalg.det(q))  # a rotation, not a reflection
         lo = draw(st.integers(0, 1000))
-        entries[fid] = (Pose(q, rng.uniform(-100, 100, 3), fid), (lo, lo + draw(st.integers(0, 50))))
-    return ConnectivityGraph(entries, draw(st.integers(1, 0xFFFF)), draw(st.integers(0, 2**32)))
+        row["frame"], row["window"] = fid, (lo, lo + draw(st.integers(0, 50)))
+        row["pose"] = np.column_stack([q, rng.uniform(-100, 100, 3)])
+    return ConnectivityGraph(table, draw(st.integers(1, 0xFFFF)), draw(st.integers(0, 2**32)))
 
 
 def _graph_bytes(directory, graph) -> bytes:

@@ -38,6 +38,14 @@ class TestPose:
         with pytest.raises(DomainError, match="orthonormal"):
             Pose(np.array([[1e300, 1e300, 0.0], [1e300, -1e300, 0.0], [0.0, 0.0, 1.0]]), np.zeros(3))
 
+    def test_batched_check_reports_the_worst_matrix(self):
+        batch = np.stack([np.eye(3), np.eye(3) * 1.01, np.diag([1.0, 1.0, -1.0]), np.eye(3) * 1.1])
+        with pytest.raises(DomainError, match=r"orthonormal \(\|R\^T R - I\|_max = 0.21\)"):
+            geom.check_rotations(batch)
+        with pytest.raises(DomainError, match="determinant -1.000000 is not"):
+            geom.check_rotations(batch[[0, 2, 0]])
+        geom.check_rotations(np.zeros((0, 3, 3)))
+
     def test_rejects_reflection(self):
         with pytest.raises(DomainError):
             Pose(np.diag([1.0, 1.0, -1.0]), np.zeros(3))
@@ -243,3 +251,37 @@ def test_pixel_bins_per_block_equals_whole(seed, n, block, dtype):
     parts = [pixel_bins(pose, K, pts[s : s + block]) for s in range(0, max(n, 1), block)]
     for a, b in zip(whole, zip(*parts)):
         assert np.concatenate(b).tobytes() == a.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(-4, 4),
+    st.integers(0, 2),
+    st.booleans(),
+    st.integers(1, 5),
+    st.data(),
+)
+def test_batched_rotation_check_agrees_with_pose(seed, ulps, col, reflect, size, data):
+    """A rotation with one column scaled by sqrt(1 + _ORTHO_TOL), moved a
+    few ulps either side, so |R^T R - I|_max lands on either side of the
+    tolerance (and a reflection when `reflect`): `check_rotations` on a
+    batch of rotations holding it anywhere raises exactly when `Pose(R, t)`
+    does, with the same message."""
+    rng = np.random.default_rng(seed)
+    batch = np.linalg.qr(rng.normal(size=(size, 3, 3)))[0]
+    batch[:, :, 0] *= np.sign(np.linalg.det(batch))[:, None]  # rotations, not reflections
+    scale = np.sqrt(1.0 + geom._ORTHO_TOL)
+    at = data.draw(st.integers(0, size - 1))
+    batch[at, :, col] *= scale + ulps * np.spacing(scale)
+    if reflect:
+        batch[at, :, (col + 1) % 3] *= -1.0
+
+    def outcome(check):
+        try:
+            check()
+        except DomainError as e:
+            return str(e)
+        return None
+
+    assert outcome(lambda: geom.check_rotations(batch)) == outcome(lambda: Pose(batch[at], np.zeros(3)))

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pointvis import ingest
-from pointvis.connectivity import ConnectivityGraph, candidate_indices, prune_visible, save_graph
+from pointvis.connectivity import _GRAPH_ENTRY, ConnectivityGraph, candidate_indices, prune_visible, save_graph
 from pointvis.errors import DomainError, FormatError
 from pointvis.geom import Intrinsics, Pose, identity_pose
 from pointvis.ingest import (
@@ -243,6 +243,19 @@ class TestAccumulate:
         cloud = accumulate([scan], [Pose(np.eye(3), [0, 0, 5])], extrinsic=ext)
         assert np.array_equal(cloud.positions, [[1, 0, 5]])
 
+    @pytest.mark.parametrize("n_scans", [1, 0])
+    @pytest.mark.parametrize(
+        "ext",
+        [np.eye(3), np.arange(12.0).reshape(4, 3), np.full((3, 4), np.nan), np.hstack([np.eye(3), [[np.inf], [0], [0]]])],
+        ids=["3x3", "4x3", "nan", "inf"],
+    )
+    def test_malformed_extrinsic_rejected_before_any_scan(self, ext, n_scans):
+        """A 3x3 used to raise a stray ValueError, a 4x3 was reshaped into
+        another transform, and with no scans nothing was checked."""
+        scans, poses = [Scan(0, np.zeros((2, 3)))][:n_scans], [identity_pose()][:n_scans]
+        with pytest.raises(DomainError, match="extrinsic"):
+            accumulate(scans, poses, extrinsic=ext)
+
     def test_permutation_consistency(self):
         rng = np.random.default_rng(7)
         scans = [Scan(i, rng.uniform(-1, 1, (4, 3))) for i in range(3)]
@@ -433,6 +446,21 @@ class TestMapSerialization:
         desc = rng.normal(size=(n, 8)).astype(np.float32).astype(np.float64) if with_desc else None
         return PointCloudMap(pos, [(0, 0, 10), (2, 10, 7)], colors, desc)
 
+    @pytest.mark.parametrize("bad", [1e39, -1e39])
+    def test_position_beyond_float32_not_saved(self, tmp_path, bad):
+        """`load_map` rejects the inf such a position would become, so
+        `save_map` refuses it and writes no file."""
+        path = tmp_path / "big.map"
+        with pytest.raises(DomainError, match="float32"):
+            save_map(path, PointCloudMap(np.array([[0.0, 0.0, 1.0], [bad, 0.0, 1.0]]), [(0, 0, 2)]))
+        assert not path.exists()
+
+    def test_float32_max_position_saved(self, tmp_path):
+        top = float(np.finfo(np.float32).max)
+        path = tmp_path / "top.map"
+        save_map(path, PointCloudMap(np.array([[top, -top, 1.0]]), [(0, 0, 1)]))
+        assert load_map(path).positions.tolist() == [[top, -top, 1.0]]
+
     @pytest.mark.parametrize("colors,desc", [(True, True), (True, False), (False, False)])
     def test_round_trip(self, tmp_path, colors, desc):
         cloud = self._cloud(colors, desc)
@@ -607,8 +635,11 @@ def _golden_files(directory):
     save_map(directory / "full.map", PointCloudMap(pos, ranges, colors, desc))
     save_map(directory / "bare.map", PointCloudMap(pos, ranges))
     rot = np.eye(3)[[1, 2, 0]]
-    entries = {fid: (Pose(rot, np.arange(3.0) * 1.5 + fid, fid), (max(0, fid - 2), fid + 4)) for fid in (0, 3, 8)}
-    save_graph(directory / "g.grf", ConnectivityGraph(entries, 2, 9))
+    table = np.zeros(3, _GRAPH_ENTRY)
+    for row, fid in zip(table, (0, 3, 8)):
+        row["frame"], row["window"] = fid, (max(0, fid - 2), fid + 4)
+        row["pose"] = np.column_stack([rot, np.arange(3.0) * 1.5 + fid])
+    save_graph(directory / "g.grf", ConnectivityGraph(table, 2, 9))
     mask = np.arange(15).reshape(3, 5) % 3 == 0
     depth = np.where(mask, np.arange(15.0).reshape(3, 5) * 0.75 + 1, np.inf)
     save_raster(directory / "r.ras", RasterImage(1, np.arange(30.0).reshape(3, 5, 2) / 8, depth, mask))
