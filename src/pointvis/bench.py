@@ -37,6 +37,8 @@ class Strategy:
     def __post_init__(self):
         if self.kind not in ("fullmap", "depth", "radius", "window", "connectivity"):
             raise DomainError(f"unknown strategy kind {self.kind!r}")
+        if self.kind == "fullmap" and self.param is not None:
+            raise DomainError(f"strategy 'fullmap' takes no parameter, got {self.param:g}")
         if self.kind != "fullmap" and (self.param is None or not 0 < self.param < math.inf):
             raise DomainError(f"strategy {self.kind!r} needs a positive finite parameter")
         if self.kind in ("window", "connectivity") and self.param != int(self.param):
@@ -64,10 +66,11 @@ class Strategy:
 
     @staticmethod
     def parse(text: str) -> "Strategy":
-        parts = text.strip().split(":")
-        kind = parts[0]
+        kind, *params = text.strip().split(":")
+        if len(params) > 1:
+            raise DomainError(f"strategy {text!r} has more than one parameter")
         try:
-            param = float(parts[1]) if len(parts) > 1 else None
+            param = float(params[0]) if params else None
         except ValueError as e:
             raise DomainError(f"bad strategy parameter in {text!r}") from e
         if kind in ("window", "connectivity"):
@@ -216,9 +219,9 @@ def read_report_csv(path, strategy: str = "", map_size: int = 0) -> StrategyRepo
             raise FormatError(f"{path}: unexpected CSV header {header}")
         for rec in reader:
             if len(rec) != len(CSV_HEADER):
-                raise FormatError(f"{path}: bad row {rec}")
-            rows.append(
-                ViewStats(int(rec[0]), int(rec[1]), int(rec[2]), float(rec[3]),
-                          float(rec[4]), float(rec[5]), float(rec[6]), float(rec[7]))
-            )
+                raise FormatError(f"{path}:{reader.line_num}: bad row {rec}")
+            try:
+                rows.append(ViewStats(*map(int, rec[:3]), *map(float, rec[3:])))
+            except ValueError as e:
+                raise FormatError(f"{path}:{reader.line_num}: non-numeric field ({e})") from e
     return StrategyReport(strategy, map_size, rows)

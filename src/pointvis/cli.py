@@ -21,6 +21,7 @@ from .ingest import (
     colorize_map,
     load_map,
     read_intrinsics,
+    read_pose,
     read_poses,
     read_scan,
     save_map,
@@ -44,6 +45,14 @@ def _parse_levels(text: str) -> list[int]:
     if len(levels) < 2:
         raise DomainError(f"level list {text!r} has no level coarser than 0")
     return levels
+
+
+def _read_view_image(path, K, name: str) -> np.ndarray:
+    """The PPM at `path`; DomainError naming `name` unless it is K's size."""
+    img = read_ppm(path)
+    if img.shape[:2] != (K.height, K.width):
+        raise DomainError(f"{name} is {img.shape[1]}x{img.shape[0]}, the view {K.width}x{K.height}")
+    return img
 
 
 def _load_scans(scan_dir: str, poses_path: str) -> tuple[list[tuple[int, Pose]], PointCloudMap]:
@@ -96,11 +105,8 @@ def cmd_build_map(args) -> int:
         if not args.intrinsics:
             raise DomainError("--images requires --intrinsics for projection")
         K = read_intrinsics(args.intrinsics)
-        images = {}
-        for sid, _, _ in cloud.scan_ranges:
-            img_path = os.path.join(args.images, f"{sid:06d}.ppm")
-            if os.path.exists(img_path):
-                images[sid] = read_ppm(img_path)
+        paths = {sid: os.path.join(args.images, f"{sid:06d}.ppm") for sid, _, _ in cloud.scan_ranges}
+        images = {sid: _read_view_image(p, K, p) for sid, p in paths.items() if os.path.exists(p)}
         cloud = colorize_map(cloud, frames, images, K)
     save_map(args.out, cloud)
     print(f"wrote map {args.out}: {len(cloud)} points, {len(cloud.scan_ranges)} scans")
@@ -130,14 +136,7 @@ def _query_pose(args, graph) -> Pose:
         except DomainError as e:
             raise DomainError(f"{e}; pass --pose instead") from e
     if args.pose:
-        try:
-            vals = [float(x) for x in args.pose.replace(",", " ").split()]
-        except ValueError as e:
-            raise DomainError(f"--pose: {e}") from e
-        if len(vals) != 12:
-            raise DomainError("--pose needs 12 floats (row-major 3x4 camera-to-world)")
-        mat = np.array(vals).reshape(3, 4)
-        return Pose(mat[:, :3], mat[:, 3])
+        return read_pose("--pose", args.pose.replace(",", " ").split(), None)
     raise DomainError("provide --pose or --frame")
 
 
@@ -149,9 +148,7 @@ def cmd_render(args) -> int:
     scale_intrinsics(K, levels[-1])  # a level too coarse for the image
     if not np.isfinite(args.background):
         raise DomainError(f"--background must be finite, got {args.background!r}")
-    ref = read_ppm(args.reference) if args.reference else None
-    if ref is not None and ref.shape[:2] != (K.height, K.width):
-        raise DomainError(f"--reference is {ref.shape[1]}x{ref.shape[0]}, the view {K.width}x{K.height}")
+    ref = _read_view_image(args.reference, K, "--reference") if args.reference else None
     graph = load_graph(args.graph)
     query = _query_pose(args, graph)
     cloud = load_map(args.map)
@@ -168,13 +165,14 @@ def cmd_render(args) -> int:
 def cmd_bench(args) -> int:
     if args.every < 1:
         raise DomainError("--every must be a positive integer")
+    if args.n < 1:
+        raise DomainError("--n must be a positive integer")
     scene_dir = args.scene
     frames, cloud = _load_scans(os.path.join(scene_dir, "scans"), os.path.join(scene_dir, "poses.txt"))
     K = read_intrinsics(os.path.join(scene_dir, "intrinsics.txt"))
     surfaces_path = os.path.join(scene_dir, "surfaces.txt")
     surfaces = read_surfaces(surfaces_path) if os.path.exists(surfaces_path) else None
     seq = Sequence(frames, K, cloud)
-    graph = build_graph(seq, args.n)
     queries = [pose for _, pose in frames][:: args.every]
 
     # a bare `window` or `connectivity` runs with the --n window; `kind:N` with its own
@@ -186,8 +184,7 @@ def cmd_bench(args) -> int:
         raise DomainError("no strategies given")
     multi = len(strategies) > 1
     for strat in strategies:
-        strat_graph = build_graph(seq, int(strat.param)) if strat.kind == "connectivity" else graph
-        report = bench_mod.run_strategy(strat, seq, queries, graph=strat_graph, surfaces=surfaces)
+        report = bench_mod.run_strategy(strat, seq, queries, surfaces=surfaces)
         out = args.out
         if multi:
             stem, ext = os.path.splitext(args.out)

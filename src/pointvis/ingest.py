@@ -154,42 +154,69 @@ def read_text(path) -> str:
         raise FormatError(f"{path}: not UTF-8 text ({e.reason} at byte {e.start})") from e
 
 
+def read_lines(path):
+    """(`path:line`, tokens) for each line of a text file that has a token."""
+    for lineno, line in enumerate(read_text(path).split("\n"), start=1):
+        tokens = line.split()
+        if tokens:
+            yield f"{path}:{lineno}", tokens
+
+
+def read_numbers(where, tokens, count: int) -> np.ndarray:
+    """The `count` tokens as finite float64s, else FormatError naming `where`
+    (`path:line`, a path or a CLI option): the field check of every text input."""
+    if len(tokens) != count:
+        raise FormatError(f"{where}: expected {count} fields, got {len(tokens)}")
+    try:
+        vals = np.array([float(x) for x in tokens])
+    except ValueError as e:
+        raise FormatError(f"{where}: non-numeric token ({e})") from e
+    if not np.all(np.isfinite(vals)):
+        raise FormatError(f"{where}: non-finite field")
+    return vals
+
+
+def _read_int(where, token: str) -> int:
+    """An integer field of a line `read_numbers` has checked."""
+    try:
+        return int(token)
+    except ValueError:
+        raise FormatError(f"{where}: {token!r} is not an integer") from None
+
+
+def read_pose(where, tokens, frame_id: int | None) -> Pose:
+    """The pose of a poses-file line or of `render --pose`: 12 tokens, a row-major
+    3x4 camera-to-world matrix. Real trajectories carry rotations a little off, so
+    one orthonormal within 1e-3 with det >= 0 is accepted and, if off by more than
+    1e-6, replaced by the nearest rotation; else FormatError naming `where`."""
+    mat = read_numbers(where, tokens, 12).reshape(3, 4)
+    rot, t = mat[:, :3], mat[:, 3]
+    with np.errstate(over="ignore", invalid="ignore"):  # huge entries give inf or nan: rejected
+        err = np.abs(rot.T @ rot - np.eye(3)).max()
+        det = np.linalg.det(rot)
+    if not err <= 1e-3 or det < 0:
+        raise FormatError(f"{where}: rotation block is not orthonormal (error {err:.3g}, det {det:.3f})")
+    if err > 1e-6:  # the nearest rotation; det(rot) > 0 here, so U V^T is no reflection
+        u, _, vt = np.linalg.svd(rot)
+        rot = u @ vt
+    try:
+        return Pose(rot, t, frame_id)
+    except DomainError as e:
+        raise FormatError(f"{where}: {e}") from e
+
+
 def read_poses(path) -> list[tuple[int, Pose]]:
     """Parse trajectory lines: frame_id followed by a row-major 3x4
     camera-to-world matrix (13 whitespace-separated fields)."""
     out: list[tuple[int, Pose]] = []
     seen: set[int] = set()
-    for lineno, line in enumerate(read_text(path).split("\n"), start=1):
-        if not line.strip():
-            continue
-        fields = line.split()
-        if len(fields) != 13:
-            raise FormatError(f"{path}:{lineno}: expected 13 fields, got {len(fields)}")
-        try:
-            frame_id = int(fields[0])
-            vals = [float(x) for x in fields[1:]]
-        except ValueError as e:
-            raise FormatError(f"{path}:{lineno}: non-numeric token ({e})") from e
-        if not np.all(np.isfinite(vals)):
-            raise FormatError(f"{path}:{lineno}: non-finite field")
+    for where, fields in read_lines(path):
+        vals = read_numbers(where, fields, 13)
+        frame_id = _read_int(where, fields[0])
         if frame_id in seen:
-            raise FormatError(f"{path}:{lineno}: duplicate frame_id {frame_id}")
+            raise FormatError(f"{where}: duplicate frame_id {frame_id}")
         seen.add(frame_id)
-        mat = np.array(vals, dtype=np.float64).reshape(3, 4)
-        rot, t = mat[:, :3], mat[:, 3]
-        with np.errstate(over="ignore", invalid="ignore"):  # huge entries give inf or nan: rejected
-            err = np.abs(rot.T @ rot - np.eye(3)).max()
-            det = np.linalg.det(rot)
-        if not err <= 1e-3 or det < 0:
-            raise FormatError(
-                f"{path}:{lineno}: rotation block is not orthonormal (error {err:.3g}, det {det:.3f})"
-            )
-        if err > 1e-6:
-            rot = _nearest_rotation(rot)
-        try:
-            out.append((frame_id, Pose(rot, t, frame_id)))
-        except DomainError as e:
-            raise FormatError(f"{path}:{lineno}: {e}") from e
+        out.append((frame_id, read_pose(where, vals[1:], frame_id)))
     return out
 
 
@@ -200,27 +227,11 @@ def write_poses(path, frames: list[tuple[int, Pose]]) -> None:
             f.write(str(fid) + " " + " ".join(repr(float(v)) for v in mat.reshape(-1)) + "\n")
 
 
-def _nearest_rotation(mat: np.ndarray) -> np.ndarray:
-    u, _, vt = np.linalg.svd(mat)
-    rot = u @ vt
-    if np.linalg.det(rot) < 0:
-        u[:, -1] = -u[:, -1]
-        rot = u @ vt
-    return rot
-
-
 def read_intrinsics(path) -> Intrinsics:
     """Parse a single-line 'fx fy cx cy width height' file."""
     fields = read_text(path).split()
-    if len(fields) != 6:
-        raise FormatError(f"{path}: expected 6 fields, got {len(fields)}")
-    try:
-        fx, fy, cx, cy = (float(x) for x in fields[:4])
-        w, h = int(fields[4]), int(fields[5])
-    except ValueError as e:
-        raise FormatError(f"{path}: non-numeric token ({e})") from e
-    if not np.all(np.isfinite([fx, fy, cx, cy])):
-        raise FormatError(f"{path}: non-finite field")
+    fx, fy, cx, cy = read_numbers(path, fields, 6)[:4].tolist()
+    w, h = (_read_int(path, x) for x in fields[4:])
     try:
         return Intrinsics(fx, fy, cx, cy, w, h)
     except DomainError as e:

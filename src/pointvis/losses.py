@@ -13,8 +13,6 @@ import numpy as np
 
 from .errors import DomainError
 
-DEFAULT_SCALES = 5
-
 
 @dataclass
 class ScaleScores:

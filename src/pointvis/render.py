@@ -101,13 +101,7 @@ def _window_mean(img: np.ndarray, kernel: np.ndarray) -> np.ndarray:
 
 
 def ssim(
-    img: np.ndarray,
-    ref: np.ndarray,
-    window: int = 11,
-    sigma: float = 1.5,
-    k1: float = 0.01,
-    k2: float = 0.03,
-    data_range: float = 1.0,
+    img: np.ndarray, ref: np.ndarray, window: int = 11, sigma: float = 1.5, data_range: float = 1.0
 ) -> float:
     """Mean local SSIM with a Gaussian window, per channel then averaged.
 
@@ -130,8 +124,8 @@ def ssim(
     if min(h, w) < window:
         raise DomainError(f"image {h}x{w} smaller than the {window}x{window} window")
     kern = _gaussian_kernel(window, sigma)
-    c1 = (k1 * data_range) ** 2
-    c2 = (k2 * data_range) ** 2
+    c1 = (0.01 * data_range) ** 2  # the standard k1 = 0.01, k2 = 0.03
+    c2 = (0.03 * data_range) ** 2
     per_channel = []
     for ch in range(img.shape[2]):
         x, y = img[:, :, ch], ref[:, :, ch]

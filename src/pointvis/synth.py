@@ -3,7 +3,7 @@ brute-force ray-casting visibility oracle.
 
 World frame: x right, y down, z forward (so an identity pose looks down
 the corridor). The camera travels along the z axis at ground height
-minus `camera_height`. Surfaces are textured rectangles; point colors
+minus `CAMERA_HEIGHT`. Surfaces are textured rectangles; point colors
 are sampled from the same analytic texture the oracle painter uses, so
 a sampled point and the painter agree exactly at the sample position.
 """
@@ -16,9 +16,12 @@ import numpy as np
 
 from .errors import DomainError, FormatError
 from .geom import Intrinsics, Pose, pixel_bins
-from .ingest import PointCloudMap, Scan, accumulate, read_text, write_intrinsics, write_poses, write_scan
+from .ingest import (
+    PointCloudMap, Scan, accumulate, read_lines, read_numbers, write_intrinsics, write_poses, write_scan,
+)
 
 SELF_HIT_EPS = 1e-4  # relative slack before the segment endpoint
+CAMERA_HEIGHT = 1.5  # the ground lies this far below the camera path
 
 
 @dataclass
@@ -65,9 +68,7 @@ class CanyonParams:
     frame_step: float = 1.0
     occluders: int = 0
     seed: int = 0
-    wall_height: float = 8.0
-    camera_height: float = 1.5
-    occluder_height: float | None = None  # default 0.75 * wall_height
+    wall_height: float = 8.0  # occluders are 0.75 * wall_height tall
     occluder_clearance: float = 0.0  # cleared corridor length behind each occluder
     close_end: bool = True
     image_width: int = 256
@@ -117,8 +118,7 @@ def make_canyon(params: CanyonParams) -> SyntheticScene:
     if p.lidar_range <= p.wall_gap:
         raise DomainError("lidar_range must exceed wall_gap")
 
-    g, L, wh, ch = p.wall_gap, p.length, p.wall_height, p.camera_height
-    oh = p.occluder_height if p.occluder_height is not None else 0.75 * wh
+    g, L, wh, ch = p.wall_gap, p.length, p.wall_height, CAMERA_HEIGHT
     surfaces = [
         Rect3((-g / 2, ch, 0), (g, 0, 0), (0, 0, L), _PALETTE[0]),  # ground
         Rect3((-g / 2, ch, 0), (0, 0, L), (0, -wh, 0), _PALETTE[1]),  # left wall
@@ -131,7 +131,7 @@ def make_canyon(params: CanyonParams) -> SyntheticScene:
         z = L * (k + 1) / (p.occluders + 1)
         occ_z.append(z)
         color = _PALETTE[4 + k % (len(_PALETTE) - 4)]
-        surfaces.append(Rect3((-g / 2, ch, z), (g, 0, 0), (0, -oh, 0), color))
+        surfaces.append(Rect3((-g / 2, ch, z), (g, 0, 0), (0, -0.75 * wh, 0), color))
     n_static = 3 + (1 if p.close_end else 0)
 
     rng = np.random.default_rng(p.seed)
@@ -223,9 +223,7 @@ def ray_rect_intersect(origin, direction, rect: Rect3):
     return t if 0.0 < t < 1.0 else None
 
 
-def oracle_occluded_many(
-    positions: np.ndarray, pose: Pose, surfaces: list[Rect3], eps: float = SELF_HIT_EPS
-) -> np.ndarray:
+def oracle_occluded_many(positions: np.ndarray, pose: Pose, surfaces: list[Rect3]) -> np.ndarray:
     """True where some surface blocks the segment camera-center -> point."""
     pts = np.asarray(positions, dtype=np.float64).reshape(-1, 3)
     deltas = pts - pose.translation
@@ -236,22 +234,18 @@ def oracle_occluded_many(
         if not np.any(todo):
             break
         t = _ray_rect_t(centers[todo], deltas[todo], rect)
-        occluded[todo] |= (t > 0.0) & (t < 1.0 - eps)
+        occluded[todo] |= (t > 0.0) & (t < 1.0 - SELF_HIT_EPS)
     return occluded
 
 
 def oracle_visible_many(
-    positions: np.ndarray,
-    pose: Pose,
-    K: Intrinsics,
-    surfaces: list[Rect3],
-    eps: float = SELF_HIT_EPS,
+    positions: np.ndarray, pose: Pose, K: Intrinsics, surfaces: list[Rect3]
 ) -> np.ndarray:
     """Vectorized oracle: positive depth, in-bounds pixel, unobstructed ray."""
     pts = np.asarray(positions, dtype=np.float64).reshape(-1, 3)
     visible = pixel_bins(pose, K, pts)[0]
     if np.any(visible):
-        visible[visible] &= ~oracle_occluded_many(pts[visible], pose, surfaces, eps)
+        visible[visible] &= ~oracle_occluded_many(pts[visible], pose, surfaces)
     return visible
 
 
@@ -312,15 +306,10 @@ def write_scene(out_dir, scene: SyntheticScene, with_images: bool = False) -> No
 
 def read_surfaces(path) -> list[Rect3]:
     surfaces = []
-    for lineno, line in enumerate(read_text(path).split("\n"), start=1):
-        if not line.strip():
-            continue
-        fields = line.split()
-        if len(fields) != 12:
-            raise FormatError(f"{path}:{lineno}: expected 12 fields, got {len(fields)}")
+    for where, fields in read_lines(path):
+        vals = read_numbers(where, fields, 12)
         try:
-            vals = np.array([float(x) for x in fields])
-        except ValueError as e:
-            raise FormatError(f"{path}:{lineno}: non-numeric token ({e})") from e
-        surfaces.append(Rect3(vals[0:3], vals[3:6], vals[6:9], vals[9:12]))
+            surfaces.append(Rect3(vals[0:3], vals[3:6], vals[6:9], vals[9:12]))
+        except DomainError as e:
+            raise FormatError(f"{where}: {e}") from e
     return surfaces

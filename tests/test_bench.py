@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from pointvis.bench import (
+    CSV_HEADER,
     Strategy,
     StrategyReport,
     ViewStats,
@@ -48,6 +49,11 @@ class TestStrategy:
     def test_missing_param(self):
         with pytest.raises(DomainError):
             Strategy("depth")
+
+    @pytest.mark.parametrize("text", ["depth:10:junk", "window:3:", "fullmap:7", "fullmap:"])
+    def test_malformed_text(self, text):
+        with pytest.raises(DomainError):
+            Strategy.parse(text)
 
 
 class TestRunStrategy:
@@ -188,6 +194,13 @@ class TestReportSerialization:
         write_report_csv(path, rep)
         first = path.read_text().splitlines()[0]
         assert first == "frame_id,retrieved,visible,leak,precision,recall,prune_s,raster_s"
+
+    @pytest.mark.parametrize("row", ["x,5,3,0.0,1.0,0.5,0.1,0.1", "0,5,3,0.0,1.0,half,0.1,0.1"])
+    def test_non_numeric_field_names_line(self, tmp_path, row):
+        path = tmp_path / "r.csv"
+        path.write_text(",".join(CSV_HEADER) + "\n0,5,3,0.0,1.0,0.5,0.1,0.1\n" + row + "\n")
+        with pytest.raises(FormatError, match="r.csv:3: non-numeric field"):
+            read_report_csv(path)
 
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -188,6 +188,31 @@ class TestRender:
         assert code == 0
         assert out.exists()
 
+    def test_pose_follows_the_poses_file_rule(self, scene_dir, tmp_path):
+        # frame 4 turned 0.1 rad about y, typed to four decimals: |R^T R - I|_max
+        # is 1.5e-5, so the poses file's rule repairs it, and `--pose` with the
+        # same 12 numbers views from the same repaired pose as `--frame 4`
+        lines = (scene_dir / "poses.txt").read_text().splitlines()
+        f = lines[4].split()
+        assert f[0] == "4"
+        pose = f"0.9950 0 0.0998 {f[4]} 0 1 0 {f[8]} -0.0998 0 0.9950 {f[12]}"
+        lines[4] = "4 " + pose
+        poses = tmp_path / "poses.txt"
+        poses.write_text("\n".join(lines) + "\n")
+        map_path, graph_path = tmp_path / "m.map", tmp_path / "g.grf"
+        assert main(["build-map", "--scans", str(scene_dir / "scans"), "--poses", str(poses),
+                     "--images", str(scene_dir / "images"), "--intrinsics", str(scene_dir / "intrinsics.txt"),
+                     "--out", str(map_path)]) == 0
+        assert main(["build-graph", "--map", str(map_path), "--poses", str(poses), "--n", "3",
+                     "--out", str(graph_path)]) == 0
+        views = []
+        for name, how in (("frame.ppm", ["--frame", "4"]), ("pose.ppm", ["--pose", pose])):
+            assert main(["render", "--map", str(map_path), "--graph", str(graph_path),
+                         "--intrinsics", str(scene_dir / "intrinsics.txt"), *how,
+                         "--out", str(tmp_path / name)]) == 0
+            views.append((tmp_path / name).read_bytes())
+        assert views[0] == views[1]
+
     @pytest.mark.parametrize("frame", ["-1", "999", str(2**64)])
     def test_frame_not_in_graph_suggests_pose(self, built, tmp_path, capsys, frame):
         scene_dir, map_path, graph_path = built
@@ -223,6 +248,19 @@ class TestRender:
             "--out", str(tmp_path / "v5.ppm"),
         ])
         assert code == 2
+
+
+def _scene_sequence(scene):
+    """The scene's frames, scans and intrinsics as a Sequence, and its surfaces."""
+    frames = read_poses(scene / "poses.txt")
+    scans = [read_scan(path, scan_id=int(path.stem)) for path in sorted((scene / "scans").iterdir())]
+    cloud = accumulate(scans, [dict(frames)[scan.scan_id] for scan in scans])
+    return Sequence(frames, read_intrinsics(scene / "intrinsics.txt"), cloud), read_surfaces(scene / "surfaces.txt")
+
+
+def _row_key(r):
+    """A report row's columns 1-6; columns 7-8 are timings."""
+    return (r.frame_id, r.retrieved, r.visible, repr(r.leak), repr(r.precision), repr(r.recall))
 
 
 class TestBench:
@@ -266,23 +304,36 @@ class TestBench:
                      "--strategies", "connectivity,connectivity:1,connectivity:8,window",
                      "--out", str(tmp_path / "r.csv")])
         assert code == 0
-        frames = read_poses(scene_dir / "poses.txt")
-        scans = [read_scan(scene_dir / "scans" / f"{fid:06d}.bin", scan_id=fid) for fid, _ in frames]
-        cloud = accumulate(scans, [pose for _, pose in frames])
-        seq = Sequence(frames, read_intrinsics(scene_dir / "intrinsics.txt"), cloud)
-        queries = [pose for _, pose in frames][::3]
-        surfaces = read_surfaces(scene_dir / "surfaces.txt")
-        key = lambda r: (r.frame_id, r.retrieved, r.visible, repr(r.leak), repr(r.precision), repr(r.recall))
+        seq, surfaces = _scene_sequence(scene_dir)
+        queries = [pose for _, pose in seq.frames][::3]
         retrieved = {}
         for n in (3, 1, 8):
             got = read_report_csv(tmp_path / f"r_connectivity-{n}.csv").rows
             want = run_strategy(Strategy.connectivity(n), seq, queries, build_graph(seq, n), surfaces).rows
-            assert [key(r) for r in got] == [key(r) for r in want]
+            assert [_row_key(r) for r in got] == [_row_key(r) for r in want]
             retrieved[n] = [r.retrieved for r in got]
         assert retrieved[1] != retrieved[3] != retrieved[8]
         got = read_report_csv(tmp_path / "r_window-3.csv").rows  # a bare `window` runs with --n too
         want = run_strategy(Strategy.sliding_window(3), seq, queries, build_graph(seq, 3), surfaces).rows
-        assert [key(r) for r in got] == [key(r) for r in want]
+        assert [_row_key(r) for r in got] == [_row_key(r) for r in want]
+
+    def test_frame_past_the_scans_needs_no_graph(self, scene_dir, tmp_path):
+        # fullmap and depth read no graph, so a frame no scan window can hold
+        # is just one more query
+        scene = tmp_path / "scene"
+        shutil.copytree(scene_dir, scene, ignore=shutil.ignore_patterns("images"))
+        lines = (scene / "poses.txt").read_text().splitlines()
+        lines.append(" ".join(["40", *lines[-1].split()[1:]]))
+        (scene / "poses.txt").write_text("\n".join(lines) + "\n")
+        assert main(["bench", "--scene", str(scene), "--strategies", "fullmap,depth:10", "--every", "4",
+                     "--out", str(tmp_path / "r.csv")]) == 0
+        seq, surfaces = _scene_sequence(scene)
+        queries = [pose for _, pose in seq.frames][::4]
+        assert queries[-1].frame_id == 40
+        for strat in (Strategy.full_map_zbuffer(), Strategy.depth_threshold(10)):
+            got = read_report_csv(tmp_path / f"r_{strat.label.replace(':', '-')}.csv").rows
+            want = run_strategy(strat, seq, queries, surfaces=surfaces).rows
+            assert [_row_key(r) for r in got] == [_row_key(r) for r in want]
 
 
 @pytest.mark.parametrize("levels", ["1,3", "0", "-1,0", "0,12"])
@@ -343,6 +394,10 @@ def test_import_needs_no_scipy():
     ("bench", ["--strategies", "depth:abc"]),
     ("bench", ["--strategies", "depth:nan"]),
     ("bench", ["--strategies", "connectivity:2.5"]),
+    ("bench", ["--strategies", "depth:10:junk"]),
+    ("bench", ["--strategies", "fullmap:7"]),
+    ("bench", ["--strategies", "fullmap", "--n", "0"]),
+    ("build-map", ["--images", "SMALL_IMAGES"]),
     ("synth", ["--length", "nan"]),
     ("render", ["--frame", "3", "--intrinsics", "MAP"]),
     ("build-graph", ["--poses", "MAP"]),
@@ -351,14 +406,19 @@ def test_import_needs_no_scipy():
     ("render", ["--frame", "3", "--map", "UNDER_MAP"]),
     *[("render", ["--frame", "3", "--graph", f"GRAPH_{defect}"]) for defect in GRAPH_DEFECTS],
 ], ids=["pose-token", "background-nan", "reference-negative-size", "every-zero", "every-negative",
-        "strategy-text", "strategy-nan", "strategy-fractional-window", "synth-length-nan",
+        "strategy-text", "strategy-nan", "strategy-fractional-window", "strategy-extra-field",
+        "strategy-fullmap-param", "bench-n-zero", "images-size", "synth-length-nan",
         "intrinsics-binary", "poses-binary", "map-directory", "poses-directory", "map-under-file",
         *[f"graph-{defect}" for defect in GRAPH_DEFECTS]])
 def test_malformed_input_usage_error(built, tmp_path, command, extra):
     scene_dir, map_path, graph_path = built
     negative = tmp_path / "neg.ppm"
     negative.write_bytes(b"P6\n-2 -2\n255\n" + bytes(12))
-    names = {"NEGATIVE_PPM": negative, "MAP": map_path, "UNDER_MAP": map_path / "x", "SCENE": scene_dir}
+    small_images = tmp_path / "small_images"
+    small_images.mkdir()
+    (small_images / "000003.ppm").write_bytes(b"P6\n8 8\n255\n" + bytes(8 * 8 * 3))
+    names = {"NEGATIVE_PPM": negative, "MAP": map_path, "UNDER_MAP": map_path / "x", "SCENE": scene_dir,
+             "SMALL_IMAGES": small_images}
     for defect in GRAPH_DEFECTS:
         names[f"GRAPH_{defect}"] = tmp_path / f"{defect}.grf"
         names[f"GRAPH_{defect}"].write_bytes(corrupt_graph(graph_path.read_bytes(), defect))
@@ -368,6 +428,8 @@ def test_malformed_input_usage_error(built, tmp_path, command, extra):
                    "--intrinsics", str(scene_dir / "intrinsics.txt"), "--out", str(tmp_path / "v.ppm")],
         "build-graph": ["--map", str(map_path), "--poses", str(scene_dir / "poses.txt"),
                         "--out", str(tmp_path / "g.grf")],
+        "build-map": ["--scans", str(scene_dir / "scans"), "--poses", str(scene_dir / "poses.txt"),
+                      "--intrinsics", str(scene_dir / "intrinsics.txt"), "--out", str(tmp_path / "m.map")],
         "bench": ["--scene", str(scene_dir), "--out", str(tmp_path / "r.csv")],
         "synth": ["--out", str(tmp_path / "scene")],
     }[command]

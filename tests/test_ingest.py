@@ -165,6 +165,8 @@ def test_not_utf8_text(tmp_path, reader):
     (read_poses, "0 1 0 0 0 0 1 0 0 0 0 1 0\n1 1 0 0 1e999 0 1 0 0 0 0 1 0\n", "f.txt:2"),
     (read_intrinsics, "nan 1 0 0 4 4\n", "f.txt"),
     (read_intrinsics, "1 1 -inf 0 4 4\n", "f.txt"),
+    (read_surfaces, "nan 0 0 1 0 0 0 1 0 0.5 0.5 0.5\n", "f.txt:1"),
+    (read_surfaces, "0 0 0 1 0 0 0 1 0 0.5 0.5 0.5\n\n0 0 0 1 0 0 0 inf 0 0.5 0.5 0.5\n", "f.txt:3"),
 ])
 def test_non_finite_field(tmp_path, reader, text, where):
     path = tmp_path / "f.txt"

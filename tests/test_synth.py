@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from pointvis.errors import DomainError
+from pointvis.errors import DomainError, FormatError
 from pointvis.geom import Intrinsics, Pose, project_points
 from pointvis.synth import (
     CanyonParams,
@@ -230,6 +230,12 @@ class TestSceneDump:
             assert np.array_equal(a.edge_u, b.edge_u)
             assert np.array_equal(a.edge_v, b.edge_v)
             assert np.array_equal(a.color, b.color)
+
+    def test_degenerate_surface_names_line(self, tmp_path):
+        path = tmp_path / "surfaces.txt"
+        path.write_text("0 0 0 1 0 0 0 1 0 0.5 0.5 0.5\n0 0 0 1 0 0 2 0 0 0.5 0.5 0.5\n")
+        with pytest.raises(FormatError, match="surfaces.txt:2: degenerate rectangle"):
+            read_surfaces(path)
 
     def test_dump_is_deterministic(self, tmp_path):
         for sub in ("a", "b"):
