@@ -4,6 +4,7 @@ retrieval sizes, leak/precision/recall, and pruned-path timings.
 from __future__ import annotations
 
 import csv
+import io
 import math
 import time
 from dataclasses import dataclass
@@ -20,7 +21,7 @@ from .connectivity import (
 )
 from .errors import DomainError, FormatError
 from .geom import Pose, world_to_camera_many
-from .ingest import Sequence
+from .ingest import Sequence, read_text
 from .raster import Channels, rasterize
 from .synth import Rect3, oracle_occluded_many, oracle_visible_many
 
@@ -212,16 +213,15 @@ def write_report_csv(path, report: StrategyReport) -> None:
 
 def read_report_csv(path, strategy: str = "", map_size: int = 0) -> StrategyReport:
     rows = []
-    with open(path, "r", encoding="utf-8", newline="") as f:
-        reader = csv.reader(f)
-        header = next(reader, None)
-        if header != CSV_HEADER:
-            raise FormatError(f"{path}: unexpected CSV header {header}")
-        for rec in reader:
-            if len(rec) != len(CSV_HEADER):
-                raise FormatError(f"{path}:{reader.line_num}: bad row {rec}")
-            try:
-                rows.append(ViewStats(*map(int, rec[:3]), *map(float, rec[3:])))
-            except ValueError as e:
-                raise FormatError(f"{path}:{reader.line_num}: non-numeric field ({e})") from e
+    reader = csv.reader(io.StringIO(read_text(path)))
+    header = next(reader, None)
+    if header != CSV_HEADER:
+        raise FormatError(f"{path}: unexpected CSV header {header}")
+    for rec in reader:
+        if len(rec) != len(CSV_HEADER):
+            raise FormatError(f"{path}:{reader.line_num}: bad row {rec}")
+        try:
+            rows.append(ViewStats(*map(int, rec[:3]), *map(float, rec[3:])))
+        except ValueError as e:
+            raise FormatError(f"{path}:{reader.line_num}: non-numeric field ({e})") from e
     return StrategyReport(strategy, map_size, rows)

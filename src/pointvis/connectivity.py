@@ -111,22 +111,25 @@ def ranges_in_window(cloud: PointCloudMap, lo: int, hi: int) -> list[tuple[int, 
     return [(sid, first, count) for sid, first, count in cloud.scan_ranges if lo <= sid <= hi]
 
 
-def candidate_indices(ranges: list[tuple[int, int, int]]) -> np.ndarray:
-    """Flatten index ranges into a sorted index array, with one `arange`
-    per run of ranges that follow each other in the map (a window's ranges
-    are one run)."""
+def candidate_indices(ranges: list[tuple[int, int, int]]) -> range | np.ndarray:
+    """The map rows of `ranges`, in order. When each range starts where the
+    one before it ends (a window's ranges always do, and no ranges are an
+    empty run) the rows are one run, returned as `range(first, last)` for
+    the z-buffer to slice. Otherwise they are a sorted int64 array, with
+    one `arange` per run of ranges that follow each other in the map."""
     runs: list[list[int]] = []
     for _, first, count in ranges:
         if runs and runs[-1][1] == first:
             runs[-1][1] += count
         else:
             runs.append([first, first + count])
-    parts = [np.arange(a, b, dtype=np.int64) for a, b in runs] or [np.zeros(0, dtype=np.int64)]
-    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+    if len(runs) <= 1:
+        return range(*runs[0]) if runs else range(0)
+    return np.concatenate([np.arange(a, b, dtype=np.int64) for a, b in runs])
 
 
 def prune_visible(
-    candidates: np.ndarray,
+    candidates: range | np.ndarray,
     cloud: PointCloudMap,
     query: Pose,
     K: Intrinsics,

@@ -122,7 +122,7 @@ def world_to_camera(pose: Pose, p) -> CamPoint:
     return CamPoint(float(c[0]), float(c[1]), float(c[2]))
 
 
-def world_to_camera_many(pose: Pose, points: np.ndarray) -> np.ndarray:
+def world_to_camera_many(pose: Pose, points: np.ndarray, work: np.ndarray | None = None) -> np.ndarray:
     """Vectorized R^T (p - t) for an (N, 3) array, returned as a (3, N)
     array: the camera-frame x, y and z are three contiguous rows.
 
@@ -130,12 +130,18 @@ def world_to_camera_many(pose: Pose, points: np.ndarray) -> np.ndarray:
     it over rows of three. The product stays (p - t) @ R, transposed after:
     R^T (p - t)^T would give the rows directly, but with OpenBLAS on a
     Xeon (Sapphire Rapids) it made the z-buffer's later scatter-min about
-    15x slower, and it is a different BLAS call whose bits need not match."""
+    15x slower, and it is a different BLAS call whose bits need not match.
+
+    `work`, a float64 (2, M, 3) array with M >= N, holds p - t and the
+    product in place of two new (N, 3) arrays, with the same bits: a caller
+    binning many blocks allocates them once. Without it glibc can return
+    the freed arrays to the system after each block and fault them in again
+    on the next: about 4000 page faults in the prune of a 533k-row window."""
     pts = np.asarray(points)
-    d = np.empty(pts.shape)
+    d, prod = (np.empty(pts.shape), None) if work is None else (work[0, : len(pts)], work[1, : len(pts)])
     for j in range(3):
         np.subtract(pts[:, j], pose.translation[j], out=d[:, j])
-    return (d @ pose.rotation).T.copy()
+    return np.matmul(d, pose.rotation, out=prod).T.copy()
 
 
 def project(K: Intrinsics, c: CamPoint):
@@ -168,25 +174,27 @@ def scale_intrinsics(K: Intrinsics, level: int) -> Intrinsics:
     return Intrinsics(K.fx / s, K.fy / s, K.cx / s, K.cy / s, w, h)
 
 
-def project_points(pose: Pose, K: Intrinsics, positions: np.ndarray):
+def project_points(pose: Pose, K: Intrinsics, positions: np.ndarray, work: np.ndarray | None = None):
     """Project an (N, 3) world array. Returns (u, v, z) float64 arrays;
-    entries with z <= 0 are behind the camera (u, v undefined there)."""
-    x, y, z = world_to_camera_many(pose, positions)
+    entries with z <= 0 are behind the camera (u, v undefined there).
+    `work` is `world_to_camera_many`'s scratch array."""
+    x, y, z = world_to_camera_many(pose, positions, work)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         u = K.fx * x / z + K.cx
         v = K.fy * y / z + K.cy
     return u, v, z
 
 
-def pixel_bins(pose: Pose, K: Intrinsics, positions: np.ndarray):
+def pixel_bins(pose: Pose, K: Intrinsics, positions: np.ndarray, work: np.ndarray | None = None):
     """Integer pixel of each world point: (ok, ui, vi, z), where ok marks
     the points with z > 0 whose pixel (floor(u), floor(v)) lies inside the
     image, and ui, vi and z are given for those points only, in order.
 
     For a real u and an integer W, 0 <= u < W holds exactly when
     0 <= floor(u) < W, so bounds are decided on the float (u, v) and only
-    the kept rows are floored and cast: no out-of-image value is cast."""
-    u, v, z = project_points(pose, K, positions)
+    the kept rows are floored and cast: no out-of-image value is cast.
+    `work` is `world_to_camera_many`'s scratch array."""
+    u, v, z = project_points(pose, K, positions, work)
     ok = (z > 0) & (u >= 0) & (u < K.width) & (v >= 0) & (v < K.height)
     keep = np.flatnonzero(ok)  # one index array takes three rows faster than three masks
     return ok, np.floor(u.take(keep)).astype(np.int64), np.floor(v.take(keep)).astype(np.int64), z.take(keep)

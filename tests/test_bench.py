@@ -202,6 +202,12 @@ class TestReportSerialization:
         with pytest.raises(FormatError, match="r.csv:3: non-numeric field"):
             read_report_csv(path)
 
+    def test_not_utf8_rejected(self, tmp_path):
+        path = tmp_path / "r.csv"
+        path.write_bytes((",".join(CSV_HEADER) + "\n0,5,3,0.0,1.0,0.5,0.1,").encode() + b"\xff\n")
+        with pytest.raises(FormatError, match="r.csv: not UTF-8"):
+            read_report_csv(path)
+
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("a,b,c\n")

@@ -290,7 +290,10 @@ def test_zbuffer_rejects_bad_index_in_a_later_block(block):
         zbuffer_winners(np.array([0, 1, 2, 3, 4, 5, 6, -1]), identity_pose(), K, positions)
 
 
-@pytest.mark.parametrize("cand", [[], np.zeros(0), np.zeros(0, dtype=np.uint8)])
+# An empty row range has no row to check, wherever its ends lie.
+@pytest.mark.parametrize(
+    "cand", [[], np.zeros(0), np.zeros(0, dtype=np.uint8), range(9, 9), range(5, 2), range(-4, -4)]
+)
 def test_zbuffer_empty_candidates_of_any_dtype(cand):
     K = Intrinsics(4.0, 4.0, 4.0, 3.0, 8, 6)
     idx, _, _, _ = zbuffer_winners(cand, identity_pose(), K, np.ones((3, 3)))
@@ -300,8 +303,10 @@ def test_zbuffer_empty_candidates_of_any_dtype(cand):
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 5)), max_size=8), st.booleans())
 def test_candidate_indices_flatten_ranges_in_order(gaps_counts, shuffle):
-    """One `arange` per run of adjacent ranges gives the same array as one
-    per range, for adjacent, gapped, empty and out-of-order ranges."""
+    """Ranges that each start where the one before ends (none at all
+    included) are one run and come back as a step-1 `range`; any other
+    ranges (gapped or out of order) come back as an int64 array with one
+    `arange` per run. Either way the rows are those of the ranges, in order."""
     ranges, cursor = [], 0
     for sid, (gap, count) in enumerate(gaps_counts):
         cursor += gap
@@ -310,8 +315,84 @@ def test_candidate_indices_flatten_ranges_in_order(gaps_counts, shuffle):
     if shuffle:
         ranges = ranges[::-1]
     want = [i for _, first, count in ranges for i in range(first, first + count)]
+    one_run = all(b[1] == a[1] + a[2] for a, b in zip(ranges, ranges[1:]))
     got = candidate_indices(ranges)
-    assert got.dtype == np.int64 and got.tolist() == want
+    if one_run:
+        assert isinstance(got, range) and got.step == 1
+    else:
+        assert isinstance(got, np.ndarray) and got.dtype == np.int64 and got.ndim == 1
+    assert list(got) == want
+
+
+def test_reduce_bins_of_no_blocks_is_empty():
+    out = zbuffer.reduce_bins(iter(()), 8, 6)
+    assert [len(a) for a in out] == [0, 0, 0, 0]
+    assert [a.dtype for a in out] == [np.int64, np.int64, np.int64, np.float64]
+
+
+# A step-1 range is a row range: each block is a slice of the positions,
+# not a gather. It must decide every pixel as the same rows given as an
+# index array do, bit for bit, at either position dtype and with blocks
+# that cut the range anywhere; the range's ends at row 0 and row N and
+# empty ranges are checked in every example.
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("block", [1, 2, 7, 1 << 15])
+@settings(max_examples=100, deadline=None)
+@given(case=_zbuffer_case(), data=st.data())
+def test_zbuffer_row_range_equals_index_array(dtype, block, case, data):
+    positions, _, shift = case
+    positions = positions.astype(dtype)
+    n = len(positions)
+    lo = data.draw(st.integers(0, n))
+    hi = data.draw(st.integers(lo, n))
+    cloud = PointCloudMap(positions, [(0, 0, n)])
+    pose = Pose(np.eye(3), shift)
+    K = Intrinsics(4.0, 4.0, 4.0, 3.0, 8, 6)
+    with mock.patch.object(zbuffer, "_BLOCK", block):
+        for rows in (range(lo, hi), range(0, n), range(lo, lo), range(n, n), range(0, 0)):
+            got = zbuffer_winners(rows, pose, K, positions)
+            want = zbuffer_winners(np.arange(rows.start, rows.stop, dtype=np.int64), pose, K, positions)
+            for a, b in zip(got, want):
+                np.testing.assert_array_equal(a, b, strict=True)
+            idx, pu, pv, _ = got
+            assert {(int(u), int(v)): int(i) for u, v, i in zip(pu, pv, idx)} == brute_force_zbuffer(
+                cloud, rows, pose, K
+            )
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_zbuffer_row_range_bit_identical_on_a_rotated_view(dtype):
+    rng = np.random.default_rng(3)
+    n = 5000
+    positions = np.column_stack([rng.uniform(-4, 4, n), rng.uniform(-2, 2, n), rng.uniform(-1, 9, n)]).astype(dtype)
+    c, s = np.cos(0.2), np.sin(0.2)
+    pose = Pose(np.array([[c, 0, s], [0, 1, 0], [-s, 0, c]]), [0.3, -0.1, 0.2])
+    K = Intrinsics(40.0, 40.0, 32.3, 16.7, 64, 32)
+    with mock.patch.object(zbuffer, "_BLOCK", 333):
+        for lo, hi in [(0, n), (0, 1000), (999, 1001), (4000, n), (2500, 2500)]:
+            got = zbuffer_winners(range(lo, hi), pose, K, positions)
+            want = zbuffer_winners(np.arange(lo, hi), pose, K, positions)
+            for a, b in zip(got, want):
+                np.testing.assert_array_equal(a, b, strict=True)
+    assert len(zbuffer_winners(range(0, n), pose, K, positions)[0]) > 100
+
+
+# A row range past either end of the map names its first row outside it.
+@pytest.mark.parametrize("rows, bad", [(range(-1, 2), -1), (range(0, 4), 3), (range(5, 9), 5), (range(-7, -3), -7)])
+def test_zbuffer_rejects_row_range_outside_the_map(rows, bad):
+    K = Intrinsics(4.0, 4.0, 4.0, 3.0, 8, 6)
+    with pytest.raises(DomainError, match=f"candidate index {bad} is outside the map's 3 points"):
+        zbuffer_winners(rows, identity_pose(), K, np.ones((3, 3)))
+
+
+@pytest.mark.parametrize("rows", [range(0, 3, 2), range(2, -1, -1)])
+def test_zbuffer_range_of_other_step_is_an_index_array(rows):
+    K = Intrinsics(4.0, 4.0, 4.0, 3.0, 8, 6)
+    positions = np.array([[0.0, 0.0, 1.0], [0.5, 0.0, 2.0], [-0.5, 0.0, 2.0]])
+    got = zbuffer_winners(rows, identity_pose(), K, positions)
+    want = zbuffer_winners(np.array(list(rows)), identity_pose(), K, positions)
+    for a, b in zip(got, want):
+        np.testing.assert_array_equal(a, b, strict=True)
 
 
 class TestGraphSerialization:

@@ -248,9 +248,11 @@ def test_pixel_bins_per_block_equals_whole(seed, n, block, dtype):
     K = Intrinsics(40.0, 30.0, 31.5, 23.5, 64, 48)
     pts = rng.uniform(-20, 20, size=(n, 3)).astype(dtype)
     whole = pixel_bins(pose, K, pts)
-    parts = [pixel_bins(pose, K, pts[s : s + block]) for s in range(0, max(n, 1), block)]
-    for a, b in zip(whole, zip(*parts)):
-        assert np.concatenate(b).tobytes() == a.tobytes()
+    work = np.full((2, block, 3), np.nan)
+    for scratch in (None, work):  # a camera-transform scratch reused by every block changes no bit
+        parts = [pixel_bins(pose, K, pts[s : s + block], scratch) for s in range(0, max(n, 1), block)]
+        for a, b in zip(whole, zip(*parts)):
+            assert np.concatenate(b).tobytes() == a.tobytes()
 
 
 @settings(max_examples=300, deadline=None)
