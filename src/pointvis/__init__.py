@@ -10,7 +10,7 @@ from .connectivity import (
     build_graph,
     nearest_frame,
     prune_visible,
-    retrieve_candidates,
+    window_rows,
 )
 from .raster import Channels, RasterImage, RasterPyramid, occupancy, rasterize, rasterize_pyramid
 from .render import psnr, render_rgb, ssim
@@ -23,7 +23,7 @@ __all__ = [
     "Pose", "Intrinsics", "CamPoint", "world_to_camera", "project", "scale_intrinsics",
     "Scan", "PointCloudMap", "Sequence", "accumulate", "split_train_test",
     "ConnectivityGraph", "VisibleSet", "build_graph", "nearest_frame",
-    "retrieve_candidates", "prune_visible",
+    "window_rows", "prune_visible",
     "RasterImage", "RasterPyramid", "Channels", "rasterize", "rasterize_pyramid", "occupancy",
     "render_rgb", "psnr", "ssim",
     "ScaleScores", "generator_adv_loss", "discriminator_adv_loss", "downscale_reference",

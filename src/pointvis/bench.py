@@ -14,10 +14,9 @@ import numpy as np
 from .connectivity import (
     ConnectivityGraph,
     build_graph,
-    candidate_indices,
     nearest_frame,
     prune_visible,
-    ranges_in_window,
+    window_rows,
 )
 from .errors import DomainError, FormatError
 from .geom import Pose, world_to_camera_many
@@ -118,13 +117,11 @@ def _select_candidates(strategy, sequence, graph, query):
         d2 = np.sum((cloud.positions - query.translation) ** 2, axis=1)
         return np.nonzero(d2 <= strategy.param**2)[0].astype(np.int64), -1
     n = int(strategy.param)
-    if graph is None:
-        raise DomainError(f"strategy {strategy.kind!r} needs a connectivity graph")
     fid = nearest_frame(graph, query)
     # connectivity takes the graph's window; the sliding window is the
     # symmetric [t - 2n, t + 2n], which includes scans behind the camera
     lo, hi = graph.window(fid) if strategy.kind == "connectivity" else (fid - 2 * n, fid + 2 * n)
-    return candidate_indices(ranges_in_window(cloud, lo, hi)), fid
+    return window_rows(cloud, lo, hi), fid
 
 
 def run_strategy(

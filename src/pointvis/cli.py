@@ -260,7 +260,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (DomainError, FormatError, FileNotFoundError, IsADirectoryError, NotADirectoryError) as e:
+    except (DomainError, FormatError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except Exception as e:  # noqa: BLE001 - CLI boundary

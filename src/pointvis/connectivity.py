@@ -1,11 +1,14 @@
 """Camera-to-scan connectivity: a generous per-frame scan window built
-once per sequence, per-query candidate retrieval, z-buffer pruning down
-to the visible set, and the graph file (via `ingest.read_binary`).
+once per sequence, a query's candidates as the window's one run of map
+rows (`window_rows`), z-buffer pruning down to the visible set, and the
+graph file (via `ingest.read_binary`).
 """
 from __future__ import annotations
 
 import struct
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
@@ -92,40 +95,39 @@ def build_graph(sequence: Sequence, n: int) -> ConnectivityGraph:
 
 def nearest_frame(graph: ConnectivityGraph, query: Pose) -> int:
     """Frame whose camera center is nearest the query's (Euclidean,
-    translation only); ties go to the smallest frame_id."""
+    translation only); ties go to the smallest frame_id. A squared distance
+    that overflows is farther than every finite one; when none is finite,
+    DomainError."""
     if not len(graph.table):
         raise DomainError("graph is empty")
-    d2 = np.sum((graph.table["pose"][:, :, 3] - query.translation) ** 2, axis=1)
-    return int(graph.table["frame"][np.argmin(d2)])
+    with np.errstate(over="ignore"):
+        d2 = np.sum((graph.table["pose"][:, :, 3] - query.translation) ** 2, axis=1)
+    i = np.argmin(d2)
+    if not np.isfinite(d2[i]):
+        raise DomainError("the query is too far from every frame for a finite distance")
+    return int(graph.table["frame"][i])
 
 
-def retrieve_candidates(
-    graph: ConnectivityGraph, cloud: PointCloudMap, frame_id: int
-) -> list[tuple[int, int, int]]:
-    """Map scan_ranges falling inside the frame's window."""
-    return ranges_in_window(cloud, *graph.window(frame_id))
+def window_rows(cloud: PointCloudMap, lo: int, hi: int) -> range:
+    """Map rows of the scans whose id lies in [lo, hi], in order. The map's
+    scan ranges are contiguous and sorted by scan id, so they are one run,
+    found by binary search; a window that holds no scan is `range(0)`."""
+    ranges = cloud.scan_ranges
+    a = bisect_left(ranges, lo, key=itemgetter(0))
+    b = bisect_right(ranges, hi, key=itemgetter(0))
+    if a >= b:
+        return range(0)
+    _, last, count = ranges[b - 1]
+    return range(ranges[a][1], last + count)
 
 
-def ranges_in_window(cloud: PointCloudMap, lo: int, hi: int) -> list[tuple[int, int, int]]:
-    """Map scan_ranges whose scan id lies in [lo, hi]."""
-    return [(sid, first, count) for sid, first, count in cloud.scan_ranges if lo <= sid <= hi]
+# Names `viewbench` imports; the next benchmark change (ROADMAP item 2) deletes them.
+def retrieve_candidates(graph: ConnectivityGraph, cloud: PointCloudMap, frame_id: int) -> range:
+    return window_rows(cloud, *graph.window(frame_id))
 
 
-def candidate_indices(ranges: list[tuple[int, int, int]]) -> range | np.ndarray:
-    """The map rows of `ranges`, in order. When each range starts where the
-    one before it ends (a window's ranges always do, and no ranges are an
-    empty run) the rows are one run, returned as `range(first, last)` for
-    the z-buffer to slice. Otherwise they are a sorted int64 array, with
-    one `arange` per run of ranges that follow each other in the map."""
-    runs: list[list[int]] = []
-    for _, first, count in ranges:
-        if runs and runs[-1][1] == first:
-            runs[-1][1] += count
-        else:
-            runs.append([first, first + count])
-    if len(runs) <= 1:
-        return range(*runs[0]) if runs else range(0)
-    return np.concatenate([np.arange(a, b, dtype=np.int64) for a, b in runs])
+def candidate_indices(rows: range) -> range:
+    return rows
 
 
 def prune_visible(
@@ -147,7 +149,7 @@ def visible_set_for(
 ) -> VisibleSet:
     """Full retrieval path: nearest frame, window candidates, pruning."""
     fid = nearest_frame(graph, query)
-    cand = candidate_indices(retrieve_candidates(graph, cloud, fid))
+    cand = window_rows(cloud, *graph.window(fid))
     return prune_visible(cand, cloud, query, K, source_frame=fid)
 
 

@@ -60,10 +60,6 @@ class Pose:
         object.__setattr__(self, "rotation", rot)
         object.__setattr__(self, "translation", t)
 
-    @property
-    def camera_center(self) -> np.ndarray:
-        return self.translation
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Pose):
             return NotImplemented

@@ -113,6 +113,8 @@ def make_canyon(params: CanyonParams) -> SyntheticScene:
             raise DomainError(f"{name} must be positive and finite")
     if p.occluders < 0 or p.seed < 0:
         raise DomainError("occluders and seed must be non-negative")
+    if not 0 <= p.occluder_clearance < np.inf:
+        raise DomainError("occluder_clearance must be non-negative and finite")
     if p.point_spacing > p.wall_gap:
         raise DomainError("degenerate scene: point spacing exceeds the wall gap")
     if p.lidar_range <= p.wall_gap:

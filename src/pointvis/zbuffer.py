@@ -4,17 +4,18 @@ This is the single reduction shared by visibility pruning and
 rasterization: bin projected points into integer pixels and keep, per
 pixel, the candidate with minimal depth (ties broken by smallest point
 index). Candidates are binned in blocks of `_BLOCK` rows. A step-1
-`range` of candidates (a window's one run of map rows) is a row range:
-its bounds are checked once and each block is a slice of the positions,
-so no index array is built and no rows are copied. Any other input is an
-index array, checked and gathered block by block. Both share one
-camera-transform scratch array per view. `pixel_bins` returns only a
-block's in-bounds rows. Each block's depths are scatter-min'ed into the
-view's one W*H `best` buffer, and only the rows that still tie or beat
-`best` at their pixel are kept: `best` only decreases, so a dropped row
-can never equal the final minimum. After the last block, one scatter-min
-of the index over the exact-depth ties decides each pixel. It runs in
-one thread.
+`range` of candidates (a window's one run of map rows, from
+`connectivity.window_rows`) is a row range: its bounds are checked once
+and each block is a slice of the positions, so no index array is built
+and no rows are copied. Any other input (a bench strategy's selection or
+a hand-built array) is an index array, checked and gathered block by
+block. Both share one camera-transform scratch array per view.
+`pixel_bins` returns only a block's in-bounds rows. Each block's depths
+are scatter-min'ed into the view's one W*H `best` buffer, and only the
+rows that still tie or beat `best` at their pixel are kept: `best` only
+decreases, so a dropped row can never equal the final minimum. After the
+last block, one scatter-min of the index over the exact-depth ties
+decides each pixel. It runs in one thread.
 """
 from __future__ import annotations
 

@@ -123,12 +123,6 @@ class TestRunStrategy:
         r = rep.rows[0]
         assert 0.0 < r.recall <= 1.0
 
-    def test_missing_graph_rejected(self):
-        seq = uniform_sequence(10, 20, seed=12)
-        from pointvis.bench import _select_candidates
-        with pytest.raises(DomainError):
-            _select_candidates(Strategy.connectivity(5), seq, None, seq.frames[0][1])
-
 
 class TestSubsetRatio:
     def test_large_scale_reference(self):

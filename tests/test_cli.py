@@ -399,6 +399,9 @@ def test_import_needs_no_scipy():
     ("bench", ["--strategies", "fullmap", "--n", "0"]),
     ("build-map", ["--images", "SMALL_IMAGES"]),
     ("synth", ["--length", "nan"]),
+    ("synth", ["--occluders", "1", "--occluder-clearance", "nan"]),
+    ("synth", ["--occluders", "1", "--occluder-clearance", "-3"]),
+    ("render", ["--pose", "1 0 0 1e200 0 1 0 0 0 0 1 0"]),
     ("render", ["--frame", "3", "--intrinsics", "MAP"]),
     ("build-graph", ["--poses", "MAP"]),
     ("render", ["--frame", "3", "--map", "SCENE"]),
@@ -408,6 +411,7 @@ def test_import_needs_no_scipy():
 ], ids=["pose-token", "background-nan", "reference-negative-size", "every-zero", "every-negative",
         "strategy-text", "strategy-nan", "strategy-fractional-window", "strategy-extra-field",
         "strategy-fullmap-param", "bench-n-zero", "images-size", "synth-length-nan",
+        "synth-clearance-nan", "synth-clearance-negative", "pose-distance-overflow",
         "intrinsics-binary", "poses-binary", "map-directory", "poses-directory", "map-under-file",
         *[f"graph-{defect}" for defect in GRAPH_DEFECTS]])
 def test_malformed_input_usage_error(built, tmp_path, command, extra):
@@ -434,3 +438,16 @@ def test_malformed_input_usage_error(built, tmp_path, command, extra):
         "synth": ["--out", str(tmp_path / "scene")],
     }[command]
     assert main([command, *base, *extra]) == 2
+
+
+# An output that cannot be written (here a full device) is an OSError: exit 2.
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("command", ["render", "bench"])
+def test_output_write_error_usage_error(built, command):
+    scene_dir, map_path, graph_path = built
+    args = {
+        "render": ["--map", str(map_path), "--graph", str(graph_path),
+                   "--intrinsics", str(scene_dir / "intrinsics.txt"), "--frame", "3"],
+        "bench": ["--scene", str(scene_dir), "--strategies", "connectivity"],
+    }[command]
+    assert main([command, *args, "--out", "/dev/full"]) == 2

@@ -11,13 +11,12 @@ from pointvis.connectivity import (
     _GRAPH_ENTRY,
     ConnectivityGraph,
     build_graph,
-    candidate_indices,
     load_graph,
     nearest_frame,
     prune_visible,
-    retrieve_candidates,
     save_graph,
     visible_set_for,
+    window_rows,
 )
 from pointvis.errors import DomainError, FormatError
 from pointvis.geom import Intrinsics, Pose, identity_pose
@@ -92,25 +91,33 @@ class TestNearestFrame:
             )[0]
             assert nearest_frame(graph, q) == best
 
+    def test_overflowing_distance_is_farthest(self):
+        table = np.zeros(3, _GRAPH_ENTRY)
+        table["frame"] = [0, 1, 2]
+        table["pose"][:, :, :3] = np.eye(3)
+        table["pose"][:, :, 3] = [[-1e200, 0, 0], [5.0, 0, 0], [1e200, 0, 0]]
+        graph = ConnectivityGraph(table, 1, 3)
+        assert nearest_frame(graph, Pose(np.eye(3), [1e154, 0.0, 0.0])) == 1
+        with pytest.raises(DomainError, match="finite distance"):
+            nearest_frame(graph, Pose(np.eye(3), [0.0, 1e200, 0.0]))
+
 
 class TestRetrieveCandidates:
     def test_window_sums_counts(self):
         seq = uniform_sequence(300, 1000, seed=6)
         graph = build_graph(seq, 5)
-        ranges = retrieve_candidates(graph, seq.map, 10)
-        assert sum(c for _, _, c in ranges) == 16_000
+        assert len(window_rows(seq.map, *graph.window(10))) == 16_000
 
     def test_full_window_is_whole_map(self):
         seq = uniform_sequence(10, 100, seed=7)
         graph = build_graph(seq, 5)
-        ranges = retrieve_candidates(graph, seq.map, 5)
-        assert sum(c for _, _, c in ranges) == len(seq.map)
+        assert window_rows(seq.map, *graph.window(5)) == range(len(seq.map))
 
     def test_unknown_frame(self):
         seq = uniform_sequence(10, 10, seed=8)
         graph = build_graph(seq, 2)
         with pytest.raises(DomainError):
-            retrieve_candidates(graph, seq.map, 999)
+            window_rows(seq.map, *graph.window(999))
 
 
 class TestPruneVisible:
@@ -145,8 +152,7 @@ class TestPruneVisible:
         scene, cloud, _, seq, graph = small_canyon
         for fid in (0, 15, 40):
             query = scene.trajectory[fid]
-            ranges = retrieve_candidates(graph, cloud, fid)
-            cand = candidate_indices(ranges)
+            cand = window_rows(cloud, *graph.window(fid))
             vis = prune_visible(cand, cloud, query, scene.intrinsics, source_frame=fid)
             oracle = brute_force_zbuffer(cloud, cand, query, scene.intrinsics)
             got = {(int(u), int(v)): int(i) for (u, v), i in zip(vis.pixel_of, vis.point_indices)}
@@ -300,27 +306,25 @@ def test_zbuffer_empty_candidates_of_any_dtype(cand):
     assert idx.dtype == np.int64 and len(idx) == 0
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 5)), max_size=8), st.booleans())
-def test_candidate_indices_flatten_ranges_in_order(gaps_counts, shuffle):
-    """Ranges that each start where the one before ends (none at all
-    included) are one run and come back as a step-1 `range`; any other
-    ranges (gapped or out of order) come back as an int64 array with one
-    `arange` per run. Either way the rows are those of the ranges, in order."""
-    ranges, cursor = [], 0
-    for sid, (gap, count) in enumerate(gaps_counts):
-        cursor += gap
-        ranges.append((sid, cursor, count))
-        cursor += count
-    if shuffle:
-        ranges = ranges[::-1]
-    want = [i for _, first, count in ranges for i in range(first, first + count)]
-    one_run = all(b[1] == a[1] + a[2] for a, b in zip(ranges, ranges[1:]))
-    got = candidate_indices(ranges)
-    if one_run:
-        assert isinstance(got, range) and got.step == 1
-    else:
-        assert isinstance(got, np.ndarray) and got.dtype == np.int64 and got.ndim == 1
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(1, 3), st.integers(0, 5)), max_size=8),
+    st.integers(-3, 30),
+    st.integers(-3, 30),
+)
+def test_window_rows_are_the_window_scans_rows(gaps_counts, lo, hi):
+    """Over maps with scan-id gaps, empty scans or no scans, and windows
+    below, inside, above or crossed (lo > hi), the rows are one step-1
+    `range`: those of the scans with lo <= sid <= hi, in order."""
+    ranges, sid, first = [], -1, 0
+    for gap, count in gaps_counts:
+        sid += gap
+        ranges.append((sid, first, count))
+        first += count
+    cloud = PointCloudMap(np.zeros((first, 3)), ranges)
+    want = [i for s, f, c in ranges if lo <= s <= hi for i in range(f, f + c)]
+    got = window_rows(cloud, lo, hi)
+    assert isinstance(got, range) and got.step == 1
     assert list(got) == want
 
 

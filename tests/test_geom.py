@@ -65,7 +65,7 @@ class TestPose:
 
     def test_camera_center_maps_to_origin(self):
         pose = Pose(rot_z(0.7), [1.0, 2.0, 3.0])
-        c = world_to_camera(pose, pose.camera_center)
+        c = world_to_camera(pose, pose.translation)
         assert abs(c.x) <= 1e-9 and abs(c.y) <= 1e-9 and abs(c.z) <= 1e-9
 
 

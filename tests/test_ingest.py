@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pointvis import ingest
-from pointvis.connectivity import _GRAPH_ENTRY, ConnectivityGraph, candidate_indices, prune_visible, save_graph
+from pointvis.connectivity import _GRAPH_ENTRY, ConnectivityGraph, prune_visible, save_graph, window_rows
 from pointvis.errors import DomainError, FormatError
 from pointvis.geom import Intrinsics, Pose, identity_pose
 from pointvis.ingest import (
@@ -614,7 +614,7 @@ def test_loaded_map_renders_like_float64(tmp_path_factory, seed):
     rot = np.array([[cy, 0, sy], [0, 1, 0], [-sy, 0, cy]]) @ np.array([[1, 0, 0], [0, cp, -sp], [0, sp, cp]])
     pose = Pose(rot, rng.uniform(-0.5, 0.5, 3))
     K = Intrinsics(32.0, 32.0, 32.0 + rng.uniform(-1, 1), 16.0 + rng.uniform(-1, 1), 64, 32)
-    cand = candidate_indices(ranges)
+    cand = window_rows(loaded, 0, 1)
     outs = []
     for cloud in (loaded, widened):
         vis = prune_visible(cand, cloud, pose, K)
