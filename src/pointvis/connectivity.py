@@ -139,8 +139,9 @@ def prune_visible(
 ) -> VisibleSet:
     """Keep candidate map indices with positive depth, an in-bounds
     full-resolution pixel, and minimal depth among all candidates binned
-    to the same pixel (depth ties broken by smallest point index)."""
-    idx, pu, pv, depth = zbuffer_winners(candidates, query, K, cloud.positions)
+    to the same pixel (depth ties broken by smallest point index). A row
+    range skips the map blocks whose cached boxes lie outside the view."""
+    idx, pu, pv, depth = zbuffer_winners(candidates, query, K, cloud.positions, cloud.boxes)
     return VisibleSet(idx, source_frame, np.stack([pu, pv], axis=1), depth, query, K)
 
 

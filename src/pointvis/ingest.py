@@ -13,6 +13,7 @@ import numpy as np
 
 from .errors import DomainError, FormatError
 from .geom import Intrinsics, Pose, _as_matrix, pixel_bins
+from .zbuffer import BlockBoxes
 
 MAP_MAGIC = b"CENPBG-MAP\x00"
 MAP_VERSION = 1
@@ -52,15 +53,20 @@ class PointCloudMap:
     kept as given (a loaded map keeps the file's float32); any other dtype
     is widened to float64. Consumers widen the rows they gather to float64,
     which is exact from float32, so results do not depend on the dtype.
+    The map's positions are a read-only view of the given array, so the
+    z-buffer's culling boxes in `boxes`, built from them as views need
+    them, cannot go stale through the map.
     """
 
     positions: np.ndarray  # (N, 3) world frame
     scan_ranges: list[tuple[int, int, int]]  # (scan_id, first_index, count)
     colors: np.ndarray | None = None  # (N, 3) in [0, 1], NaN rows = no color
     descriptors: np.ndarray | None = None  # (N, C)
+    boxes: BlockBoxes = field(default_factory=BlockBoxes, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.positions = _float_array(self.positions).reshape(-1, 3)
+        self.positions.setflags(write=False)
         # NaN propagates through min and max and an infinity is one of them,
         # so unlike isfinite(...).all() no temporary array is made.
         if self.positions.size and not (
@@ -411,8 +417,8 @@ def _map_sizes(fields):
 
 
 def load_map(path) -> PointCloudMap:
-    """Read a map file; the map's arrays are writable little-endian float32
-    views of the file's bytes."""
+    """Read a map file; the map's arrays are little-endian float32 views of
+    the file's bytes, writable but for the positions."""
     (_, n, c, flags, nranges), (ranges, positions, colors, descriptors) = read_binary(
         path, MAP_MAGIC, MAP_VERSION, _MAP_HEADER, _map_sizes
     )

@@ -335,6 +335,14 @@ class TestBench:
             want = run_strategy(strat, seq, queries, surfaces=surfaces).rows
             assert [_row_key(r) for r in got] == [_row_key(r) for r in want]
 
+    # A radius whose square overflows float64 holds every point of the map.
+    def test_overflowing_radius_holds_every_point(self, scene_dir, tmp_path):
+        assert main(["bench", "--scene", str(scene_dir), "--strategies", "radius:1e200", "--every", "6",
+                     "--out", str(tmp_path / "r.csv")]) == 0
+        seq, _ = _scene_sequence(scene_dir)
+        rows = read_report_csv(tmp_path / "r.csv").rows
+        assert rows and all(r.retrieved == len(seq.map) for r in rows)
+
 
 @pytest.mark.parametrize("levels", ["1,3", "0", "-1,0", "0,12"])
 def test_render_levels_checked_before_loading(built, tmp_path, monkeypatch, levels):

@@ -335,10 +335,13 @@ def test_reduce_bins_of_no_blocks_is_empty():
 
 
 # A step-1 range is a row range: each block is a slice of the positions,
-# not a gather. It must decide every pixel as the same rows given as an
-# index array do, bit for bit, at either position dtype and with blocks
-# that cut the range anywhere; the range's ends at row 0 and row N and
-# empty ranges are checked in every example.
+# not a gather, and a block whose box lies outside the view is skipped. It
+# must decide every pixel as the same rows given as an index array (never
+# culled) do, bit for bit, at either position dtype and with blocks that
+# cut the range anywhere; the range's ends at row 0 and row N and empty
+# ranges are checked in every example, twice, with the map's boxes kept
+# between the ranges of one example (a box is built on its block's second
+# prune, so the later prunes cull).
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("block", [1, 2, 7, 1 << 15])
 @settings(max_examples=100, deadline=None)
@@ -353,8 +356,9 @@ def test_zbuffer_row_range_equals_index_array(dtype, block, case, data):
     pose = Pose(np.eye(3), shift)
     K = Intrinsics(4.0, 4.0, 4.0, 3.0, 8, 6)
     with mock.patch.object(zbuffer, "_BLOCK", block):
-        for rows in (range(lo, hi), range(0, n), range(lo, lo), range(n, n), range(0, 0)):
-            got = zbuffer_winners(rows, pose, K, positions)
+        for rows in 2 * (range(lo, hi), range(0, n), range(lo, lo), range(n, n), range(0, 0)):
+            got = zbuffer_winners(rows, pose, K, positions, cloud.boxes)
+            np.testing.assert_array_equal(got[0], prune_visible(rows, cloud, pose, K).point_indices, strict=True)
             want = zbuffer_winners(np.arange(rows.start, rows.stop, dtype=np.int64), pose, K, positions)
             for a, b in zip(got, want):
                 np.testing.assert_array_equal(a, b, strict=True)
@@ -362,6 +366,124 @@ def test_zbuffer_row_range_equals_index_array(dtype, block, case, data):
             assert {(int(u), int(v)): int(i) for u, v, i in zip(pu, pv, idx)} == brute_force_zbuffer(
                 cloud, rows, pose, K
             )
+
+
+_PLANE_K = Intrinsics(40.0, 30.0, 32.3, 16.7, 64, 32)
+
+
+def _on_plane(plane: int, a: float, z: float) -> np.ndarray:
+    """A camera-frame point on one of the five planes a view's boxes are
+    tested against: z = 0, u = 0, u = W, v = 0 or v = H; `a` places it
+    along the plane and `z` sets its depth."""
+    K = _PLANE_K
+    x, y = a, a / 2
+    if plane == 0:
+        z = 0.0
+    elif plane in (1, 2):
+        x = ((0.0 if plane == 1 else K.width) - K.cx) * z / K.fx
+    else:
+        y = ((0.0 if plane == 3 else K.height) - K.cy) * z / K.fy
+    return np.array([x, y, z])
+
+
+@st.composite
+def _plane_case(draw):
+    """A rotated view and a map whose rows lie on the view's frustum planes,
+    a few ulps either side of them, and well outside or inside: rows in one
+    block give boxes that straddle a plane or lie wholly beyond it."""
+    yaw, pitch = draw(st.floats(-0.4, 0.4)), draw(st.floats(-0.3, 0.3))
+    cy, sy, cp, sp = np.cos(yaw), np.sin(yaw), np.cos(pitch), np.sin(pitch)
+    rot = np.array([[cy, 0, sy], [0, 1, 0], [-sy, 0, cy]]) @ np.array([[1, 0, 0], [0, cp, -sp], [0, sp, cp]])
+    pose = Pose(rot, np.array(draw(st.tuples(*[st.integers(-3, 3)] * 3)), dtype=float) / 4)
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    rows = []
+    for _ in range(draw(st.integers(1, 12))):
+        c = _on_plane(draw(st.integers(0, 4)), draw(st.floats(-3, 3)), draw(st.floats(0.5, 9)))
+        shift = draw(st.sampled_from([0.0, 0.0, -2.0, 2.0]))  # on the plane, or off it by far
+        c = c + shift * np.array([1.0, 1.0, 0.5])
+        p = (pose.rotation @ c + pose.translation).astype(dtype)
+        for ulps in draw(st.lists(st.integers(-4, 4), min_size=1, max_size=4)):
+            axis = draw(st.integers(0, 2))
+            q = p.copy()
+            for _ in range(abs(ulps)):
+                q[axis] = np.nextafter(q[axis], np.copysign(np.inf, ulps), dtype=dtype)
+            rows.append(q)
+    return pose, np.array(rows, dtype=dtype)
+
+
+# The box test is exact: a culled block holds no row the projection would
+# keep, even for rows on a frustum plane or a few ulps either side of it,
+# so a prune through the map's boxes equals the unculled ones bit for bit.
+# The first prune builds no box; the second builds them and culls.
+@pytest.mark.parametrize("block", [1, 2, 7])
+@settings(max_examples=200, deadline=None)
+@given(case=_plane_case())
+def test_culled_prune_equals_unculled_at_the_frustum_planes(block, case):
+    pose, positions = case
+    n = len(positions)
+    cloud = PointCloudMap(positions, [(0, 0, n)])
+    with mock.patch.object(zbuffer, "_BLOCK", block):
+        want = zbuffer_winners(np.arange(n), pose, _PLANE_K, positions)
+        for _ in range(2):
+            vis = prune_visible(range(0, n), cloud, pose, _PLANE_K)
+            got = vis.point_indices, vis.pixel_of[:, 0], vis.pixel_of[:, 1], vis.depth_of
+            for a, b in zip(got, want):
+                np.testing.assert_array_equal(a, b, strict=True)
+        assert cloud.boxes.built.all()
+
+
+def test_frustum_planes_cull_boxes_wholly_beyond_them():
+    """Single-point boxes well beyond each plane are culled; points inside
+    the image, or on a plane up to rounding (inside the margin), are not."""
+    K, pose = _PLANE_K, identity_pose()
+    inside = np.array([[0.1, 0.2, 3.0], [_on_plane(1, 0, 5)[0] + 1e-3, 0.0, 5.0]])
+    beyond = np.array([_on_plane(p, 0.5, 4.0) + off for p, off in
+                       [(0, (0, 0, -0.1)), (1, (-0.1, 0, 0)), (2, (0.1, 0, 0)), (3, (0, -0.1, 0)), (4, (0, 0.1, 0))]])
+    near = np.array([_on_plane(p, 0.5 if p else 0.0, 4.0) for p in range(5)])  # on the planes, up to rounding
+    center = np.vstack([inside, beyond, near])
+    boxes = np.column_stack([center, np.zeros_like(center), np.abs(center).sum(axis=1)])  # single-point boxes
+    out = zbuffer.outside_view(boxes, pose, K)
+    assert out.tolist() == [False, False] + [True] * 5 + [False] * 5
+
+
+def test_boxes_built_at_one_block_size_are_not_reused_at_another():
+    """Rows 0-6 are in view and rows 7-13 behind the camera, so once the
+    boxes are built only the blocks holding rows 0-6 are binned. Boxes of 7
+    rows read at a block of 2 would take block 1 (rows 2-3) for the behind
+    box and cull it."""
+    positions = np.vstack([np.column_stack([np.linspace(-1, 1, 7), np.zeros(7), np.full(7, 3.0)]),
+                           np.tile([0.0, 0.0, -2.0], (7, 1))])
+    cloud = PointCloudMap(positions, [(0, 0, 14)])
+    want = zbuffer_winners(np.arange(14), identity_pose(), _PLANE_K, positions)[0]
+    assert len(want) == 7
+    for block in (7, 2, 7):
+        with mock.patch.object(zbuffer, "_BLOCK", block):
+            for binned in (14, -(-7 // block) * block):  # the second prune builds the boxes and culls
+                with mock.patch.object(zbuffer, "pixel_bins", wraps=zbuffer.pixel_bins) as bins:
+                    got = prune_visible(range(0, 14), cloud, identity_pose(), _PLANE_K).point_indices
+                np.testing.assert_array_equal(got, want, strict=True)
+                assert sum(len(call.args[2]) for call in bins.call_args_list) == binned
+        assert cloud.boxes.block == block and len(cloud.boxes.table) == -(-14 // block)
+        assert cloud.boxes.built.all()
+
+
+def test_boxes_are_built_on_the_second_prune_of_their_block():
+    positions = np.random.default_rng(0).integers(-5, 5, (40, 3)).astype(float)  # exact centers and halves
+    cloud = PointCloudMap(positions, [(0, 0, 40)])
+    assert cloud.boxes.block == 0  # none at construction
+    with mock.patch.object(zbuffer, "_BLOCK", 8):
+        prune_visible(range(9, 17), cloud, identity_pose(), _PLANE_K)  # blocks 1 and 2
+        assert not cloud.boxes.built.any() and np.isinf(cloud.boxes.table[:, 3:]).all()
+        prune_visible(range(15, 26), cloud, identity_pose(), _PLANE_K)  # blocks 1, 2 and 3
+        assert cloud.boxes.built.tolist() == [False, True, True, False, False]
+        prune_visible(np.arange(40), cloud, identity_pose(), _PLANE_K)  # an index array touches no box
+        prune_visible(range(0, 40), cloud, identity_pose(), _PLANE_K)
+        assert cloud.boxes.built.tolist() == [False, True, True, True, False]
+    block = positions[16:24]
+    center, half, size = np.split(cloud.boxes.table[2], [3, 6])
+    np.testing.assert_array_equal(center - half, block.min(axis=0))
+    np.testing.assert_array_equal(center + half, block.max(axis=0))
+    assert size == np.abs(center).sum() + half.sum()
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])

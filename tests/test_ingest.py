@@ -432,6 +432,18 @@ class TestMapValidation:
             assert arr.dtype == (dtype if kept else np.float64)
             assert np.shares_memory(arr, given_) == kept
 
+    # The z-buffer caches a box per block of positions with the map, so a
+    # write through the map would leave a stale box that culls visible rows.
+    def test_positions_are_read_only(self, tmp_path):
+        built = accumulate([Scan(0, np.ones((4, 3)))], [identity_pose()], colors=[np.zeros((4, 3))])
+        save_map(tmp_path / "m.map", built)
+        for cloud in (built, load_map(tmp_path / "m.map"), PointCloudMap(np.zeros((2, 3)), [(0, 0, 2)])):
+            with pytest.raises(ValueError, match="read-only"):
+                cloud.positions[0, 0] = 5.0
+            with pytest.raises(ValueError, match="read-only"):
+                cloud.positions += 1.0
+        built.colors[0, 0] = 0.5  # colors stay writable
+
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_non_finite_positions_rejected(self, dtype):
         for bad in ([[np.nan, 0, 1], [0, 0, 2]], [[0, 0, 1], [0, np.inf, 2]]):
@@ -484,7 +496,8 @@ class TestMapSerialization:
         back = load_map(path)
         for arr in (back.positions, back.colors, back.descriptors):
             assert arr.dtype == np.float32
-            assert arr.flags.writeable
+        assert not back.positions.flags.writeable  # the map's culling boxes are built from them
+        assert back.colors.flags.writeable and back.descriptors.flags.writeable
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.map"
