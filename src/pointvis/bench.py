@@ -45,26 +45,6 @@ class Strategy:
             raise DomainError(f"strategy {self.kind!r} needs an integer window, got {self.param:g}")
 
     @staticmethod
-    def full_map_zbuffer() -> "Strategy":
-        return Strategy("fullmap")
-
-    @staticmethod
-    def depth_threshold(d: float) -> "Strategy":
-        return Strategy("depth", d)
-
-    @staticmethod
-    def radius_crop(r: float) -> "Strategy":
-        return Strategy("radius", r)
-
-    @staticmethod
-    def sliding_window(n: int) -> "Strategy":
-        return Strategy("window", n)
-
-    @staticmethod
-    def connectivity(n: int = 5) -> "Strategy":
-        return Strategy("connectivity", n)
-
-    @staticmethod
     def parse(text: str) -> "Strategy":
         kind, *params = text.strip().split(":")
         if len(params) > 1:
@@ -73,8 +53,6 @@ class Strategy:
             param = float(params[0]) if params else None
         except ValueError as e:
             raise DomainError(f"bad strategy parameter in {text!r}") from e
-        if kind in ("window", "connectivity"):
-            param = param if param is not None else 5.0
         return Strategy(kind, param)
 
     @property
@@ -109,7 +87,7 @@ class StrategyReport:
 def _select_candidates(strategy, sequence, graph, query):
     cloud = sequence.map
     if strategy.kind == "fullmap":
-        return np.arange(len(cloud), dtype=np.int64), -1
+        return range(len(cloud)), -1
     if strategy.kind == "depth":
         z = world_to_camera_many(query, cloud.positions)[2]
         return np.nonzero((z > 0) & (z <= strategy.param))[0].astype(np.int64), -1

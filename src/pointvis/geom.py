@@ -93,6 +93,8 @@ class Intrinsics:
             raise DomainError("focal lengths must be positive")
         if self.width < 1 or self.height < 1:
             raise DomainError("image dimensions must be at least 1 pixel")
+        if self.width * self.height * 24 > np.iinfo(np.intp).max:  # 24 bytes, one (H, W, 3) float64 pixel
+            raise DomainError(f"a {self.width}x{self.height} image is larger than an array can hold")
         for v in (self.fx, self.fy, self.cx, self.cy):
             if not np.isfinite(v):
                 raise DomainError("intrinsics must be finite")

@@ -121,6 +121,17 @@ def make_canyon(params: CanyonParams) -> SyntheticScene:
         raise DomainError("lidar_range must exceed wall_gap")
 
     g, L, wh, ch = p.wall_gap, p.length, p.wall_height, CAMERA_HEIGHT
+    # a surface of sides a x b is sampled on a grid of round(a / spacing) x round(b / spacing)
+    with np.errstate(over="ignore"):
+        nu = np.maximum(1.0, np.rint(np.array([g, L, abs(wh)], dtype=np.float64) / p.point_spacing))
+        samples = (nu * np.roll(nu, 1)).max()  # end cap g x wh, ground g x L, walls L x wh
+        frames = np.float64(L) / p.frame_step
+    if not samples <= np.iinfo(np.intp).max // 24:  # 24 bytes, one float64 xyz row
+        raise DomainError(f"length {L:g} and wall_gap {g:g} at point_spacing {p.point_spacing:g} "
+                          f"give {samples:g} samples on one surface, more than an array can hold")
+    if not frames <= 2.0**63:
+        raise DomainError(f"length {L:g} at frame_step {p.frame_step:g} gives {frames:g} frames, "
+                          "more than an int64 frame id can number")
     surfaces = [
         Rect3((-g / 2, ch, 0), (g, 0, 0), (0, 0, L), _PALETTE[0]),  # ground
         Rect3((-g / 2, ch, 0), (0, 0, L), (0, -wh, 0), _PALETTE[1]),  # left wall

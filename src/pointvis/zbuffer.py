@@ -3,21 +3,21 @@
 This is the single reduction shared by visibility pruning and
 rasterization: bin projected points into integer pixels and keep, per
 pixel, the candidate with minimal depth (ties broken by smallest point
-index). Candidates are binned in blocks of `_BLOCK` rows. A step-1
-`range` of candidates (a window's one run of map rows, from
-`connectivity.window_rows`) is a row range: its bounds are checked once
-and each block is a slice of the positions, so no index array is built
-and no rows are copied. Given the map's `BlockBoxes`, a row range skips
-every block of the map's grid of `_BLOCK`-row blocks (aligned to row 0)
-whose axis-aligned box lies wholly outside the view frustum: behind the
-camera, or left, right, above or below the image, by a margin that
-covers rounding, so no skipped row could have landed in the image. The
-rest of the range, one run of rows or several, is binned in blocks from
-each run's start. A block's box is built the second time a range prune
-touches the block and is kept with the map. Any other input (a bench
-strategy's selection or a hand-built array) is an index array, checked
-and gathered block by block and never culled. Both share one
-camera-transform scratch array per view.
+index). Candidates are binned in blocks of at most `_BLOCK` rows. A
+step-1 `range` of candidates (a window's one run of map rows, from
+`connectivity.window_rows`, or the whole map) is a row range: its bounds
+are checked once, and it is binned on the map's grid of `_BLOCK`-row
+blocks, aligned to row 0, each block cut to the range and read as a slice
+of the positions, so no index array is built and no rows are copied.
+Given the map's `BlockBoxes`, a row range skips every grid block whose
+axis-aligned box lies wholly outside the view frustum: behind the camera,
+or left, right, above or below the image, by a margin that covers
+rounding, so no skipped row could have landed in the image. A block's box
+is built the second time a range prune touches the block and is kept with
+the map. Any other input (a `depth` or `radius` bench selection, a
+visible set re-pruned from another pose, or a hand-built array) is an
+index array, checked and gathered in `_BLOCK`-row spans and never
+culled. Both share one camera-transform scratch array per view.
 `pixel_bins` returns only a block's in-bounds rows. Each block's depths
 are scatter-min'ed into the view's one W*H `best` buffer, and only the
 rows that still tie or beat `best` at their pixel are kept: `best` only
@@ -133,46 +133,44 @@ def zbuffer_winners(
     dropped before the reduction; a repeated candidate counts once.
     `indices` is a step-1 `range` of rows or a 1-D integer array, with
     every entry in [0, N); an empty array may have any dtype, an empty
-    range any bounds. Anything else raises DomainError. `boxes`, the
-    map's `BlockBoxes`, lets a row range skip blocks outside the view;
-    the result is the same with or without it.
+    range any bounds. Anything else raises DomainError. A row range is
+    binned on the map's block grid; given `boxes`, the map's
+    `BlockBoxes`, it skips the grid blocks outside the view. The result
+    is the same with or without them.
     """
     n = len(positions)
     if isinstance(indices, range) and indices.step == 1:
         lo, hi, rows = indices.start, indices.stop, None
         if lo < hi and not (0 <= lo and hi <= n):  # a non-empty range is checked once, at its ends
             raise DomainError(f"candidate index {lo if not 0 <= lo < n else n} is outside the map's {n} points")
-        runs = [(lo, hi)] if lo < hi else []
-        if boxes is not None and runs:
-            first, stop = lo // _BLOCK, -(-hi // _BLOCK)
-            out = outside_view(boxes.cover(positions, first, stop), pose, K)
-            if out.any():  # the runs of kept grid blocks, cut to the range
-                edges = (np.flatnonzero(np.diff(~out, prepend=False, append=False)) + first) * _BLOCK
-                runs = [(max(a, lo), min(b, hi)) for a, b in edges.reshape(-1, 2).tolist()]
+        grid = range(lo // _BLOCK, -(-hi // _BLOCK)) if lo < hi else range(0)
+        if boxes is not None and grid:
+            out = outside_view(boxes.cover(positions, grid.start, grid.stop), pose, K).tolist()
+            grid = [b for b, culled in zip(grid, out) if not culled]
+        # the kept grid blocks, cut to the range
+        spans = [(max(b * _BLOCK, lo), min((b + 1) * _BLOCK, hi)) for b in grid]
     else:
         rows = np.asarray(indices)
         if rows.ndim != 1 or (rows.size and not np.issubdtype(rows.dtype, np.integer)):
             raise DomainError(f"candidate indices must be a 1-D integer array, got {rows.dtype} {rows.shape}")
         lo, hi, rows = 0, len(rows), rows.astype(np.int64, copy=False)
-        runs = [(0, hi)]
+        spans = [(s, min(s + _BLOCK, hi)) for s in range(0, hi, _BLOCK)]
 
     def blocks():
         work = np.empty((2, min(_BLOCK, max(hi - lo, 0)), 3))  # one camera-transform scratch per view
-        for a, b in runs:
-            for s in range(a, b, _BLOCK):
-                e = min(s + _BLOCK, b)
-                if rows is None:
-                    ok, ui, vi, z = pixel_bins(pose, K, positions[s:e], work)
-                    idx = np.flatnonzero(ok) + s
-                else:
-                    idx = rows[s:e]
-                    # a negative index reads as a huge unsigned one, so one max checks both ends
-                    if idx.view(np.uint64).max() >= n:
-                        bad = idx[(idx < 0) | (idx >= n)][0]
-                        raise DomainError(f"candidate index {bad} is outside the map's {n} points")
-                    ok, ui, vi, z = pixel_bins(pose, K, np.take(positions, idx, axis=0), work)
-                    idx = idx.compress(ok)
-                yield idx, vi * K.width + ui, z
+        for s, e in spans:
+            if rows is None:
+                ok, ui, vi, z = pixel_bins(pose, K, positions[s:e], work)
+                idx = np.flatnonzero(ok) + s
+            else:
+                idx = rows[s:e]
+                # a negative index reads as a huge unsigned one, so one max checks both ends
+                if idx.view(np.uint64).max() >= n:
+                    bad = idx[(idx < 0) | (idx >= n)][0]
+                    raise DomainError(f"candidate index {bad} is outside the map's {n} points")
+                ok, ui, vi, z = pixel_bins(pose, K, np.take(positions, idx, axis=0), work)
+                idx = idx.compress(ok)
+            yield idx, vi * K.width + ui, z
 
     return reduce_bins(blocks(), K.width, K.height)
 

@@ -126,9 +126,9 @@ class TestCriterion2:
             if any(2.0 < z - p.translation[2] < 20.0 for z in occ_z)
         ][::4]
         ones = [1] * len(queries)
-        full = run_strategy(Strategy.full_map_zbuffer(), seq, queries,
+        full = run_strategy(Strategy("fullmap"), seq, queries,
                             surfaces=scene.surfaces, oracle_visible_counts=ones)
-        conn = run_strategy(Strategy.connectivity(5), seq, queries, graph=graph,
+        conn = run_strategy(Strategy("connectivity", 5), seq, queries, graph=graph,
                             surfaces=scene.surfaces, oracle_visible_counts=ones)
         full_leak = float(np.mean([r.leak for r in full.rows]))
         conn_leak = float(np.mean([r.leak for r in conn.rows]))
@@ -142,7 +142,7 @@ class TestCriterion3:
         seq = uniform_sequence(300, 10, seed=30)
         graph = build_graph(seq, 5)
         queries = [p for _, p in seq.frames]
-        rep = run_strategy(Strategy.connectivity(5), seq, queries, graph=graph)
+        rep = run_strategy(Strategy("connectivity", 5), seq, queries, graph=graph)
         ratio = subset_ratio(rep)
         target = 16.0 / 300.0
         ok = abs(ratio - target) <= 0.10 * target
@@ -367,7 +367,7 @@ class TestCriterion10:
             and np.array_equal(rast.depth[rast.mask], img.depth[img.mask])
         )
 
-        rep = run_strategy(Strategy.connectivity(5), seq,
+        rep = run_strategy(Strategy("connectivity", 5), seq,
                            [p for _, p in seq.frames[::4]], graph=graph)
         write_report_csv(tmp_path / "rep.csv", rep)
         back_rep = read_report_csv(tmp_path / "rep.csv", rep.strategy, rep.map_size)

@@ -1,6 +1,9 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
+from pointvis import bench, zbuffer
 from pointvis.bench import (
     CSV_HEADER,
     Strategy,
@@ -12,7 +15,7 @@ from pointvis.bench import (
     timing_summary,
     write_report_csv,
 )
-from pointvis.connectivity import build_graph
+from pointvis.connectivity import build_graph, prune_visible
 from pointvis.errors import DomainError, FormatError
 from pointvis.ingest import PointCloudMap, Sequence
 from pointvis.synth import CanyonParams, make_canyon, oracle_visible_many, scene_map
@@ -36,11 +39,11 @@ def occluded_canyon():
 
 class TestStrategy:
     def test_parse(self):
-        assert Strategy.parse("fullmap") == Strategy.full_map_zbuffer()
-        assert Strategy.parse("depth:60") == Strategy.depth_threshold(60.0)
-        assert Strategy.parse("radius:30") == Strategy.radius_crop(30.0)
-        assert Strategy.parse("connectivity") == Strategy.connectivity(5)
-        assert Strategy.parse("window:4") == Strategy.sliding_window(4)
+        assert Strategy.parse("fullmap") == Strategy("fullmap")
+        assert Strategy.parse("depth:60") == Strategy("depth", 60.0)
+        assert Strategy.parse("radius:30") == Strategy("radius", 30.0)
+        assert Strategy.parse("connectivity:5") == Strategy("connectivity", 5)
+        assert Strategy.parse("window:4") == Strategy("window", 4)
 
     def test_bad_kind(self):
         with pytest.raises(DomainError):
@@ -50,7 +53,7 @@ class TestStrategy:
         with pytest.raises(DomainError):
             Strategy("depth")
 
-    @pytest.mark.parametrize("text", ["depth:10:junk", "window:3:", "fullmap:7", "fullmap:"])
+    @pytest.mark.parametrize("text", ["depth:10:junk", "window:3:", "fullmap:7", "fullmap:", "connectivity"])
     def test_malformed_text(self, text):
         with pytest.raises(DomainError):
             Strategy.parse(text)
@@ -68,18 +71,46 @@ class TestRunStrategy:
         seq = Sequence([(p.frame_id, p) for p in scene.trajectory], scene.intrinsics, cloud)
         graph = build_graph(seq, 5)
         queries = scene.trajectory[::3]
-        for strat in (Strategy.full_map_zbuffer(), Strategy.connectivity(5), Strategy.depth_threshold(15.0)):
+        for strat in (Strategy("fullmap"), Strategy("connectivity", 5), Strategy("depth", 15.0)):
             rep = run_strategy(strat, seq, queries, graph=graph, surfaces=scene.surfaces)
             assert all(r.leak == 0.0 for r in rep.rows if not np.isnan(r.leak))
 
     def test_connectivity_retrieves_subset_of_fullmap(self, occluded_canyon):
         scene, seq, graph = occluded_canyon
         queries = scene.trajectory[::20]
-        conn = run_strategy(Strategy.connectivity(5), seq, queries, graph=graph)
-        full = run_strategy(Strategy.full_map_zbuffer(), seq, queries)
+        conn = run_strategy(Strategy("connectivity", 5), seq, queries, graph=graph)
+        full = run_strategy(Strategy("fullmap"), seq, queries)
         for c, f in zip(conn.rows, full.rows):
             assert c.retrieved <= f.retrieved
             assert f.retrieved == len(seq.map)
+
+    def test_fullmap_prunes_the_map_as_a_culled_row_range(self):
+        """`fullmap` hands the z-buffer the map's row range, so the map's
+        block boxes are built on the second query and cull from then on;
+        each view equals the same prune given every row as an index array."""
+        params = CanyonParams(
+            length=30.0, wall_gap=6.0, point_spacing=0.5, lidar_range=10.0,
+            frame_step=2.0, occluders=1, seed=3, image_width=64, image_height=32, focal=32.0,
+        )
+        scene = make_canyon(params)
+        cloud, _ = scene_map(scene)
+        seq = Sequence([(p.frame_id, p) for p in scene.trajectory], scene.intrinsics, cloud)
+        queries = scene.trajectory[::4]
+        seen = []
+
+        def record(cand, *args, **kwargs):
+            seen.append((cand, prune_visible(cand, *args, **kwargs)))
+            return seen[-1][1]
+
+        with mock.patch.object(zbuffer, "_BLOCK", 512), mock.patch.object(bench, "prune_visible", record):
+            rep = run_strategy(Strategy("fullmap"), seq, queries)
+            assert cloud.boxes.block == 512 and cloud.boxes.built.any()
+            for query, row, (cand, vis) in zip(queries, rep.rows, seen, strict=True):
+                assert cand == range(len(cloud)) and row.retrieved == len(cloud)
+                want = prune_visible(np.arange(len(cloud)), cloud, query, seq.intrinsics)
+                for a, b in [(vis.point_indices, want.point_indices), (vis.pixel_of, want.pixel_of),
+                             (vis.depth_of, want.depth_of)]:
+                    np.testing.assert_array_equal(a, b, strict=True)
 
     def test_fullmap_leaks_more_on_occluded_views(self, occluded_canyon):
         scene, seq, graph = occluded_canyon
@@ -90,9 +121,9 @@ class TestRunStrategy:
             if any(2.0 < z - p.translation[2] < 20.0 for z in occ_z)
         ][::4]
         assert queries
-        full = run_strategy(Strategy.full_map_zbuffer(), seq, queries, surfaces=scene.surfaces,
+        full = run_strategy(Strategy("fullmap"), seq, queries, surfaces=scene.surfaces,
                             oracle_visible_counts=[1] * len(queries))
-        conn = run_strategy(Strategy.connectivity(5), seq, queries, graph=graph,
+        conn = run_strategy(Strategy("connectivity", 5), seq, queries, graph=graph,
                             surfaces=scene.surfaces, oracle_visible_counts=[1] * len(queries))
         for f, c in zip(full.rows, conn.rows):
             assert f.leak > c.leak
@@ -100,7 +131,7 @@ class TestRunStrategy:
     def test_precision_plus_leak_is_one(self, occluded_canyon):
         scene, seq, graph = occluded_canyon
         queries = scene.trajectory[10:12]
-        rep = run_strategy(Strategy.full_map_zbuffer(), seq, queries, surfaces=scene.surfaces,
+        rep = run_strategy(Strategy("fullmap"), seq, queries, surfaces=scene.surfaces,
                            oracle_visible_counts=[1, 1])
         for r in rep.rows:
             assert abs(r.precision + r.leak - 1.0) <= 1e-12
@@ -108,8 +139,8 @@ class TestRunStrategy:
     def test_connectivity_winners_within_sliding_window(self, occluded_canyon):
         scene, seq, graph = occluded_canyon
         queries = scene.trajectory[30:31]
-        conn = run_strategy(Strategy.connectivity(5), seq, queries, graph=graph)
-        wind = run_strategy(Strategy.sliding_window(5), seq, queries, graph=graph)
+        conn = run_strategy(Strategy("connectivity", 5), seq, queries, graph=graph)
+        wind = run_strategy(Strategy("window", 5), seq, queries, graph=graph)
         assert conn.rows[0].retrieved <= wind.rows[0].retrieved
 
     def test_recall_uses_oracle_denominator(self, occluded_canyon):
@@ -118,7 +149,7 @@ class TestRunStrategy:
         denom = int(np.count_nonzero(
             oracle_visible_many(seq.map.positions, query, seq.intrinsics, scene.surfaces)
         ))
-        rep = run_strategy(Strategy.connectivity(5), seq, [query], graph=graph,
+        rep = run_strategy(Strategy("connectivity", 5), seq, [query], graph=graph,
                            surfaces=scene.surfaces, oracle_visible_counts=[denom])
         r = rep.rows[0]
         assert 0.0 < r.recall <= 1.0
@@ -134,13 +165,13 @@ class TestSubsetRatio:
         seq = uniform_sequence(300, 200, seed=13)
         graph = build_graph(seq, 5)
         queries = [p for _, p in seq.frames]
-        rep = run_strategy(Strategy.connectivity(5), seq, queries, graph=graph)
+        rep = run_strategy(Strategy("connectivity", 5), seq, queries, graph=graph)
         expected = 16.0 / 300.0
         assert abs(subset_ratio(rep) - expected) / expected <= 0.10
 
     def test_fullmap_is_one(self):
         seq = uniform_sequence(20, 50, seed=14)
-        rep = run_strategy(Strategy.full_map_zbuffer(), seq, [seq.frames[3][1]])
+        rep = run_strategy(Strategy("fullmap"), seq, [seq.frames[3][1]])
         assert subset_ratio(rep) == 1.0
 
 
@@ -155,7 +186,7 @@ class TestTimingSummary:
         cloud = PointCloudMap(np.zeros((0, 3)), [])
         seq = uniform_sequence(5, 10, seed=15)
         seq = Sequence(seq.frames, seq.intrinsics, cloud)
-        rep = run_strategy(Strategy.full_map_zbuffer(), seq, [seq.frames[0][1]])
+        rep = run_strategy(Strategy("fullmap"), seq, [seq.frames[0][1]])
         t = timing_summary(rep)
         assert rep.rows[0].visible == 0
         assert t["fps"] > 0

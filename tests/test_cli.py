@@ -309,12 +309,12 @@ class TestBench:
         retrieved = {}
         for n in (3, 1, 8):
             got = read_report_csv(tmp_path / f"r_connectivity-{n}.csv").rows
-            want = run_strategy(Strategy.connectivity(n), seq, queries, build_graph(seq, n), surfaces).rows
+            want = run_strategy(Strategy("connectivity", n), seq, queries, build_graph(seq, n), surfaces).rows
             assert [_row_key(r) for r in got] == [_row_key(r) for r in want]
             retrieved[n] = [r.retrieved for r in got]
         assert retrieved[1] != retrieved[3] != retrieved[8]
         got = read_report_csv(tmp_path / "r_window-3.csv").rows  # a bare `window` runs with --n too
-        want = run_strategy(Strategy.sliding_window(3), seq, queries, build_graph(seq, 3), surfaces).rows
+        want = run_strategy(Strategy("window", 3), seq, queries, build_graph(seq, 3), surfaces).rows
         assert [_row_key(r) for r in got] == [_row_key(r) for r in want]
 
     def test_frame_past_the_scans_needs_no_graph(self, scene_dir, tmp_path):
@@ -330,7 +330,7 @@ class TestBench:
         seq, surfaces = _scene_sequence(scene)
         queries = [pose for _, pose in seq.frames][::4]
         assert queries[-1].frame_id == 40
-        for strat in (Strategy.full_map_zbuffer(), Strategy.depth_threshold(10)):
+        for strat in (Strategy("fullmap"), Strategy("depth", 10)):
             got = read_report_csv(tmp_path / f"r_{strat.label.replace(':', '-')}.csv").rows
             want = run_strategy(strat, seq, queries, surfaces=surfaces).rows
             assert [_row_key(r) for r in got] == [_row_key(r) for r in want]
@@ -409,6 +409,10 @@ def test_import_needs_no_scipy():
     ("synth", ["--length", "nan"]),
     ("synth", ["--occluders", "1", "--occluder-clearance", "nan"]),
     ("synth", ["--occluders", "1", "--occluder-clearance", "-3"]),
+    ("synth", ["--length", "1e308"]),
+    ("synth", ["--spacing", "1e-300"]),
+    ("synth", ["--frame-step", "1e-300", "--length", "1"]),
+    ("render", ["--frame", "3", "--intrinsics", "HUGE_INTRINSICS"]),
     ("render", ["--pose", "1 0 0 1e200 0 1 0 0 0 0 1 0"]),
     ("render", ["--frame", "3", "--intrinsics", "MAP"]),
     ("build-graph", ["--poses", "MAP"]),
@@ -419,7 +423,8 @@ def test_import_needs_no_scipy():
 ], ids=["pose-token", "background-nan", "reference-negative-size", "every-zero", "every-negative",
         "strategy-text", "strategy-nan", "strategy-fractional-window", "strategy-extra-field",
         "strategy-fullmap-param", "bench-n-zero", "images-size", "synth-length-nan",
-        "synth-clearance-nan", "synth-clearance-negative", "pose-distance-overflow",
+        "synth-clearance-nan", "synth-clearance-negative", "synth-length-overflow", "synth-spacing-tiny",
+        "synth-frame-count-overflow", "intrinsics-image-too-large", "pose-distance-overflow",
         "intrinsics-binary", "poses-binary", "map-directory", "poses-directory", "map-under-file",
         *[f"graph-{defect}" for defect in GRAPH_DEFECTS]])
 def test_malformed_input_usage_error(built, tmp_path, command, extra):
@@ -429,8 +434,10 @@ def test_malformed_input_usage_error(built, tmp_path, command, extra):
     small_images = tmp_path / "small_images"
     small_images.mkdir()
     (small_images / "000003.ppm").write_bytes(b"P6\n8 8\n255\n" + bytes(8 * 8 * 3))
+    huge = tmp_path / "huge.txt"
+    huge.write_text("64 64 32 16 1000000000000 1000000000000\n")
     names = {"NEGATIVE_PPM": negative, "MAP": map_path, "UNDER_MAP": map_path / "x", "SCENE": scene_dir,
-             "SMALL_IMAGES": small_images}
+             "SMALL_IMAGES": small_images, "HUGE_INTRINSICS": huge}
     for defect in GRAPH_DEFECTS:
         names[f"GRAPH_{defect}"] = tmp_path / f"{defect}.grf"
         names[f"GRAPH_{defect}"].write_bytes(corrupt_graph(graph_path.read_bytes(), defect))
