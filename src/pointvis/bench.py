@@ -12,7 +12,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .connectivity import (
-    ConnectivityGraph,
     build_graph,
     nearest_frame,
     prune_visible,
@@ -108,11 +107,11 @@ def run_strategy(
     strategy: Strategy,
     sequence: Sequence,
     query_poses: list[Pose],
-    graph: ConnectivityGraph | None = None,
     surfaces: list[Rect3] | None = None,
     oracle_visible_counts: list[int] | None = None,
 ) -> StrategyReport:
-    """Evaluate one strategy over the query views.
+    """Evaluate one strategy over the query views. `window:n` and
+    `connectivity:n` run on `build_graph(sequence, n)`.
 
     `oracle_visible_counts` optionally supplies the per-view recall
     denominator (oracle-visible in-frustum map points) to avoid
@@ -120,10 +119,7 @@ def run_strategy(
     """
     cloud = sequence.map
     K = sequence.intrinsics
-    if strategy.kind in ("window", "connectivity") and graph is None:
-        graph = build_graph(sequence, int(strategy.param))
-    if strategy.kind == "connectivity" and graph.n != int(strategy.param):
-        raise DomainError(f"{strategy.label} needs a graph with n={strategy.param:g}, got n={graph.n}")
+    graph = build_graph(sequence, int(strategy.param)) if strategy.kind in ("window", "connectivity") else None
     rows = []
     for vi, query in enumerate(query_poses):
         t0 = time.perf_counter()

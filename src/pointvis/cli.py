@@ -99,15 +99,19 @@ def cmd_synth(args) -> int:
     return 0
 
 
+def _color_from_images(cloud: PointCloudMap, frames, image_dir: str, K) -> PointCloudMap:
+    """`cloud` colored from each scan's `image_dir/<scan id:06d>.ppm`, if any; one not K's size is a DomainError."""
+    paths = {sid: os.path.join(image_dir, f"{sid:06d}.ppm") for sid, _, _ in cloud.scan_ranges}
+    images = {sid: _read_view_image(p, K, p) for sid, p in paths.items() if os.path.exists(p)}
+    return colorize_map(cloud, frames, images, K)
+
+
 def cmd_build_map(args) -> int:
     frames, cloud = _load_scans(args.scans, args.poses)
     if args.images:
         if not args.intrinsics:
             raise DomainError("--images requires --intrinsics for projection")
-        K = read_intrinsics(args.intrinsics)
-        paths = {sid: os.path.join(args.images, f"{sid:06d}.ppm") for sid, _, _ in cloud.scan_ranges}
-        images = {sid: _read_view_image(p, K, p) for sid, p in paths.items() if os.path.exists(p)}
-        cloud = colorize_map(cloud, frames, images, K)
+        cloud = _color_from_images(cloud, frames, args.images, read_intrinsics(args.intrinsics))
     save_map(args.out, cloud)
     print(f"wrote map {args.out}: {len(cloud)} points, {len(cloud.scan_ranges)} scans")
     return 0
@@ -170,6 +174,8 @@ def cmd_bench(args) -> int:
     scene_dir = args.scene
     frames, cloud = _load_scans(os.path.join(scene_dir, "scans"), os.path.join(scene_dir, "poses.txt"))
     K = read_intrinsics(os.path.join(scene_dir, "intrinsics.txt"))
+    if os.path.isdir(os.path.join(scene_dir, "images")):  # so `raster_s` times a color raster
+        cloud = _color_from_images(cloud, frames, os.path.join(scene_dir, "images"), K)
     surfaces_path = os.path.join(scene_dir, "surfaces.txt")
     surfaces = read_surfaces(surfaces_path) if os.path.exists(surfaces_path) else None
     seq = Sequence(frames, K, cloud)

@@ -12,6 +12,7 @@ Conventions:
 """
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,13 +31,28 @@ def _as_matrix(value, shape, name: str) -> np.ndarray:
     return arr
 
 
+def check_fits(count, row_bytes: int, what: str) -> None:
+    """DomainError unless `count` rows of `row_bytes` bytes fit in one array and in
+    physical memory (the array limit alone where `os.sysconf` cannot tell the
+    memory size). `count` may be a float; an inf or nan count is refused."""
+    limit = np.iinfo(np.intp).max
+    if "SC_PHYS_PAGES" in getattr(os, "sysconf_names", {}) and os.sysconf("SC_PHYS_PAGES") > 0:
+        limit = min(limit, os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE"))
+    if not count <= limit // row_bytes:
+        raise DomainError(f"{what}, more than the {limit} bytes an array or this machine's memory can hold")
+
+
+def rotation_error(rot: np.ndarray):
+    """`(|R^T R - I|_max, det R)` of each 3x3 in `rot` (..., 3, 3); an overflow gives an inf or nan error."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.abs(np.swapaxes(rot, -1, -2) @ rot - np.eye(3)).max(axis=(-2, -1)), np.linalg.det(rot)
+
+
 def check_rotations(rot: np.ndarray) -> None:
     """DomainError, naming the worst, unless each finite 3x3 in `rot` (..., 3, 3) is a rotation within _ORTHO_TOL."""
-    with np.errstate(over="ignore", invalid="ignore"):  # overflow gives inf or nan: rejected
-        err = np.abs(np.swapaxes(rot, -1, -2) @ rot - np.eye(3)).max(axis=(-2, -1))
+    err, det = rotation_error(rot)
     if not np.all(err <= _ORTHO_TOL):
         raise DomainError(f"rotation is not orthonormal (|R^T R - I|_max = {np.max(err):.3g})")
-    det = np.linalg.det(rot)
     if not np.all((1.0 - _ORTHO_TOL <= det) & (det <= 1.0 + _ORTHO_TOL)):
         raise DomainError(f"rotation determinant {np.ravel(det)[np.argmax(np.abs(det - 1.0))]:.6f} is not +1")
 
@@ -69,9 +85,6 @@ class Pose:
             and self.frame_id == other.frame_id
         )
 
-    def __hash__(self):
-        return hash((self.rotation.tobytes(), self.translation.tobytes(), self.frame_id))
-
 
 def identity_pose(frame_id: int | None = None) -> Pose:
     return Pose(np.eye(3), np.zeros(3), frame_id)
@@ -93,8 +106,7 @@ class Intrinsics:
             raise DomainError("focal lengths must be positive")
         if self.width < 1 or self.height < 1:
             raise DomainError("image dimensions must be at least 1 pixel")
-        if self.width * self.height * 24 > np.iinfo(np.intp).max:  # 24 bytes, one (H, W, 3) float64 pixel
-            raise DomainError(f"a {self.width}x{self.height} image is larger than an array can hold")
+        check_fits(self.width * self.height, 24, f"a {self.width}x{self.height} image")  # (H, W, 3) float64
         for v in (self.fx, self.fy, self.cx, self.cy):
             if not np.isfinite(v):
                 raise DomainError("intrinsics must be finite")
@@ -165,10 +177,10 @@ def scale_intrinsics(K: Intrinsics, level: int) -> Intrinsics:
         raise DomainError("level must be non-negative")
     if level == 0:
         return K
-    s = 2**level
-    w, h = K.width // s, K.height // s
+    w, h = K.width >> level, K.height >> level
     if w == 0 or h == 0:
         raise DomainError(f"level {level} collapses a {K.width}x{K.height} image to zero size")
+    s = 2**level
     return Intrinsics(K.fx / s, K.fy / s, K.cx / s, K.cy / s, w, h)
 
 

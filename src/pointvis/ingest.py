@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, FormatError
-from .geom import Intrinsics, Pose, _as_matrix, pixel_bins
+from .geom import Intrinsics, Pose, _as_matrix, pixel_bins, rotation_error
 from .zbuffer import BlockBoxes
 
 MAP_MAGIC = b"CENPBG-MAP\x00"
@@ -197,9 +197,7 @@ def read_pose(where, tokens, frame_id: int | None) -> Pose:
     1e-6, replaced by the nearest rotation; else FormatError naming `where`."""
     mat = read_numbers(where, tokens, 12).reshape(3, 4)
     rot, t = mat[:, :3], mat[:, 3]
-    with np.errstate(over="ignore", invalid="ignore"):  # huge entries give inf or nan: rejected
-        err = np.abs(rot.T @ rot - np.eye(3)).max()
-        det = np.linalg.det(rot)
+    err, det = rotation_error(rot)
     if not err <= 1e-3 or det < 0:
         raise FormatError(f"{where}: rotation block is not orthonormal (error {err:.3g}, det {det:.3f})")
     if err > 1e-6:  # the nearest rotation; det(rot) > 0 here, so U V^T is no reflection

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, FormatError
-from .geom import Intrinsics, Pose, pixel_bins
+from .geom import Intrinsics, Pose, check_fits, pixel_bins
 from .ingest import (
     PointCloudMap, Scan, accumulate, read_lines, read_numbers, write_intrinsics, write_poses, write_scan,
 )
@@ -121,17 +121,17 @@ def make_canyon(params: CanyonParams) -> SyntheticScene:
         raise DomainError("lidar_range must exceed wall_gap")
 
     g, L, wh, ch = p.wall_gap, p.length, p.wall_height, CAMERA_HEIGHT
-    # a surface of sides a x b is sampled on a grid of round(a / spacing) x round(b / spacing)
-    with np.errstate(over="ignore"):
-        nu = np.maximum(1.0, np.rint(np.array([g, L, abs(wh)], dtype=np.float64) / p.point_spacing))
-        samples = (nu * np.roll(nu, 1)).max()  # end cap g x wh, ground g x L, walls L x wh
+    # a surface of sides a x b is sampled on a grid of round(a / spacing) x round(b / spacing):
+    # the ground g x L, two walls L x wh, the end cap g x wh and each occluder g x 0.75 wh
+    sides = np.abs(np.array([(g, L), (L, wh), (g, wh), (g, 0.75 * wh)]))
+    counts = [1, 2, int(p.close_end), p.occluders]
+    with np.errstate(over="ignore"):  # inf: refused
         frames = np.float64(L) / p.frame_step
-    if not samples <= np.iinfo(np.intp).max // 24:  # 24 bytes, one float64 xyz row
-        raise DomainError(f"length {L:g} and wall_gap {g:g} at point_spacing {p.point_spacing:g} "
-                          f"give {samples:g} samples on one surface, more than an array can hold")
-    if not frames <= 2.0**63:
-        raise DomainError(f"length {L:g} at frame_step {p.frame_step:g} gives {frames:g} frames, "
-                          "more than an int64 frame id can number")
+        grids = np.maximum(1.0, np.rint(sides / p.point_spacing))
+        n_samples = sum(n * c for n, c in zip(grids.prod(axis=1), counts) if c)
+    check_fits(frames, 96, f"length {L:g} at frame_step {p.frame_step:g} gives {frames:g} poses")  # 12 float64
+    check_fits(n_samples, 24, f"length {L:g}, wall_gap {g:g} and {p.occluders} occluders at point_spacing "
+               f"{p.point_spacing:g} give {n_samples:g} samples")  # one float64 xyz row each
     surfaces = [
         Rect3((-g / 2, ch, 0), (g, 0, 0), (0, 0, L), _PALETTE[0]),  # ground
         Rect3((-g / 2, ch, 0), (0, 0, L), (0, -wh, 0), _PALETTE[1]),  # left wall
@@ -149,11 +149,8 @@ def make_canyon(params: CanyonParams) -> SyntheticScene:
 
     rng = np.random.default_rng(p.seed)
     sample_parts, color_parts, surf_parts = [], [], []
-    for idx, rect in enumerate(surfaces):
-        lu = np.linalg.norm(rect.edge_u)
-        lv = np.linalg.norm(rect.edge_v)
-        nu = max(1, int(round(lu / p.point_spacing)))
-        nv = max(1, int(round(lv / p.point_spacing)))
+    plan = np.repeat(grids, counts, axis=0).astype(np.int64).tolist()  # one (nu, nv) per surface
+    for idx, (rect, (nu, nv)) in enumerate(zip(surfaces, plan, strict=True)):
         ii, jj = np.meshgrid(np.arange(nu), np.arange(nv), indexing="ij")
         a = (ii.reshape(-1) + 0.5 + rng.uniform(-0.45, 0.45, ii.size)) / nu
         b = (jj.reshape(-1) + 0.5 + rng.uniform(-0.45, 0.45, jj.size)) / nv

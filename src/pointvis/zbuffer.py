@@ -43,7 +43,6 @@ _BLOCK = 1 << 15
 # size of the numbers involved. The projection rounds about ten times, each
 # by at most 2^-53 of that size, so a point it could keep is never culled.
 _MARGIN = 1e-12
-_GROUP = 256  # rows per group in a box build; see `_reduce_rows`
 
 
 class BlockBoxes:
@@ -54,7 +53,7 @@ class BlockBoxes:
     second time a row range asks for it; until then it is all of space,
     which no view culls. So a map read for one view, as `pointvis render`
     does, builds none: a build reads the block's rows once more, about
-    0.2 ms a block from memory, and pays only when a later view skips the
+    0.3 ms a block from memory, and pays only when a later view skips the
     block. The boxes start over when `_BLOCK` or the positions array differ
     from those they were built for."""
 
@@ -72,24 +71,14 @@ class BlockBoxes:
         if not self.built[first:stop].all():
             for b in np.flatnonzero(self.seen[first:stop] & ~self.built[first:stop]) + first:
                 rows = positions[b * _BLOCK : (b + 1) * _BLOCK]
-                lo, hi = _reduce_rows(np.minimum, rows, np.inf), _reduce_rows(np.maximum, rows, -np.inf)
+                # one strided reduction per column: `rows.min(axis=0)` is about 12x slower
+                lo, hi = (np.array([op(c) for c in rows.T], np.float64) for op in (np.min, np.max))
                 with np.errstate(over="ignore"):  # an inf box is never culled
                     center, half = (lo + hi) / 2, (hi - lo) / 2
                     self.table[b] = *center, *half, np.abs(center).sum() + half.sum()
                 self.built[b] = True
             self.seen[first:stop] = True
         return self.table[first:stop]
-
-
-def _reduce_rows(op, rows: np.ndarray, initial: float) -> np.ndarray:
-    """`op.reduce` of (m, 3) rows over axis 0, as float64. The rows are read
-    as (m / _GROUP, 3 * _GROUP) and reduced over axis 0, a whole row of 768
-    values at a time, then over the _GROUP partial results and the rows
-    left over: a 490k-row float32 window took 1.2 ms in cache this way,
-    against 40 ms for `op.reduce` over axis 0 of (m, 3)."""
-    m = len(rows) - len(rows) % _GROUP
-    head = op.reduce(rows[:m].reshape(-1, 3 * _GROUP), axis=0, initial=initial).reshape(-1, 3)
-    return op.reduce(np.vstack([head, rows[m:]]), axis=0).astype(np.float64)
 
 
 def outside_view(boxes: np.ndarray, pose: Pose, K: Intrinsics) -> np.ndarray:

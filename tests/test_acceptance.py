@@ -119,7 +119,6 @@ class TestCriterion2:
         scene = make_canyon(params)
         cloud, _ = scene_map(scene)
         seq = Sequence([(p.frame_id, p) for p in scene.trajectory], scene.intrinsics, cloud)
-        graph = build_graph(seq, 5)
         occ_z = [s.origin[2] for s in scene.surfaces[4:]]
         queries = [
             p for p in scene.trajectory
@@ -128,7 +127,7 @@ class TestCriterion2:
         ones = [1] * len(queries)
         full = run_strategy(Strategy("fullmap"), seq, queries,
                             surfaces=scene.surfaces, oracle_visible_counts=ones)
-        conn = run_strategy(Strategy("connectivity", 5), seq, queries, graph=graph,
+        conn = run_strategy(Strategy("connectivity", 5), seq, queries,
                             surfaces=scene.surfaces, oracle_visible_counts=ones)
         full_leak = float(np.mean([r.leak for r in full.rows]))
         conn_leak = float(np.mean([r.leak for r in conn.rows]))
@@ -140,9 +139,8 @@ class TestCriterion2:
 class TestCriterion3:
     def test_subset_ratio_on_uniform_sequence(self):
         seq = uniform_sequence(300, 10, seed=30)
-        graph = build_graph(seq, 5)
         queries = [p for _, p in seq.frames]
-        rep = run_strategy(Strategy("connectivity", 5), seq, queries, graph=graph)
+        rep = run_strategy(Strategy("connectivity", 5), seq, queries)
         ratio = subset_ratio(rep)
         target = 16.0 / 300.0
         ok = abs(ratio - target) <= 0.10 * target
@@ -368,7 +366,7 @@ class TestCriterion10:
         )
 
         rep = run_strategy(Strategy("connectivity", 5), seq,
-                           [p for _, p in seq.frames[::4]], graph=graph)
+                           [p for _, p in seq.frames[::4]])
         write_report_csv(tmp_path / "rep.csv", rep)
         back_rep = read_report_csv(tmp_path / "rep.csv", rep.strategy, rep.map_size)
 

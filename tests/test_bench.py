@@ -15,7 +15,7 @@ from pointvis.bench import (
     timing_summary,
     write_report_csv,
 )
-from pointvis.connectivity import build_graph, prune_visible
+from pointvis.connectivity import prune_visible
 from pointvis.errors import DomainError, FormatError
 from pointvis.ingest import PointCloudMap, Sequence
 from pointvis.synth import CanyonParams, make_canyon, oracle_visible_many, scene_map
@@ -32,9 +32,7 @@ def occluded_canyon():
     )
     scene = make_canyon(params)
     cloud, _ = scene_map(scene)
-    seq = Sequence([(p.frame_id, p) for p in scene.trajectory], scene.intrinsics, cloud)
-    graph = build_graph(seq, 5)
-    return scene, seq, graph
+    return scene, Sequence([(p.frame_id, p) for p in scene.trajectory], scene.intrinsics, cloud)
 
 
 class TestStrategy:
@@ -69,16 +67,15 @@ class TestRunStrategy:
         scene = make_canyon(params)
         cloud, _ = scene_map(scene)
         seq = Sequence([(p.frame_id, p) for p in scene.trajectory], scene.intrinsics, cloud)
-        graph = build_graph(seq, 5)
         queries = scene.trajectory[::3]
         for strat in (Strategy("fullmap"), Strategy("connectivity", 5), Strategy("depth", 15.0)):
-            rep = run_strategy(strat, seq, queries, graph=graph, surfaces=scene.surfaces)
+            rep = run_strategy(strat, seq, queries, surfaces=scene.surfaces)
             assert all(r.leak == 0.0 for r in rep.rows if not np.isnan(r.leak))
 
     def test_connectivity_retrieves_subset_of_fullmap(self, occluded_canyon):
-        scene, seq, graph = occluded_canyon
+        scene, seq = occluded_canyon
         queries = scene.trajectory[::20]
-        conn = run_strategy(Strategy("connectivity", 5), seq, queries, graph=graph)
+        conn = run_strategy(Strategy("connectivity", 5), seq, queries)
         full = run_strategy(Strategy("fullmap"), seq, queries)
         for c, f in zip(conn.rows, full.rows):
             assert c.retrieved <= f.retrieved
@@ -113,7 +110,7 @@ class TestRunStrategy:
                     np.testing.assert_array_equal(a, b, strict=True)
 
     def test_fullmap_leaks_more_on_occluded_views(self, occluded_canyon):
-        scene, seq, graph = occluded_canyon
+        scene, seq = occluded_canyon
         # views where a cross-corridor occluder is ahead and inside the image
         occ_z = [s.origin[2] for s in scene.surfaces[4:]]
         queries = [
@@ -123,13 +120,13 @@ class TestRunStrategy:
         assert queries
         full = run_strategy(Strategy("fullmap"), seq, queries, surfaces=scene.surfaces,
                             oracle_visible_counts=[1] * len(queries))
-        conn = run_strategy(Strategy("connectivity", 5), seq, queries, graph=graph,
+        conn = run_strategy(Strategy("connectivity", 5), seq, queries,
                             surfaces=scene.surfaces, oracle_visible_counts=[1] * len(queries))
         for f, c in zip(full.rows, conn.rows):
             assert f.leak > c.leak
 
     def test_precision_plus_leak_is_one(self, occluded_canyon):
-        scene, seq, graph = occluded_canyon
+        scene, seq = occluded_canyon
         queries = scene.trajectory[10:12]
         rep = run_strategy(Strategy("fullmap"), seq, queries, surfaces=scene.surfaces,
                            oracle_visible_counts=[1, 1])
@@ -137,19 +134,19 @@ class TestRunStrategy:
             assert abs(r.precision + r.leak - 1.0) <= 1e-12
 
     def test_connectivity_winners_within_sliding_window(self, occluded_canyon):
-        scene, seq, graph = occluded_canyon
+        scene, seq = occluded_canyon
         queries = scene.trajectory[30:31]
-        conn = run_strategy(Strategy("connectivity", 5), seq, queries, graph=graph)
-        wind = run_strategy(Strategy("window", 5), seq, queries, graph=graph)
+        conn = run_strategy(Strategy("connectivity", 5), seq, queries)
+        wind = run_strategy(Strategy("window", 5), seq, queries)
         assert conn.rows[0].retrieved <= wind.rows[0].retrieved
 
     def test_recall_uses_oracle_denominator(self, occluded_canyon):
-        scene, seq, graph = occluded_canyon
+        scene, seq = occluded_canyon
         query = scene.trajectory[20]
         denom = int(np.count_nonzero(
             oracle_visible_many(seq.map.positions, query, seq.intrinsics, scene.surfaces)
         ))
-        rep = run_strategy(Strategy("connectivity", 5), seq, [query], graph=graph,
+        rep = run_strategy(Strategy("connectivity", 5), seq, [query],
                            surfaces=scene.surfaces, oracle_visible_counts=[denom])
         r = rep.rows[0]
         assert 0.0 < r.recall <= 1.0
@@ -163,9 +160,8 @@ class TestSubsetRatio:
 
     def test_uniform_sequence_matches_window_fraction(self):
         seq = uniform_sequence(300, 200, seed=13)
-        graph = build_graph(seq, 5)
         queries = [p for _, p in seq.frames]
-        rep = run_strategy(Strategy("connectivity", 5), seq, queries, graph=graph)
+        rep = run_strategy(Strategy("connectivity", 5), seq, queries)
         expected = 16.0 / 300.0
         assert abs(subset_ratio(rep) - expected) / expected <= 0.10
 

@@ -6,10 +6,10 @@ import sys
 import numpy as np
 import pytest
 
-from pointvis import cli
+from pointvis import bench, cli
 from pointvis.bench import Strategy, read_report_csv, run_strategy
 from pointvis.cli import main
-from pointvis.connectivity import build_graph, load_graph
+from pointvis.connectivity import load_graph
 from pointvis.ingest import (
     Sequence,
     accumulate,
@@ -19,6 +19,7 @@ from pointvis.ingest import (
     read_poses,
     read_scan,
 )
+from pointvis.raster import Channels, rasterize
 from pointvis.render import read_ppm
 from pointvis.synth import read_surfaces
 
@@ -309,12 +310,12 @@ class TestBench:
         retrieved = {}
         for n in (3, 1, 8):
             got = read_report_csv(tmp_path / f"r_connectivity-{n}.csv").rows
-            want = run_strategy(Strategy("connectivity", n), seq, queries, build_graph(seq, n), surfaces).rows
+            want = run_strategy(Strategy("connectivity", n), seq, queries, surfaces).rows
             assert [_row_key(r) for r in got] == [_row_key(r) for r in want]
             retrieved[n] = [r.retrieved for r in got]
         assert retrieved[1] != retrieved[3] != retrieved[8]
         got = read_report_csv(tmp_path / "r_window-3.csv").rows  # a bare `window` runs with --n too
-        want = run_strategy(Strategy("window", 3), seq, queries, build_graph(seq, 3), surfaces).rows
+        want = run_strategy(Strategy("window", 3), seq, queries, surfaces).rows
         assert [_row_key(r) for r in got] == [_row_key(r) for r in want]
 
     def test_frame_past_the_scans_needs_no_graph(self, scene_dir, tmp_path):
@@ -334,6 +335,25 @@ class TestBench:
             got = read_report_csv(tmp_path / f"r_{strat.label.replace(':', '-')}.csv").rows
             want = run_strategy(strat, seq, queries, surfaces=surfaces).rows
             assert [_row_key(r) for r in got] == [_row_key(r) for r in want]
+
+    # With the scene's images the map is colored as `build-map --images` colors
+    # it, so `raster_s` times one level-0 color raster per view; without them
+    # the map has no channel to raster.
+    @pytest.mark.parametrize("images", [True, False])
+    def test_raster_per_view_when_the_scene_has_images(self, scene_dir, tmp_path, monkeypatch, images):
+        scene = tmp_path / "scene"
+        shutil.copytree(scene_dir, scene, ignore=None if images else shutil.ignore_patterns("images"))
+        calls = []
+
+        def record(cloud, vis, query, K, level, channels):
+            calls.append((level, channels, cloud.colors is not None))
+            return rasterize(cloud, vis, query, K, level=level, channels=channels)
+
+        monkeypatch.setattr(bench, "rasterize", record)
+        assert main(["bench", "--scene", str(scene), "--strategies", "connectivity,fullmap", "--every", "4",
+                     "--out", str(tmp_path / "r.csv")]) == 0
+        views = len(read_poses(scene / "poses.txt")[::4])
+        assert calls == ([(0, Channels.COLOR, True)] * 2 * views if images else [])
 
     # A radius whose square overflows float64 holds every point of the map.
     def test_overflowing_radius_holds_every_point(self, scene_dir, tmp_path):
@@ -413,6 +433,10 @@ def test_import_needs_no_scipy():
     ("synth", ["--spacing", "1e-300"]),
     ("synth", ["--frame-step", "1e-300", "--length", "1"]),
     ("render", ["--frame", "3", "--intrinsics", "HUGE_INTRINSICS"]),
+    ("synth", ["--spacing", "1e-6", "--length", "1"]),
+    ("synth", ["--frame-step", "1e-12", "--length", "1"]),
+    ("render", ["--frame", "3", "--intrinsics", "VAST_INTRINSICS"]),
+    ("render", ["--frame", "3", "--levels", "0,99999999999"]),
     ("render", ["--pose", "1 0 0 1e200 0 1 0 0 0 0 1 0"]),
     ("render", ["--frame", "3", "--intrinsics", "MAP"]),
     ("build-graph", ["--poses", "MAP"]),
@@ -424,7 +448,8 @@ def test_import_needs_no_scipy():
         "strategy-text", "strategy-nan", "strategy-fractional-window", "strategy-extra-field",
         "strategy-fullmap-param", "bench-n-zero", "images-size", "synth-length-nan",
         "synth-clearance-nan", "synth-clearance-negative", "synth-length-overflow", "synth-spacing-tiny",
-        "synth-frame-count-overflow", "intrinsics-image-too-large", "pose-distance-overflow",
+        "synth-frame-count-overflow", "intrinsics-image-too-large", "synth-samples-beyond-memory",
+        "synth-poses-beyond-memory", "intrinsics-image-beyond-memory", "levels-huge", "pose-distance-overflow",
         "intrinsics-binary", "poses-binary", "map-directory", "poses-directory", "map-under-file",
         *[f"graph-{defect}" for defect in GRAPH_DEFECTS]])
 def test_malformed_input_usage_error(built, tmp_path, command, extra):
@@ -436,8 +461,10 @@ def test_malformed_input_usage_error(built, tmp_path, command, extra):
     (small_images / "000003.ppm").write_bytes(b"P6\n8 8\n255\n" + bytes(8 * 8 * 3))
     huge = tmp_path / "huge.txt"
     huge.write_text("64 64 32 16 1000000000000 1000000000000\n")
+    vast = tmp_path / "vast.txt"  # fits an array, not any machine's memory
+    vast.write_text("64 64 32 16 10000000 10000000\n")
     names = {"NEGATIVE_PPM": negative, "MAP": map_path, "UNDER_MAP": map_path / "x", "SCENE": scene_dir,
-             "SMALL_IMAGES": small_images, "HUGE_INTRINSICS": huge}
+             "SMALL_IMAGES": small_images, "HUGE_INTRINSICS": huge, "VAST_INTRINSICS": vast}
     for defect in GRAPH_DEFECTS:
         names[f"GRAPH_{defect}"] = tmp_path / f"{defect}.grf"
         names[f"GRAPH_{defect}"].write_bytes(corrupt_graph(graph_path.read_bytes(), defect))

@@ -1,4 +1,5 @@
 import math
+import os
 from unittest import mock
 
 import numpy as np
@@ -154,6 +155,21 @@ class TestIntrinsicsValidation:
     def test_rejects_zero_dims(self):
         with pytest.raises(DomainError):
             Intrinsics(1.0, 1.0, 0.0, 0.0, 0, 10)
+
+
+# The size rule holds a count to physical memory, or to the array limit alone
+# where `os.sysconf` cannot tell the memory size; a float count may be inf or nan.
+def test_check_fits_limits(monkeypatch):
+    arrays = np.iinfo(np.intp).max
+    memory = min(arrays, os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE"))
+    geom.check_fits(memory // 24, 24, "fits")
+    for count in (memory // 24 + 1, float(memory), math.inf, math.nan, 10**400):
+        with pytest.raises(DomainError, match="too much"):
+            geom.check_fits(count, 24, "too much")
+    monkeypatch.delattr(os, "sysconf_names")
+    geom.check_fits(arrays // 24, 24, "fits")
+    with pytest.raises(DomainError):
+        geom.check_fits(arrays // 24 + 1, 24, "too much")
 
 
 class TestPixelBins:

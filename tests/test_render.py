@@ -1,7 +1,12 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pointvis import render
 from pointvis.errors import DomainError, FormatError
 from pointvis.geom import Intrinsics, Pose
 from pointvis.ingest import PointCloudMap, attach_descriptors
@@ -344,3 +349,38 @@ def test_ppm_byte_mutation_loads_or_format_error(tmp_path_factory, img, data):
     path = work / "i.ppm"
     path.write_bytes(bytes(mutated))
     loads_or_format_error(read_ppm, path)
+
+
+# The camera transform is a BLAS product, and OpenBLAS may split a product
+# over threads. A view of a map of more than 2^16 rows (the window holds
+# several z-buffer blocks) must come out bit for bit the same whatever
+# thread count BLAS is given.
+_BLAS_VIEW = """
+import hashlib
+from pointvis.connectivity import build_graph, visible_set_for
+from pointvis.ingest import Sequence
+from pointvis.raster import rasterize_pyramid
+from pointvis.render import render_rgb
+from pointvis.synth import CanyonParams, make_canyon, scene_map
+
+scene = make_canyon(CanyonParams(length=24.0, wall_gap=6.0, point_spacing=0.2, lidar_range=9.0, frame_step=2.0,
+                                 occluders=1, seed=4, image_width=64, image_height=32))
+cloud, _ = scene_map(scene)
+K, query = scene.intrinsics, scene.trajectory[4]
+vis = visible_set_for(build_graph(Sequence([(p.frame_id, p) for p in scene.trajectory], K, cloud), 3), cloud, query, K)
+img = render_rgb(rasterize_pyramid(cloud, vis, query, K))
+print(len(cloud), len(vis), *(hashlib.sha256(a.tobytes()).hexdigest()
+                              for a in (vis.point_indices, vis.pixel_of, vis.depth_of, img)))
+"""
+
+
+def test_view_bit_identical_across_blas_threads():
+    src = os.path.dirname(os.path.dirname(render.__file__))
+    outs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads}
+        run = subprocess.run([sys.executable, "-c", _BLAS_VIEW], env=env, capture_output=True, text=True, check=True)
+        outs.append(run.stdout.split())
+    rows, winners = int(outs[0][0]), int(outs[0][1])
+    assert rows >= 2**16 and winners > 0
+    assert outs[0] == outs[1]
