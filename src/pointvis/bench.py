@@ -89,12 +89,12 @@ def _select_candidates(strategy, sequence, graph, query):
         return range(len(cloud)), -1
     if strategy.kind == "depth":
         z = world_to_camera_many(query, cloud.positions)[2]
-        return np.nonzero((z > 0) & (z <= strategy.param))[0].astype(np.int64), -1
+        return np.nonzero((z > 0) & (z <= strategy.param))[0], -1
     if strategy.kind == "radius":
         with np.errstate(over="ignore"):  # a radius or distance that overflows squares to inf
             d2 = np.sum((cloud.positions - query.translation) ** 2, axis=1)
             r2 = np.float64(strategy.param) ** 2
-        return np.nonzero(d2 <= r2)[0].astype(np.int64), -1
+        return np.nonzero(d2 <= r2)[0], -1
     n = int(strategy.param)
     fid = nearest_frame(graph, query)
     # connectivity takes the graph's window; the sliding window is the

@@ -20,6 +20,11 @@ import numpy as np
 from .errors import DomainError
 
 _ORTHO_TOL = 1e-6
+# Bytes a view holds per pixel of its image: the tracemalloc peak over the
+# prune, pyramid levels 0-5, `render_rgb` and `write_ppm` read 116 B a pixel
+# for an empty 512x256 or 1024x512 view and 198 B for one whose every pixel
+# holds a point, so an image is held to 200 B a pixel.
+_VIEW_PIXEL_BYTES = 200
 
 
 def _as_matrix(value, shape, name: str) -> np.ndarray:
@@ -106,7 +111,7 @@ class Intrinsics:
             raise DomainError("focal lengths must be positive")
         if self.width < 1 or self.height < 1:
             raise DomainError("image dimensions must be at least 1 pixel")
-        check_fits(self.width * self.height, 24, f"a {self.width}x{self.height} image")  # (H, W, 3) float64
+        check_fits(self.width * self.height, _VIEW_PIXEL_BYTES, f"a {self.width}x{self.height} view")
         for v in (self.fx, self.fy, self.cx, self.cy):
             if not np.isfinite(v):
                 raise DomainError("intrinsics must be finite")

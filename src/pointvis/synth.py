@@ -170,6 +170,9 @@ def make_canyon(params: CanyonParams) -> SyntheticScene:
     sample_surface = np.concatenate(surf_parts)
 
     n_frames = int(round(L / p.frame_step))
+    n_rows = _scan_rows_bound(samples[:, 2], n_frames, p)
+    check_fits(n_rows, 56, f"{n_frames} frames in lidar_range {p.lidar_range:g} of {len(samples)} samples "
+               f"give up to {n_rows} scan rows")  # float64 xyz and color and an int64 surface id each
     trajectory, scans, scan_colors, scan_surface = [], [], [], []
     for t in range(n_frames):
         center = np.array([0.0, 0.0, t * p.frame_step])
@@ -186,6 +189,18 @@ def make_canyon(params: CanyonParams) -> SyntheticScene:
         surfaces, trajectory, scans, K, p.seed,
         scan_colors, scan_surface, samples, sample_colors, sample_surface,
     )
+
+
+def _scan_rows_bound(z: np.ndarray, n_frames: int, p: CanyonParams) -> int:
+    """An upper bound on the rows `make_canyon`'s scans keep from samples at
+    depths `z`. A frame at z_t keeps only samples with |z - z_t| <=
+    lidar_range, so the (frame, sample) pairs within that reach, widened by
+    a few ulps of rounding, bound them; the shorter of the two sorted
+    arrays is searched in the longer."""
+    zs, z_t = np.sort(z), np.arange(n_frames) * p.frame_step
+    reach = p.lidar_range + 8 * np.spacing(p.lidar_range + np.abs(zs).max(initial=0) + z_t.max(initial=0))
+    short, long = sorted((zs, z_t), key=len)
+    return int((np.searchsorted(long, short + reach, "right") - np.searchsorted(long, short - reach)).sum())
 
 
 def scene_map(scene: SyntheticScene) -> tuple[PointCloudMap, np.ndarray]:

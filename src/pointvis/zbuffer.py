@@ -3,28 +3,30 @@
 This is the single reduction shared by visibility pruning and
 rasterization: bin projected points into integer pixels and keep, per
 pixel, the candidate with minimal depth (ties broken by smallest point
-index). Candidates are binned in blocks of at most `_BLOCK` rows. A
-step-1 `range` of candidates (a window's one run of map rows, from
-`connectivity.window_rows`, or the whole map) is a row range: its bounds
-are checked once, and it is binned on the map's grid of `_BLOCK`-row
-blocks, aligned to row 0, each block cut to the range and read as a slice
-of the positions, so no index array is built and no rows are copied.
-Given the map's `BlockBoxes`, a row range skips every grid block whose
-axis-aligned box lies wholly outside the view frustum: behind the camera,
-or left, right, above or below the image, by a margin that covers
-rounding, so no skipped row could have landed in the image. A block's box
-is built the second time a range prune touches the block and is kept with
-the map. Any other input (a `depth` or `radius` bench selection, a
-visible set re-pruned from another pose, or a hand-built array) is an
-index array, checked and gathered in `_BLOCK`-row spans and never
-culled. Both share one camera-transform scratch array per view.
-`pixel_bins` returns only a block's in-bounds rows. Each block's depths
-are scatter-min'ed into the view's one W*H `best` buffer, and only the
-rows that still tie or beat `best` at their pixel are kept: `best` only
-decreases, so a dropped row can never equal the final minimum, and the
-result does not depend on how the rows are split into blocks. After the
-last block, one scatter-min of the index over the exact-depth ties
-decides each pixel. It runs in one thread.
+index). Candidates are a step-1 `range` of map rows (a window's one run
+of rows, from `connectivity.window_rows`, or the whole map) or an index
+array (a `depth` or `radius` bench selection, a visible set re-pruned
+from another pose, or a hand-built array, cast to int64 without a copy
+when it already is one). They are checked where they enter, before any
+block is binned: a range at its two ends, an array once over all its
+entries. Both take one block plan: entries lo..hi-1 (a range's ends, or
+0 and the array's length) are binned in the `_BLOCK`-entry blocks of a
+grid aligned to entry 0, each cut to lo..hi, and one loop body reads a
+block as a slice of the positions (a range: no index array is built and
+no row is copied) or as a gather (an array). Given the map's
+`BlockBoxes`, a range skips every grid block whose axis-aligned box lies
+wholly outside the view frustum: behind the camera, or left, right,
+above or below the image, by a margin that covers rounding, so no
+skipped row could have landed in the image. A block's box is built the
+second time a range prune touches the block and is kept with the map; an
+array is never culled. All blocks share one camera-transform scratch
+array per view. `pixel_bins` returns only a block's in-bounds rows. Each
+block's depths are scatter-min'ed into the view's one W*H `best` buffer,
+and only the rows that still tie or beat `best` at their pixel are kept:
+`best` only decreases, so a dropped row can never equal the final
+minimum, and the result does not depend on how the rows are split into
+blocks. After the last block, one scatter-min of the index over the
+exact-depth ties decides each pixel. It runs in one thread.
 """
 from __future__ import annotations
 
@@ -122,44 +124,39 @@ def zbuffer_winners(
     dropped before the reduction; a repeated candidate counts once.
     `indices` is a step-1 `range` of rows or a 1-D integer array, with
     every entry in [0, N); an empty array may have any dtype, an empty
-    range any bounds. Anything else raises DomainError. A row range is
-    binned on the map's block grid; given `boxes`, the map's
-    `BlockBoxes`, it skips the grid blocks outside the view. The result
-    is the same with or without them.
+    range any bounds. Anything else raises DomainError before any block
+    is binned. Entries lo..hi-1 (a range's ends, or 0 and the array's
+    length) are binned in the blocks of the grid aligned to entry 0;
+    given `boxes`, the map's `BlockBoxes`, a range skips the grid blocks
+    outside the view. The result is the same with or without them.
     """
-    n = len(positions)
+    n, rows = len(positions), None
     if isinstance(indices, range) and indices.step == 1:
-        lo, hi, rows = indices.start, indices.stop, None
+        lo, hi = indices.start, indices.stop
         if lo < hi and not (0 <= lo and hi <= n):  # a non-empty range is checked once, at its ends
             raise DomainError(f"candidate index {lo if not 0 <= lo < n else n} is outside the map's {n} points")
-        grid = range(lo // _BLOCK, -(-hi // _BLOCK)) if lo < hi else range(0)
-        if boxes is not None and grid:
-            out = outside_view(boxes.cover(positions, grid.start, grid.stop), pose, K).tolist()
-            grid = [b for b, culled in zip(grid, out) if not culled]
-        # the kept grid blocks, cut to the range
-        spans = [(max(b * _BLOCK, lo), min((b + 1) * _BLOCK, hi)) for b in grid]
     else:
         rows = np.asarray(indices)
         if rows.ndim != 1 or (rows.size and not np.issubdtype(rows.dtype, np.integer)):
             raise DomainError(f"candidate indices must be a 1-D integer array, got {rows.dtype} {rows.shape}")
-        lo, hi, rows = 0, len(rows), rows.astype(np.int64, copy=False)
-        spans = [(s, min(s + _BLOCK, hi)) for s in range(0, hi, _BLOCK)]
+        rows = rows.astype(np.int64, copy=False)
+        # a negative index reads as a huge unsigned one, so one max checks both ends
+        if rows.size and rows.view(np.uint64).max() >= n:
+            raise DomainError(f"candidate index {rows[(rows < 0) | (rows >= n)][0]} is outside the map's {n} points")
+        lo, hi = 0, len(rows)
+    grid = range(lo // _BLOCK, -(-hi // _BLOCK)) if lo < hi else range(0)
+    if rows is None and boxes is not None and grid:
+        out = outside_view(boxes.cover(positions, grid.start, grid.stop), pose, K).tolist()
+        grid = [b for b, culled in zip(grid, out) if not culled]
 
     def blocks():
         work = np.empty((2, min(_BLOCK, max(hi - lo, 0)), 3))  # one camera-transform scratch per view
-        for s, e in spans:
-            if rows is None:
-                ok, ui, vi, z = pixel_bins(pose, K, positions[s:e], work)
-                idx = np.flatnonzero(ok) + s
-            else:
-                idx = rows[s:e]
-                # a negative index reads as a huge unsigned one, so one max checks both ends
-                if idx.view(np.uint64).max() >= n:
-                    bad = idx[(idx < 0) | (idx >= n)][0]
-                    raise DomainError(f"candidate index {bad} is outside the map's {n} points")
-                ok, ui, vi, z = pixel_bins(pose, K, np.take(positions, idx, axis=0), work)
-                idx = idx.compress(ok)
-            yield idx, vi * K.width + ui, z
+        for b in grid:
+            s, e = max(b * _BLOCK, lo), min((b + 1) * _BLOCK, hi)
+            block = positions[s:e] if rows is None else np.take(positions, rows[s:e], axis=0)
+            ok, ui, vi, z = pixel_bins(pose, K, block, work)
+            keep = np.flatnonzero(ok)
+            yield (keep + s if rows is None else rows[s:e].take(keep)), vi * K.width + ui, z
 
     return reduce_bins(blocks(), K.width, K.height)
 

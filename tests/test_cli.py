@@ -377,7 +377,9 @@ def test_render_levels_checked_before_loading(built, tmp_path, monkeypatch, leve
 
 
 # `render` checks the whole request, and reads every input but the map,
-# before it reads the map; a bad request writes no output.
+# before it reads the map; a bad request writes no output. The machine is
+# faked as 1 GiB, where a 4096x4096 image fits at 24 B a pixel but a whole
+# view of it does not.
 @pytest.mark.parametrize("extra", [
     ["--pose", "1 0 0 0 0 1 0 0 0 0 1 abc"],
     ["--pose", "1 0 0 0 0 1 0 0 0 0 1"],
@@ -387,13 +389,17 @@ def test_render_levels_checked_before_loading(built, tmp_path, monkeypatch, leve
     ["--frame", "3", "--reference", "MISSING"],
     ["--frame", "3", "--reference", "SMALL"],
     ["--frame", "3", "--graph", "MISSING"],
+    ["--frame", "3", "--intrinsics", "VIEW_BEYOND_MEMORY"],
 ], ids=["pose-token", "pose-short", "frame-unknown", "no-pose-or-frame", "background-nan",
-        "reference-missing", "reference-size", "graph-missing"])
+        "reference-missing", "reference-size", "graph-missing", "view-beyond-memory"])
 def test_render_request_checked_before_loading(built, tmp_path, monkeypatch, extra):
     scene_dir, map_path, graph_path = built
     small = tmp_path / "small.ppm"
     small.write_bytes(b"P6\n2 2\n255\n" + bytes(12))
-    names = {"MISSING": tmp_path / "missing", "SMALL": small}
+    big = tmp_path / "big.txt"
+    big.write_text("2048 2048 2048 2048 4096 4096\n")
+    names = {"MISSING": tmp_path / "missing", "SMALL": small, "VIEW_BEYOND_MEMORY": big}
+    monkeypatch.setattr(os, "sysconf", {"SC_PHYS_PAGES": 1 << 18, "SC_PAGE_SIZE": 1 << 12}.__getitem__)
     loads = []
     monkeypatch.setattr(cli, "load_map", lambda path: loads.append(path))
     out = tmp_path / "v.ppm"
@@ -435,6 +441,7 @@ def test_import_needs_no_scipy():
     ("render", ["--frame", "3", "--intrinsics", "HUGE_INTRINSICS"]),
     ("synth", ["--spacing", "1e-6", "--length", "1"]),
     ("synth", ["--frame-step", "1e-12", "--length", "1"]),
+    ("synth", ["--frame-step", "1e-7", "--length", "1"]),
     ("render", ["--frame", "3", "--intrinsics", "VAST_INTRINSICS"]),
     ("render", ["--frame", "3", "--levels", "0,99999999999"]),
     ("render", ["--pose", "1 0 0 1e200 0 1 0 0 0 0 1 0"]),
@@ -449,7 +456,8 @@ def test_import_needs_no_scipy():
         "strategy-fullmap-param", "bench-n-zero", "images-size", "synth-length-nan",
         "synth-clearance-nan", "synth-clearance-negative", "synth-length-overflow", "synth-spacing-tiny",
         "synth-frame-count-overflow", "intrinsics-image-too-large", "synth-samples-beyond-memory",
-        "synth-poses-beyond-memory", "intrinsics-image-beyond-memory", "levels-huge", "pose-distance-overflow",
+        "synth-poses-beyond-memory", "synth-scans-beyond-memory",
+        "intrinsics-image-beyond-memory", "levels-huge", "pose-distance-overflow",
         "intrinsics-binary", "poses-binary", "map-directory", "poses-directory", "map-under-file",
         *[f"graph-{defect}" for defect in GRAPH_DEFECTS]])
 def test_malformed_input_usage_error(built, tmp_path, command, extra):

@@ -292,8 +292,13 @@ def test_zbuffer_rejects_bad_candidate_indices(cand):
 def test_zbuffer_rejects_bad_index_in_a_later_block(block):
     K = Intrinsics(4.0, 4.0, 4.0, 3.0, 8, 6)
     positions = np.ones((8, 3))
-    with mock.patch.object(zbuffer, "_BLOCK", block), pytest.raises(DomainError, match="-1"):
+    with (
+        mock.patch.object(zbuffer, "_BLOCK", block),
+        mock.patch.object(zbuffer, "pixel_bins", wraps=zbuffer.pixel_bins) as bins,
+        pytest.raises(DomainError, match="-1"),
+    ):
         zbuffer_winners(np.array([0, 1, 2, 3, 4, 5, 6, -1]), identity_pose(), K, positions)
+    bins.assert_not_called()  # the array is checked where it enters, before any block is binned
 
 
 # An empty row range has no row to check, wherever its ends lie.
@@ -341,7 +346,8 @@ def test_reduce_bins_of_no_blocks_is_empty():
 # cut the range anywhere; the range's ends at row 0 and row N and empty
 # ranges are checked in every example, twice, with the map's boxes kept
 # between the ranges of one example (a box is built on its block's second
-# prune, so the later prunes cull).
+# prune, so the later prunes cull). The boxes start over for any other
+# positions array, so the map's own `cloud.positions` is passed with them.
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("block", [1, 2, 7, 1 << 15])
 @settings(max_examples=100, deadline=None)
@@ -357,7 +363,7 @@ def test_zbuffer_row_range_equals_index_array(dtype, block, case, data):
     K = Intrinsics(4.0, 4.0, 4.0, 3.0, 8, 6)
     with mock.patch.object(zbuffer, "_BLOCK", block):
         for rows in 2 * (range(lo, hi), range(0, n), range(lo, lo), range(n, n), range(0, 0)):
-            got = zbuffer_winners(rows, pose, K, positions, cloud.boxes)
+            got = zbuffer_winners(rows, pose, K, cloud.positions, cloud.boxes)
             np.testing.assert_array_equal(got[0], prune_visible(rows, cloud, pose, K).point_indices, strict=True)
             want = zbuffer_winners(np.arange(rows.start, rows.stop, dtype=np.int64), pose, K, positions)
             for a, b in zip(got, want):
@@ -366,6 +372,7 @@ def test_zbuffer_row_range_equals_index_array(dtype, block, case, data):
             assert {(int(u), int(v)): int(i) for u, v, i in zip(pu, pv, idx)} == brute_force_zbuffer(
                 cloud, rows, pose, K
             )
+    assert cloud.boxes.built.any()
 
 
 _PLANE_K = Intrinsics(40.0, 30.0, 32.3, 16.7, 64, 32)
