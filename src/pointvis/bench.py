@@ -114,9 +114,11 @@ def run_strategy(
     `connectivity:n` run on `build_graph(sequence, n)`.
 
     `oracle_visible_counts` optionally supplies the per-view recall
-    denominator (oracle-visible in-frustum map points) to avoid
-    recomputing it for every strategy.
+    denominator, `oracle_counts(sequence, query_poses, surfaces)`, so that
+    several strategies over the same views compute it once.
     """
+    if surfaces is not None and oracle_visible_counts is None:
+        oracle_visible_counts = oracle_counts(sequence, query_poses, surfaces)
     cloud = sequence.map
     K = sequence.intrinsics
     graph = build_graph(sequence, int(strategy.param)) if strategy.kind in ("window", "connectivity") else None
@@ -142,15 +144,17 @@ def run_strategy(
             if n_win:
                 leak = float(np.count_nonzero(occluded)) / n_win
                 precision = 1.0 - leak
-            if oracle_visible_counts is not None:
-                denom = oracle_visible_counts[vi]
-            else:
-                denom = int(np.count_nonzero(oracle_visible_many(cloud.positions, query, K, surfaces)))
-            if denom:
-                recall = float(np.count_nonzero(~occluded)) / denom
+            if oracle_visible_counts[vi]:
+                recall = float(np.count_nonzero(~occluded)) / oracle_visible_counts[vi]
         frame_id = fid if fid >= 0 else (query.frame_id if query.frame_id is not None else vi)
         rows.append(ViewStats(frame_id, len(cand), len(vis), leak, precision, recall, prune_s, raster_s))
     return StrategyReport(strategy.label, len(cloud), rows)
+
+
+def oracle_counts(sequence: Sequence, query_poses: list[Pose], surfaces: list[Rect3]) -> list[int]:
+    """The map points the oracle sees from each query: `run_strategy`'s recall denominators."""
+    cloud, K = sequence.map, sequence.intrinsics
+    return [int(np.count_nonzero(oracle_visible_many(cloud.positions, q, K, surfaces))) for q in query_poses]
 
 
 def subset_ratio(report: StrategyReport) -> float:

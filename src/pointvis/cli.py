@@ -14,21 +14,10 @@ from . import bench as bench_mod
 from .connectivity import build_graph, load_graph, save_graph, visible_set_for
 from .errors import DomainError, FormatError
 from .geom import Pose, scale_intrinsics
-from .ingest import (
-    PointCloudMap,
-    Sequence,
-    accumulate,
-    colorize_map,
-    load_map,
-    read_intrinsics,
-    read_pose,
-    read_poses,
-    read_scan,
-    save_map,
-)
+from .ingest import Sequence, load_map, read_intrinsics, read_pose, read_poses, save_map
 from .raster import Channels, rasterize_pyramid
-from .render import psnr, read_ppm, render_rgb, ssim, write_ppm
-from .synth import CanyonParams, make_canyon, read_surfaces, write_scene
+from .render import psnr, read_view_image, render_rgb, ssim, write_ppm
+from .synth import CanyonParams, load_scans, make_canyon, read_scene, write_scene
 
 
 def _parse_levels(text: str) -> list[int]:
@@ -45,38 +34,6 @@ def _parse_levels(text: str) -> list[int]:
     if len(levels) < 2:
         raise DomainError(f"level list {text!r} has no level coarser than 0")
     return levels
-
-
-def _read_view_image(path, K, name: str) -> np.ndarray:
-    """The PPM at `path`; DomainError naming `name` unless it is K's size."""
-    img = read_ppm(path)
-    if img.shape[:2] != (K.height, K.width):
-        raise DomainError(f"{name} is {img.shape[1]}x{img.shape[0]}, the view {K.width}x{K.height}")
-    return img
-
-
-def _load_scans(scan_dir: str, poses_path: str) -> tuple[list[tuple[int, Pose]], PointCloudMap]:
-    """Read the trajectory and every numbered scan file in `scan_dir`, and
-    accumulate the scans at their poses into a map."""
-    frames = read_poses(poses_path)
-    pose_of = dict(frames)
-    if not os.path.isdir(scan_dir):
-        raise FileNotFoundError(f"scan directory {scan_dir} does not exist")
-    scans = []
-    for name in sorted(os.listdir(scan_dir)):
-        stem, ext = os.path.splitext(name)
-        if ext not in (".bin", ".dat", ""):
-            continue
-        try:
-            sid = int(stem)
-        except ValueError:
-            continue
-        if sid not in pose_of:
-            raise FormatError(f"scan {sid} has no pose in {poses_path}")
-        scans.append(read_scan(os.path.join(scan_dir, name), scan_id=sid))
-    if not scans:
-        raise FormatError(f"no scan files found in {scan_dir}")
-    return frames, accumulate(scans, [pose_of[scan.scan_id] for scan in scans])
 
 
 def cmd_synth(args) -> int:
@@ -99,19 +56,11 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def _color_from_images(cloud: PointCloudMap, frames, image_dir: str, K) -> PointCloudMap:
-    """`cloud` colored from each scan's `image_dir/<scan id:06d>.ppm`, if any; one not K's size is a DomainError."""
-    paths = {sid: os.path.join(image_dir, f"{sid:06d}.ppm") for sid, _, _ in cloud.scan_ranges}
-    images = {sid: _read_view_image(p, K, p) for sid, p in paths.items() if os.path.exists(p)}
-    return colorize_map(cloud, frames, images, K)
-
-
 def cmd_build_map(args) -> int:
-    frames, cloud = _load_scans(args.scans, args.poses)
-    if args.images:
-        if not args.intrinsics:
-            raise DomainError("--images requires --intrinsics for projection")
-        cloud = _color_from_images(cloud, frames, args.images, read_intrinsics(args.intrinsics))
+    if args.images and not args.intrinsics:
+        raise DomainError("--images requires --intrinsics for projection")
+    K = read_intrinsics(args.intrinsics) if args.images else None
+    _, cloud = load_scans(args.scans, args.poses, args.images, K)
     save_map(args.out, cloud)
     print(f"wrote map {args.out}: {len(cloud)} points, {len(cloud.scan_ranges)} scans")
     return 0
@@ -152,7 +101,7 @@ def cmd_render(args) -> int:
     scale_intrinsics(K, levels[-1])  # a level too coarse for the image
     if not np.isfinite(args.background):
         raise DomainError(f"--background must be finite, got {args.background!r}")
-    ref = _read_view_image(args.reference, K, "--reference") if args.reference else None
+    ref = read_view_image(args.reference, K, "--reference") if args.reference else None
     graph = load_graph(args.graph)
     query = _query_pose(args, graph)
     cloud = load_map(args.map)
@@ -171,16 +120,6 @@ def cmd_bench(args) -> int:
         raise DomainError("--every must be a positive integer")
     if args.n < 1:
         raise DomainError("--n must be a positive integer")
-    scene_dir = args.scene
-    frames, cloud = _load_scans(os.path.join(scene_dir, "scans"), os.path.join(scene_dir, "poses.txt"))
-    K = read_intrinsics(os.path.join(scene_dir, "intrinsics.txt"))
-    if os.path.isdir(os.path.join(scene_dir, "images")):  # so `raster_s` times a color raster
-        cloud = _color_from_images(cloud, frames, os.path.join(scene_dir, "images"), K)
-    surfaces_path = os.path.join(scene_dir, "surfaces.txt")
-    surfaces = read_surfaces(surfaces_path) if os.path.exists(surfaces_path) else None
-    seq = Sequence(frames, K, cloud)
-    queries = [pose for _, pose in frames][:: args.every]
-
     # a bare `window` or `connectivity` runs with the --n window; `kind:N` with its own
     texts = [s.strip() for s in args.strategies.split(",") if s.strip()]
     strategies = [
@@ -189,8 +128,11 @@ def cmd_bench(args) -> int:
     if not strategies:
         raise DomainError("no strategies given")
     multi = len(strategies) > 1
+    seq, surfaces = read_scene(args.scene)  # a colored map when there are images, so `raster_s` times a raster
+    queries = [pose for _, pose in seq.frames][:: args.every]
+    counts = bench_mod.oracle_counts(seq, queries, surfaces) if surfaces is not None else None
     for strat in strategies:
-        report = bench_mod.run_strategy(strat, seq, queries, surfaces=surfaces)
+        report = bench_mod.run_strategy(strat, seq, queries, surfaces=surfaces, oracle_visible_counts=counts)
         out = args.out
         if multi:
             stem, ext = os.path.splitext(args.out)

@@ -185,3 +185,11 @@ def read_ppm(path) -> np.ndarray:
     if len(data) != w * h * 3:
         raise FormatError(f"{path}: truncated pixel data")
     return np.frombuffer(data, dtype=np.uint8).reshape(h, w, 3).astype(np.float64) / 255.0
+
+
+def read_view_image(path, K, name: str) -> np.ndarray:
+    """The PPM at `path`; DomainError naming `name` unless it is K's size."""
+    img = read_ppm(path)
+    if img.shape[:2] != (K.height, K.width):
+        raise DomainError(f"{name} is {img.shape[1]}x{img.shape[0]}, the view {K.width}x{K.height}")
+    return img

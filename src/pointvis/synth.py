@@ -1,5 +1,6 @@
 """Synthetic street-canyon scene with analytic rectangle occluders and a
-brute-force ray-casting visibility oracle.
+brute-force ray-casting visibility oracle, and the scene directory layout
+that `write_scene` writes and `read_scene` reads.
 
 World frame: x right, y down, z forward (so an identity pose looks down
 the corridor). The camera travels along the z axis at ground height
@@ -17,8 +18,10 @@ import numpy as np
 from .errors import DomainError, FormatError
 from .geom import Intrinsics, Pose, check_fits, pixel_bins
 from .ingest import (
-    PointCloudMap, Scan, accumulate, read_lines, read_numbers, write_intrinsics, write_poses, write_scan,
+    PointCloudMap, Scan, Sequence, accumulate, colorize_map, read_intrinsics, read_lines, read_numbers, read_poses,
+    read_scan, write_intrinsics, write_poses, write_scan,
 )
+from .render import read_view_image, write_ppm
 
 SELF_HIT_EPS = 1e-4  # relative slack before the segment endpoint
 CAMERA_HEIGHT = 1.5  # the ground lies this far below the camera path
@@ -38,8 +41,15 @@ class Rect3:
         self.edge_u = np.asarray(self.edge_u, dtype=np.float64).reshape(3)
         self.edge_v = np.asarray(self.edge_v, dtype=np.float64).reshape(3)
         self.color = np.asarray(self.color, dtype=np.float64).reshape(3)
-        if np.linalg.norm(np.cross(self.edge_u, self.edge_v)) == 0.0:
-            raise DomainError("degenerate rectangle: spanning vectors are parallel")
+        u, v = self.edge_u, self.edge_v
+        with np.errstate(over="ignore", invalid="ignore"):  # what the ray-rectangle solve derives from it alone
+            n, g = self.normal, np.array([u @ u, u @ v, v @ v])  # the normal and the edges' Gram entries
+            corners = self.origin + np.array([(0, 0), (1, 0), (0, 1), (1, 1)]) @ np.stack([u, v])
+            derived = (n, g, g[0] * g[2] - g[1] ** 2, np.stack([u, v, n]) @ self.origin, corners)
+            if not all(np.isfinite(x).all() for x in derived):
+                raise DomainError("rectangle too large: its normal, edge products or corners overflow float64")
+            if np.linalg.norm(n) == 0.0:
+                raise DomainError("degenerate rectangle: spanning vectors are parallel")
 
     @property
     def normal(self) -> np.ndarray:
@@ -84,7 +94,6 @@ class SyntheticScene:
     intrinsics: Intrinsics
     seed: int
     scan_colors: list[np.ndarray] = field(default_factory=list)
-    scan_surface_ids: list[np.ndarray] = field(default_factory=list)
     samples: np.ndarray | None = None
     sample_colors: np.ndarray | None = None
     sample_surface: np.ndarray | None = None
@@ -171,9 +180,9 @@ def make_canyon(params: CanyonParams) -> SyntheticScene:
 
     n_frames = int(round(L / p.frame_step))
     n_rows = _scan_rows_bound(samples[:, 2], n_frames, p)
-    check_fits(n_rows, 56, f"{n_frames} frames in lidar_range {p.lidar_range:g} of {len(samples)} samples "
-               f"give up to {n_rows} scan rows")  # float64 xyz and color and an int64 surface id each
-    trajectory, scans, scan_colors, scan_surface = [], [], [], []
+    check_fits(n_rows, 48, f"{n_frames} frames in lidar_range {p.lidar_range:g} of {len(samples)} samples "
+               f"give up to {n_rows} scan rows")  # float64 xyz and color each
+    trajectory, scans, scan_colors = [], [], []
     for t in range(n_frames):
         center = np.array([0.0, 0.0, t * p.frame_step])
         pose = Pose(np.eye(3), center, t)
@@ -181,14 +190,10 @@ def make_canyon(params: CanyonParams) -> SyntheticScene:
         near = np.linalg.norm(samples - center, axis=1) <= p.lidar_range
         scans.append(Scan(t, samples[near] - center))
         scan_colors.append(sample_colors[near])
-        scan_surface.append(sample_surface[near])
 
     focal = p.focal if p.focal is not None else p.image_width / 2
     K = Intrinsics(focal, focal, p.image_width / 2, p.image_height / 2, p.image_width, p.image_height)
-    return SyntheticScene(
-        surfaces, trajectory, scans, K, p.seed,
-        scan_colors, scan_surface, samples, sample_colors, sample_surface,
-    )
+    return SyntheticScene(surfaces, trajectory, scans, K, p.seed, scan_colors, samples, sample_colors, sample_surface)
 
 
 def _scan_rows_bound(z: np.ndarray, n_frames: int, p: CanyonParams) -> int:
@@ -203,16 +208,11 @@ def _scan_rows_bound(z: np.ndarray, n_frames: int, p: CanyonParams) -> int:
     return int((np.searchsorted(long, short + reach, "right") - np.searchsorted(long, short - reach)).sum())
 
 
-def scene_map(scene: SyntheticScene) -> tuple[PointCloudMap, np.ndarray]:
-    """Accumulate the scene's scans into a colored world map; also return
-    the per-point surface id (for oracle bookkeeping in tests)."""
+def scene_sequence(scene: SyntheticScene) -> Sequence:
+    """The scene's trajectory and intrinsics, and its scans accumulated at
+    their poses into a colored world map."""
     cloud = accumulate(scene.scans, scene.trajectory, colors=scene.scan_colors)
-    surface_ids = (
-        np.concatenate(scene.scan_surface_ids)
-        if scene.scan_surface_ids
-        else np.zeros(0, dtype=np.int64)
-    )
-    return cloud, surface_ids
+    return Sequence([(p.frame_id, p) for p in scene.trajectory], scene.intrinsics, cloud)
 
 
 def _ray_rect_t(origins: np.ndarray, dirs: np.ndarray, rect: Rect3) -> np.ndarray:
@@ -307,13 +307,18 @@ def oracle_paint(
     return img.reshape(K.height, K.width, 3)
 
 
+def _numbered(directory, number: int, ext: str) -> str:
+    """File `number` of a scene directory's `scans/` or `images/`: six digits and `ext`."""
+    return os.path.join(directory, f"{number:06d}{ext}")
+
+
 def write_scene(out_dir, scene: SyntheticScene, with_images: bool = False) -> None:
-    """Dump a scene in the ingest formats: scans/, poses.txt, intrinsics.txt,
-    and a surfaces.txt manifest (9 geometry floats + 3 color floats per line).
-    """
+    """Dump a scene in the ingest formats: scans/, poses.txt, intrinsics.txt, a surfaces.txt
+    manifest (9 geometry floats + 3 color floats per line) and, with `with_images`, the
+    painter's view from each pose in images/."""
     os.makedirs(os.path.join(out_dir, "scans"), exist_ok=True)
     for scan in scene.scans:
-        write_scan(os.path.join(out_dir, "scans", f"{scan.scan_id:06d}.bin"), scan)
+        write_scan(_numbered(os.path.join(out_dir, "scans"), scan.scan_id, ".bin"), scan)
     write_poses(os.path.join(out_dir, "poses.txt"), [(p.frame_id, p) for p in scene.trajectory])
     write_intrinsics(os.path.join(out_dir, "intrinsics.txt"), scene.intrinsics)
     with open(os.path.join(out_dir, "surfaces.txt"), "w", encoding="utf-8") as f:
@@ -321,12 +326,50 @@ def write_scene(out_dir, scene: SyntheticScene, with_images: bool = False) -> No
             vals = np.concatenate([rect.origin, rect.edge_u, rect.edge_v, rect.color])
             f.write(" ".join(repr(float(v)) for v in vals) + "\n")
     if with_images:
-        from .render import write_ppm
-
         os.makedirs(os.path.join(out_dir, "images"), exist_ok=True)
         for pose in scene.trajectory:
             img = oracle_paint(pose, scene.intrinsics, scene.surfaces)
-            write_ppm(os.path.join(out_dir, "images", f"{pose.frame_id:06d}.ppm"), img)
+            write_ppm(_numbered(os.path.join(out_dir, "images"), pose.frame_id, ".ppm"), img)
+
+
+def load_scans(scan_dir, poses_path, image_dir=None, K=None) -> tuple[list[tuple[int, Pose]], PointCloudMap]:
+    """The trajectory in `poses_path`, and every numbered scan file in
+    `scan_dir` accumulated at its pose into a map. With `image_dir` each
+    scan's points are colored from its `<scan id:06d>.ppm` there, if any, as
+    projected by `K`; an image not K's size is a DomainError."""
+    frames = read_poses(poses_path)
+    pose_of = dict(frames)
+    scans = []
+    for name in sorted(os.listdir(scan_dir)):
+        stem, ext = os.path.splitext(name)
+        if ext not in (".bin", ".dat", ""):
+            continue
+        try:
+            sid = int(stem)
+        except ValueError:
+            continue
+        if sid not in pose_of:
+            raise FormatError(f"scan {sid} has no pose in {poses_path}")
+        scans.append(read_scan(os.path.join(scan_dir, name), scan_id=sid))
+    if not scans:
+        raise FormatError(f"no scan files found in {scan_dir}")
+    cloud = accumulate(scans, [pose_of[scan.scan_id] for scan in scans])
+    if image_dir is None:
+        return frames, cloud
+    paths = {sid: _numbered(image_dir, sid, ".ppm") for sid, _, _ in cloud.scan_ranges}
+    images = {sid: read_view_image(p, K, p) for sid, p in paths.items() if os.path.exists(p)}
+    return frames, colorize_map(cloud, frames, images, K)
+
+
+def read_scene(scene_dir) -> tuple[Sequence, list[Rect3] | None]:
+    """A directory as `write_scene` writes it, as a Sequence, and its
+    surfaces. The map is colored from images/ when there is one; the
+    surfaces are None when there is no surfaces.txt."""
+    K = read_intrinsics(os.path.join(scene_dir, "intrinsics.txt"))
+    images, surfaces = os.path.join(scene_dir, "images"), os.path.join(scene_dir, "surfaces.txt")
+    frames, cloud = load_scans(os.path.join(scene_dir, "scans"), os.path.join(scene_dir, "poses.txt"),
+                               images if os.path.isdir(images) else None, K)
+    return Sequence(frames, K, cloud), read_surfaces(surfaces) if os.path.exists(surfaces) else None
 
 
 def read_surfaces(path) -> list[Rect3]:

@@ -9,7 +9,7 @@ from pointvis.connectivity import build_graph
 from pointvis.errors import FormatError
 from pointvis.geom import Intrinsics, Pose, project, world_to_camera
 from pointvis.ingest import PointCloudMap, Scan, Sequence, accumulate
-from pointvis.synth import CanyonParams, make_canyon, scene_map
+from pointvis.synth import CanyonParams, make_canyon, scene_sequence
 
 
 @pytest.fixture(scope="session")
@@ -20,10 +20,9 @@ def small_canyon():
         image_width=128, image_height=64, focal=64.0,
     )
     scene = make_canyon(params)
-    cloud, surface_ids = scene_map(scene)
-    seq = Sequence([(p.frame_id, p) for p in scene.trajectory], scene.intrinsics, cloud)
+    seq = scene_sequence(scene)
     graph = build_graph(seq, 5)
-    return scene, cloud, surface_ids, seq, graph
+    return scene, seq.map, seq, graph
 
 
 def uniform_sequence(n_scans, pts_per_scan, seed=0, spacing=1.0, with_colors=False):

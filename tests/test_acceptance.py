@@ -24,7 +24,6 @@ from pointvis.errors import FormatError
 from pointvis.geom import Intrinsics, Pose
 from pointvis.ingest import (
     PointCloudMap,
-    Sequence,
     attach_descriptors,
     load_map,
     save_map,
@@ -37,7 +36,7 @@ from pointvis.losses import (
 )
 from pointvis.raster import Channels, load_raster, occupancy, rasterize, rasterize_pyramid, save_raster
 from pointvis.render import psnr, render_rgb, ssim
-from pointvis.synth import CanyonParams, make_canyon, oracle_paint, scene_map
+from pointvis.synth import CanyonParams, make_canyon, oracle_paint, scene_sequence
 
 from conftest import brute_force_zbuffer, uniform_sequence
 from test_render import ssim_naive
@@ -90,7 +89,7 @@ class TestCriterion1:
             image_width=96, image_height=48, focal=48.0,
         )
         scene = make_canyon(params)
-        cloud, _ = scene_map(scene)
+        cloud = scene_sequence(scene).map
         assert len(cloud) <= 100_000
         all_idx = np.arange(len(cloud), dtype=np.int64)
         views = _random_views(scene, 50, seed=100)
@@ -117,8 +116,7 @@ class TestCriterion2:
             image_width=256, image_height=128, focal=128.0,
         )
         scene = make_canyon(params)
-        cloud, _ = scene_map(scene)
-        seq = Sequence([(p.frame_id, p) for p in scene.trajectory], scene.intrinsics, cloud)
+        seq = scene_sequence(scene)
         occ_z = [s.origin[2] for s in scene.surfaces[4:]]
         queries = [
             p for p in scene.trajectory
@@ -260,8 +258,8 @@ class TestCriterion8:
             image_width=1024, image_height=512, focal=400.0,
         )
         scene = make_canyon(params)
-        cloud, _ = scene_map(scene)
-        seq = Sequence([(p.frame_id, p) for p in scene.trajectory], scene.intrinsics, cloud)
+        seq = scene_sequence(scene)
+        cloud = seq.map
         graph = build_graph(seq, 5)
         query = scene.trajectory[1]
         t0 = time.perf_counter()
@@ -289,11 +287,9 @@ class TestCriterion9:
             np.array_equal(sa.points, sb.points)
             for sa, sb in zip(scene_a.scans, scene_b.scans)
         )
-        cloud, _ = scene_map(scene_a)
-        cloud = attach_descriptors(cloud, seed=1)
-        graph = build_graph(
-            Sequence([(p.frame_id, p) for p in scene_a.trajectory], scene_a.intrinsics, cloud), 5
-        )
+        seq = scene_sequence(scene_a)
+        cloud = attach_descriptors(seq.map, seed=1)
+        graph = build_graph(seq, 5)
         query = scene_a.trajectory[len(scene_a.trajectory) // 2]
         prev = os.environ.get("CENPBG_THREADS")
         outputs = []

@@ -18,7 +18,7 @@ from pointvis.bench import (
 from pointvis.connectivity import prune_visible
 from pointvis.errors import DomainError, FormatError
 from pointvis.ingest import PointCloudMap, Sequence
-from pointvis.synth import CanyonParams, make_canyon, oracle_visible_many, scene_map
+from pointvis.synth import CanyonParams, make_canyon, oracle_visible_many, scene_sequence
 
 from conftest import uniform_sequence
 
@@ -31,8 +31,7 @@ def occluded_canyon():
         image_width=256, image_height=128, focal=128.0,
     )
     scene = make_canyon(params)
-    cloud, _ = scene_map(scene)
-    return scene, Sequence([(p.frame_id, p) for p in scene.trajectory], scene.intrinsics, cloud)
+    return scene, scene_sequence(scene)
 
 
 class TestStrategy:
@@ -65,8 +64,7 @@ class TestRunStrategy:
             image_width=64, image_height=32, focal=32.0,
         )
         scene = make_canyon(params)
-        cloud, _ = scene_map(scene)
-        seq = Sequence([(p.frame_id, p) for p in scene.trajectory], scene.intrinsics, cloud)
+        seq = scene_sequence(scene)
         queries = scene.trajectory[::3]
         for strat in (Strategy("fullmap"), Strategy("connectivity", 5), Strategy("depth", 15.0)):
             rep = run_strategy(strat, seq, queries, surfaces=scene.surfaces)
@@ -90,8 +88,8 @@ class TestRunStrategy:
             frame_step=2.0, occluders=1, seed=3, image_width=64, image_height=32, focal=32.0,
         )
         scene = make_canyon(params)
-        cloud, _ = scene_map(scene)
-        seq = Sequence([(p.frame_id, p) for p in scene.trajectory], scene.intrinsics, cloud)
+        seq = scene_sequence(scene)
+        cloud = seq.map
         queries = scene.trajectory[::4]
         seen = []
 

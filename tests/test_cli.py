@@ -21,7 +21,7 @@ from pointvis.ingest import (
 )
 from pointvis.raster import Channels, rasterize
 from pointvis.render import read_ppm
-from pointvis.synth import read_surfaces
+from pointvis.synth import oracle_visible_many, read_scene, read_surfaces
 
 from conftest import GRAPH_DEFECTS, corrupt_graph
 
@@ -105,6 +105,12 @@ class TestBuildMap:
         got = load_map(map_path).colors
         assert np.any(np.isfinite(got))
         assert np.array_equal(got, expected.colors.astype(np.float32), equal_nan=True)
+
+    def test_read_scene_colors_as_build_map_does(self, built):
+        scene_dir, map_path, _ = built
+        seq, surfaces = read_scene(scene_dir)
+        assert np.array_equal(seq.map.colors.astype(np.float32), load_map(map_path).colors, equal_nan=True)
+        assert len(surfaces) == len(read_surfaces(scene_dir / "surfaces.txt"))
 
     def test_two_scan_fixture(self, tmp_path):
         import struct
@@ -295,6 +301,25 @@ class TestBench:
         code = main(["bench", "--scene", str(scene), "--out", str(tmp_path / "x.csv")])
         assert code == 2
 
+    def test_scene_without_intrinsics_usage_error(self, scene_dir, tmp_path):
+        scene = tmp_path / "scene"
+        shutil.copytree(scene_dir, scene, ignore=shutil.ignore_patterns("intrinsics.txt"))
+        assert main(["bench", "--scene", str(scene), "--out", str(tmp_path / "x.csv")]) == 2
+
+    # The oracle's count of the map points each query sees is that view's
+    # recall denominator: one count per query, whatever the strategies.
+    def test_oracle_counts_once_per_query(self, scene_dir, tmp_path, monkeypatch):
+        calls = []
+
+        def record(positions, pose, K, surfaces):
+            calls.append(pose.frame_id)
+            return oracle_visible_many(positions, pose, K, surfaces)
+
+        monkeypatch.setattr(bench, "oracle_visible_many", record)
+        assert main(["bench", "--scene", str(scene_dir), "--strategies", "connectivity,window,fullmap,depth:10",
+                     "--every", "3", "--out", str(tmp_path / "r.csv")]) == 0
+        assert calls == [fid for fid, _ in read_poses(scene_dir / "poses.txt")][::3]
+
     def test_unknown_strategy_usage_error(self, scene_dir, tmp_path):
         code = main(["bench", "--scene", str(scene_dir), "--strategies", "sorcery",
                      "--out", str(tmp_path / "x.csv")])
@@ -376,6 +401,15 @@ def test_render_levels_checked_before_loading(built, tmp_path, monkeypatch, leve
     assert loads == []
 
 
+@pytest.mark.parametrize("strategies", ["sorcery", "depth:nan", ","])
+def test_bench_strategies_checked_before_reading_the_scene(scene_dir, tmp_path, monkeypatch, strategies):
+    reads = []
+    monkeypatch.setattr(cli, "read_scene", lambda path: reads.append(path))
+    assert main(["bench", "--scene", str(scene_dir), "--strategies", strategies,
+                 "--out", str(tmp_path / "r.csv")]) == 2
+    assert reads == []
+
+
 # `render` checks the whole request, and reads every input but the map,
 # before it reads the map; a bad request writes no output. The machine is
 # faked as 1 GiB, where a 4096x4096 image fits at 24 B a pixel but a whole
@@ -451,6 +485,7 @@ def test_import_needs_no_scipy():
     ("build-graph", ["--poses", "SCENE"]),
     ("render", ["--frame", "3", "--map", "UNDER_MAP"]),
     *[("render", ["--frame", "3", "--graph", f"GRAPH_{defect}"]) for defect in GRAPH_DEFECTS],
+    ("bench", ["--scene", "OVERFLOW_SURFACES_SCENE"]),
 ], ids=["pose-token", "background-nan", "reference-negative-size", "every-zero", "every-negative",
         "strategy-text", "strategy-nan", "strategy-fractional-window", "strategy-extra-field",
         "strategy-fullmap-param", "bench-n-zero", "images-size", "synth-length-nan",
@@ -459,7 +494,7 @@ def test_import_needs_no_scipy():
         "synth-poses-beyond-memory", "synth-scans-beyond-memory",
         "intrinsics-image-beyond-memory", "levels-huge", "pose-distance-overflow",
         "intrinsics-binary", "poses-binary", "map-directory", "poses-directory", "map-under-file",
-        *[f"graph-{defect}" for defect in GRAPH_DEFECTS]])
+        *[f"graph-{defect}" for defect in GRAPH_DEFECTS], "surfaces-derived-overflow"])
 def test_malformed_input_usage_error(built, tmp_path, command, extra):
     scene_dir, map_path, graph_path = built
     negative = tmp_path / "neg.ppm"
@@ -476,6 +511,13 @@ def test_malformed_input_usage_error(built, tmp_path, command, extra):
     for defect in GRAPH_DEFECTS:
         names[f"GRAPH_{defect}"] = tmp_path / f"{defect}.grf"
         names[f"GRAPH_{defect}"].write_bytes(corrupt_graph(graph_path.read_bytes(), defect))
+    if "OVERFLOW_SURFACES_SCENE" in extra:  # a finite field whose edge products overflow float64
+        names["OVERFLOW_SURFACES_SCENE"] = tmp_path / "overflow"
+        shutil.copytree(scene_dir, tmp_path / "overflow", ignore=shutil.ignore_patterns("images"))
+        lines = (scene_dir / "surfaces.txt").read_text().splitlines()
+        fields = lines[1].split()
+        lines[1] = " ".join([*fields[:3], "1e308", *fields[4:]])  # the first edge's x
+        (tmp_path / "overflow" / "surfaces.txt").write_text("\n".join(lines) + "\n")
     extra = [str(names.get(x, x)) for x in extra]
     base = {
         "render": ["--map", str(map_path), "--graph", str(graph_path),

@@ -143,13 +143,13 @@ class TestPruneVisible:
         assert list(vis.point_indices) == [0]
 
     def test_indices_strictly_increasing(self, small_canyon):
-        scene, cloud, _, seq, graph = small_canyon
+        scene, cloud, seq, graph = small_canyon
         vis = visible_set_for(graph, cloud, scene.trajectory[7], scene.intrinsics)
         assert np.all(np.diff(vis.point_indices) > 0)
         assert np.all(vis.depth_of > 0)
 
     def test_matches_brute_force_oracle(self, small_canyon):
-        scene, cloud, _, seq, graph = small_canyon
+        scene, cloud, seq, graph = small_canyon
         for fid in (0, 15, 40):
             query = scene.trajectory[fid]
             cand = window_rows(cloud, *graph.window(fid))
@@ -159,7 +159,7 @@ class TestPruneVisible:
             assert got == oracle
 
     def test_subset_and_pixel_bound(self, small_canyon):
-        scene, cloud, _, seq, graph = small_canyon
+        scene, cloud, seq, graph = small_canyon
         vis = visible_set_for(graph, cloud, scene.trajectory[20], scene.intrinsics)
         K = scene.intrinsics
         assert len(vis) <= K.width * K.height
@@ -170,7 +170,7 @@ class TestPruneVisible:
             assert any(a <= i < b for a, b in windows)
 
     def test_thread_count_determinism(self, small_canyon, monkeypatch):
-        scene, cloud, _, seq, graph = small_canyon
+        scene, cloud, seq, graph = small_canyon
         query = scene.trajectory[25]
         results = []
         for threads in ("1", "2", "8"):

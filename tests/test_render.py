@@ -358,16 +358,15 @@ def test_ppm_byte_mutation_loads_or_format_error(tmp_path_factory, img, data):
 _BLAS_VIEW = """
 import hashlib
 from pointvis.connectivity import build_graph, visible_set_for
-from pointvis.ingest import Sequence
 from pointvis.raster import rasterize_pyramid
 from pointvis.render import render_rgb
-from pointvis.synth import CanyonParams, make_canyon, scene_map
+from pointvis.synth import CanyonParams, make_canyon, scene_sequence
 
 scene = make_canyon(CanyonParams(length=24.0, wall_gap=6.0, point_spacing=0.2, lidar_range=9.0, frame_step=2.0,
                                  occluders=1, seed=4, image_width=64, image_height=32))
-cloud, _ = scene_map(scene)
-K, query = scene.intrinsics, scene.trajectory[4]
-vis = visible_set_for(build_graph(Sequence([(p.frame_id, p) for p in scene.trajectory], K, cloud), 3), cloud, query, K)
+seq = scene_sequence(scene)
+cloud, K, query = seq.map, scene.intrinsics, scene.trajectory[4]
+vis = visible_set_for(build_graph(seq, 3), cloud, query, K)
 img = render_rgb(rasterize_pyramid(cloud, vis, query, K))
 print(len(cloud), len(vis), *(hashlib.sha256(a.tobytes()).hexdigest()
                               for a in (vis.point_indices, vis.pixel_of, vis.depth_of, img)))

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -12,8 +14,9 @@ from pointvis.synth import (
     oracle_visible,
     oracle_visible_many,
     ray_rect_intersect,
+    read_scene,
     read_surfaces,
-    scene_map,
+    scene_sequence,
     write_scene,
 )
 
@@ -144,7 +147,7 @@ def test_ray_rect_matches_triangle_pair(seed):
 class TestOracleVisible:
     def test_point_ahead_no_occluders(self):
         scene = make_canyon(SMALL)
-        cloud, _ = scene_map(scene)
+        cloud = scene_sequence(scene).map
         pose = scene.trajectory[0]
         # pick a map point well within the frustum
         u, v, z = project_points(pose, scene.intrinsics, cloud.positions)
@@ -154,7 +157,7 @@ class TestOracleVisible:
 
     def test_full_corridor_occluder_blocks(self):
         scene = make_canyon(SMALL)
-        cloud, _ = scene_map(scene)
+        cloud = scene_sequence(scene).map
         pose = scene.trajectory[0]
         u, v, z = project_points(pose, scene.intrinsics, cloud.positions)
         ok = (z > 5) & (u > 20) & (u < 40) & (v > 10) & (v < 20)
@@ -236,6 +239,45 @@ class TestSceneDump:
         path.write_text("0 0 0 1 0 0 0 1 0 0.5 0.5 0.5\n0 0 0 1 0 0 2 0 0 0.5 0.5 0.5\n")
         with pytest.raises(FormatError, match="surfaces.txt:2: degenerate rectangle"):
             read_surfaces(path)
+
+    # images/ and surfaces.txt are the layout's optional parts: the map is
+    # colored only with images, and the surfaces are None without the file.
+    @pytest.mark.parametrize("images", [True, False])
+    def test_read_scene_round_trip(self, tmp_path, images):
+        scene = make_canyon(SMALL)
+        write_scene(tmp_path, scene, with_images=images)
+        want = scene_sequence(scene)
+        for surfaces_file in (True, False):
+            if not surfaces_file:
+                (tmp_path / "surfaces.txt").unlink()
+            seq, surfaces = read_scene(tmp_path)
+            assert seq.frame_ids() == want.frame_ids() and seq.intrinsics == want.intrinsics
+            for (_, a), (_, b) in zip(seq.frames, want.frames, strict=True):
+                assert np.array_equal(a.rotation, b.rotation) and np.array_equal(a.translation, b.translation)
+            assert seq.map.scan_ranges == want.map.scan_ranges
+            np.testing.assert_allclose(seq.map.positions, want.map.positions, atol=1e-5)  # float32 scan files
+            assert (seq.map.colors is not None) == images
+            if images:  # the points in their own scan's view
+                assert np.isfinite(seq.map.colors).any()
+            if surfaces_file:
+                assert [s.origin.tolist() for s in surfaces] == [s.origin.tolist() for s in scene.surfaces]
+            else:
+                assert surfaces is None
+
+    # Every field is finite, but a number the ray-rectangle solve derives from
+    # the line is not: rejected where it enters, and without a warning.
+    @pytest.mark.parametrize("line", [
+        "0 0 0 1e308 0 0 0 1 0 0.5 0.5 0.5",
+        "0 0 0 1e100 0 0 0 1e110 0 0.5 0.5 0.5",
+        "1e308 0 0 2 0 0 0 1 0 0.5 0.5 0.5",
+    ], ids=["gram-entry", "gram-determinant", "origin-along-edge"])
+    def test_overflowing_surface_names_line(self, tmp_path, line):
+        path = tmp_path / "surfaces.txt"
+        path.write_text("0 0 0 1 0 0 0 1 0 0.5 0.5 0.5\n" + line + "\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FormatError, match="surfaces.txt:2: rectangle too large"):
+                read_surfaces(path)
 
     def test_dump_is_deterministic(self, tmp_path):
         for sub in ("a", "b"):
