@@ -8,48 +8,37 @@ import argparse
 import os
 import sys
 
-import numpy as np
-
 from . import bench as bench_mod
 from .connectivity import build_graph, load_graph, save_graph, visible_set_for
 from .errors import DomainError, FormatError
 from .geom import Pose, scale_intrinsics
 from .ingest import Sequence, load_map, read_intrinsics, read_pose, read_poses, save_map
-from .raster import Channels, rasterize_pyramid
-from .render import psnr, read_view_image, render_rgb, ssim, write_ppm
+from .raster import DEFAULT_LEVELS, Channels, rasterize_pyramid
+from .render import (
+    DEFAULT_BACKGROUND, check_background, check_levels, psnr, read_view_image, render_rgb, ssim, write_ppm,
+)
 from .synth import CanyonParams, load_scans, make_canyon, read_scene, write_scene
+
+# `synth`'s scene options, each the `CanyonParams` field it sets, with that field's default and type
+_SYNTH_OPTIONS = (("--length", "length"), ("--wall-gap", "wall_gap"), ("--spacing", "point_spacing"),
+                  ("--lidar-range", "lidar_range"), ("--frame-step", "frame_step"), ("--occluders", "occluders"),
+                  ("--occluder-clearance", "occluder_clearance"), ("--seed", "seed"), ("--width", "image_width"),
+                  ("--height", "image_height"))
+_WINDOW_N = 5  # the default connectivity window n of build-graph and bench
 
 
 def _parse_levels(text: str) -> list[int]:
-    """The sorted levels of `render --levels`: level 0, at least one coarser
-    level (the renderer fills holes from it) and no negative level."""
+    """The sorted levels of `render --levels`, held to the renderer's rule."""
     try:
         levels = sorted({int(x) for x in text.split(",") if x.strip() != ""})
     except ValueError as e:
         raise DomainError(f"bad level list {text!r}") from e
-    if 0 not in levels:
-        raise DomainError(f"level list {text!r} lacks level 0")
-    if levels[0] < 0:
-        raise DomainError(f"level list {text!r} has a negative level")
-    if len(levels) < 2:
-        raise DomainError(f"level list {text!r} has no level coarser than 0")
+    check_levels(levels)
     return levels
 
 
 def cmd_synth(args) -> int:
-    params = CanyonParams(
-        length=args.length,
-        wall_gap=args.wall_gap,
-        point_spacing=args.spacing,
-        lidar_range=args.lidar_range,
-        frame_step=args.frame_step,
-        occluders=args.occluders,
-        seed=args.seed,
-        occluder_clearance=args.occluder_clearance,
-        image_width=args.width,
-        image_height=args.height,
-    )
-    scene = make_canyon(params)
+    scene = make_canyon(CanyonParams(**{field: getattr(args, field) for _, field in _SYNTH_OPTIONS}))
     write_scene(args.out, scene, with_images=args.images)
     n_pts = sum(len(s) for s in scene.scans)
     print(f"wrote scene to {args.out}: {len(scene.scans)} scans, {n_pts} scan points")
@@ -99,8 +88,7 @@ def cmd_render(args) -> int:
     levels = _parse_levels(args.levels)
     K = read_intrinsics(args.intrinsics)
     scale_intrinsics(K, levels[-1])  # a level too coarse for the image
-    if not np.isfinite(args.background):
-        raise DomainError(f"--background must be finite, got {args.background!r}")
+    check_background(args.background)
     ref = read_view_image(args.reference, K, "--reference") if args.reference else None
     graph = load_graph(args.graph)
     query = _query_pose(args, graph)
@@ -152,16 +140,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate a synthetic canyon scene")
     p.add_argument("--out", required=True)
-    p.add_argument("--length", type=float, default=60.0)
-    p.add_argument("--wall-gap", type=float, default=8.0)
-    p.add_argument("--spacing", type=float, default=0.25)
-    p.add_argument("--lidar-range", type=float, default=20.0)
-    p.add_argument("--frame-step", type=float, default=1.0)
-    p.add_argument("--occluders", type=int, default=0)
-    p.add_argument("--occluder-clearance", type=float, default=0.0)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--width", type=int, default=256)
-    p.add_argument("--height", type=int, default=128)
+    scene_defaults = CanyonParams()
+    for option, field in _SYNTH_OPTIONS:
+        default = getattr(scene_defaults, field)
+        metavar = option[2:].replace("-", "_").upper()  # argparse's own, from the option's name
+        p.add_argument(option, dest=field, metavar=metavar, type=type(default), default=default)
     p.add_argument("--images", action="store_true", help="also paint reference PPMs")
     p.set_defaults(func=cmd_synth)
 
@@ -177,7 +160,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--map", required=True)
     p.add_argument("--poses", required=True)
     p.add_argument("--intrinsics")
-    p.add_argument("--n", type=int, default=5)
+    p.add_argument("--n", type=int, default=_WINDOW_N)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_build_graph)
 
@@ -187,8 +170,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--intrinsics", required=True)
     p.add_argument("--pose", help="12 floats, row-major 3x4 camera-to-world")
     p.add_argument("--frame", type=int, help="render from a stored frame's pose")
-    p.add_argument("--levels", default="0,1,2,3,4,5")
-    p.add_argument("--background", type=float, default=0.5)
+    p.add_argument("--levels", default=",".join(map(str, DEFAULT_LEVELS)))
+    p.add_argument("--background", type=float, default=DEFAULT_BACKGROUND)
     p.add_argument("--reference", help="PPM to score against (prints psnr/ssim)")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_render)
@@ -196,7 +179,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="score visibility strategies on a scene dump")
     p.add_argument("--scene", required=True, help="directory written by `pointvis synth`")
     p.add_argument("--strategies", default="connectivity,fullmap")
-    p.add_argument("--n", type=int, default=5)
+    p.add_argument("--n", type=int, default=_WINDOW_N)
     p.add_argument("--every", type=int, default=1, help="use every k-th frame as a query")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_bench)

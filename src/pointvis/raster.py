@@ -44,9 +44,27 @@ class RasterImage:
 
 @dataclass
 class RasterPyramid:
-    levels: list[RasterImage]  # strictly increasing in level
+    levels: list[RasterImage]  # sorted by level on construction
     channels: Channels
     source_frame: int = -1
+
+    def __post_init__(self):
+        """Sort the levels. No level is negative or repeated, and with (h, w, C)
+        the finest level's features, level t is (h >> d, w >> d, C), d = t - finest."""
+        self.levels = sorted(self.levels, key=lambda im: im.level)
+        if not self.levels or self.levels[0].features.ndim != 3:
+            raise DomainError("a pyramid needs at least one level, the finest with (h, w, C) features")
+        finest, prev = self.levels[0], None
+        h, w, c = finest.features.shape
+        for img in self.levels:
+            t, d = img.level, img.level - finest.level
+            if t < 0 or t == prev:
+                raise DomainError(f"level {t} is {'negative' if t < 0 else 'repeated'}")
+            hw = (h >> d, w >> d)
+            if img.mask.shape != hw or img.depth.shape != hw or img.features.shape != (*hw, c):
+                raise DomainError(f"level {t} has mask {img.mask.shape}, depth {img.depth.shape} and features"
+                                  f" {img.features.shape}, expected {hw} and {(*hw, c)}")
+            prev = t
 
     def level(self, t: int) -> RasterImage:
         for img in self.levels:
@@ -94,8 +112,6 @@ def rasterize_pyramid(
     minimum is associative, so level t equals the z-buffer at
     `scale_intrinsics(K, t)`."""
     levels = sorted(set(levels))
-    if not levels:
-        raise DomainError("level set must be non-empty")
     attrs = _attribute_array(cloud, channels)
     vis = indices
     if not isinstance(vis, VisibleSet):
@@ -125,6 +141,8 @@ def rasterize_pyramid(
 
 def occupancy(image: RasterImage) -> float:
     """Fraction of pixels holding a point."""
+    if image.mask.size == 0:
+        raise DomainError(f"level {image.level} has no pixels")
     return float(np.count_nonzero(image.mask)) / image.mask.size
 
 
@@ -135,13 +153,21 @@ def _bad_depth(depth: np.ndarray, mask: np.ndarray) -> bool:
 
 
 def save_raster(path, image: RasterImage) -> None:
-    h, w, c = image.features.shape
+    """An image the format cannot hold is a DomainError before the file is opened."""
+    level, shape = image.level, image.features.shape
+    fields = (RASTER_VERSION, level, *shape)
+    try:
+        _RASTER_HEADER.pack(*fields)  # features not (h, w, C), or a level or size the header cannot hold
+    except struct.error as e:
+        raise DomainError(f"level {level} of features {shape} does not fit a raster: {e}") from None
+    if image.mask.shape != shape[:2] or image.depth.shape != shape[:2]:
+        raise DomainError(f"level {level} has mask {image.mask.shape} and depth {image.depth.shape}, not {shape[:2]}")
     with np.errstate(over="ignore"):  # a depth beyond float32 becomes inf: refused below
         depth = image.depth.astype("<f4")
     if _bad_depth(depth, image.mask):
         raise DomainError("a set pixel has a depth that is not finite and positive in float32")
     arrays = [np.packbits(image.mask.reshape(-1)), depth, image.features.astype("<f4")]
-    write_binary(path, RASTER_MAGIC, _RASTER_HEADER, (RASTER_VERSION, image.level, h, w, c), arrays)
+    write_binary(path, RASTER_MAGIC, _RASTER_HEADER, fields, arrays)
 
 
 def _raster_sizes(fields):

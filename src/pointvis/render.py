@@ -28,32 +28,35 @@ from .raster import Channels, RasterPyramid
 DEFAULT_BACKGROUND = 0.5
 
 
+def check_levels(levels) -> None:
+    """The renderer's levels: level 0, a coarser one to fill holes from, none negative."""
+    levels = sorted(set(levels))
+    if levels[:1] != [0] or len(levels) < 2:
+        raise DomainError(f"level list {levels} needs level 0, a coarser level and no negative level")
+
+
+def check_background(value) -> np.ndarray:
+    """The background as a (3,) array: one number or 3, all finite."""
+    try:
+        bg = np.broadcast_to(np.asarray(value, dtype=np.float64), (3,))
+    except (TypeError, ValueError):
+        raise DomainError(f"background must be one number or 3 numbers, got {value!r}") from None
+    if not np.all(np.isfinite(bg)):
+        raise DomainError(f"background must be finite, got {value!r}")
+    return bg
+
+
 def render_rgb(pyramid: RasterPyramid, background=DEFAULT_BACKGROUND) -> np.ndarray:
     """Hole fill of a color pyramid into an (H, W, 3) image: one source-index
-    map, built coarse to fine, then one gather."""
+    map, built coarse to fine, then one gather. The pyramid checked its shapes."""
     if pyramid.channels is not Channels.COLOR:
         raise DomainError("renderer needs a color pyramid, got descriptors")
-    h, w, c = pyramid.level(0).features.shape
-    if len(pyramid.levels) < 2:
-        raise DomainError("pyramid must contain at least one coarser level")
+    levels = pyramid.levels
+    check_levels([img.level for img in levels])
+    bg = check_background(background)
+    h, w, c = levels[0].features.shape
     if c != 3:
         raise DomainError(f"renderer needs 3 channels, got {c}")
-    try:
-        bg = np.broadcast_to(np.asarray(background, dtype=np.float64), (3,))
-    except (TypeError, ValueError):
-        raise DomainError(f"background must be one number or 3 numbers, got {background!r}") from None
-    if not np.all(np.isfinite(bg)):
-        raise DomainError(f"background must be finite, got {background!r}")
-    levels = sorted(pyramid.levels, key=lambda im: im.level)
-    for img in levels:
-        t = img.level
-        if t < 0:
-            raise DomainError(f"level {t} is negative")
-        if img.mask.shape != (h >> t, w >> t) or img.features.shape != (h >> t, w >> t, 3):
-            raise DomainError(
-                f"level {t} has mask {img.mask.shape} and features {img.features.shape},"
-                f" expected {(h >> t, w >> t)} and {(h >> t, w >> t, 3)}"
-            )
     # table row k is the k-th cell of the levels laid end to end, finest
     # first; the last row is the background
     offsets = np.cumsum([0] + [img.mask.size for img in levels])

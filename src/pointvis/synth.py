@@ -21,7 +21,7 @@ from .ingest import (
     PointCloudMap, Scan, Sequence, accumulate, colorize_map, read_intrinsics, read_lines, read_numbers, read_poses,
     read_scan, write_intrinsics, write_poses, write_scan,
 )
-from .render import read_view_image, write_ppm
+from .render import DEFAULT_BACKGROUND, read_view_image, write_ppm
 
 SELF_HIT_EPS = 1e-4  # relative slack before the segment endpoint
 CAMERA_HEIGHT = 1.5  # the ground lies this far below the camera path
@@ -45,7 +45,9 @@ class Rect3:
         with np.errstate(over="ignore", invalid="ignore"):  # what the ray-rectangle solve derives from it alone
             n, g = self.normal, np.array([u @ u, u @ v, v @ v])  # the normal and the edges' Gram entries
             corners = self.origin + np.array([(0, 0), (1, 0), (0, 1), (1, 1)]) @ np.stack([u, v])
-            derived = (n, g, g[0] * g[2] - g[1] ** 2, np.stack([u, v, n]) @ self.origin, corners)
+            k = np.abs(g[1])  # twice the bounds on a hit's a and b numerators in `_ray_rect_t`
+            hit = 2 * np.array([(g[0] + k) * g[2] + (k + g[2]) * k, (k + g[2]) * g[0] + (g[0] + k) * k])
+            derived = (n, g, g[0] * g[2] - g[1] ** 2, np.stack([u, v, n]) @ self.origin, corners, hit)
             if not all(np.isfinite(x).all() for x in derived):
                 raise DomainError("rectangle too large: its normal, edge products or corners overflow float64")
             if np.linalg.norm(n) == 0.0:
@@ -219,20 +221,26 @@ def _ray_rect_t(origins: np.ndarray, dirs: np.ndarray, rect: Rect3) -> np.ndarra
     """Ray parameter t at which row i of origins + t*dirs meets the
     rectangle, or +inf where the ray misses it or runs parallel to it.
     The single ray-rectangle solve behind the oracle, the painter and
-    `ray_rect_intersect`; callers choose the admissible t interval."""
+    `ray_rect_intersect`; callers choose the admissible t interval.
+
+    Past t an overflow is a miss: it leaves inf or nan in a or b, which fail
+    the [0, 1] tests, and no hit overflows. For a hit, |qu| <= g11 + |g12| and
+    |qv| <= |g12| + g22 bound a's and b's numerators, which `Rect3` holds
+    finite, and t*d is the camera-to-hit offset (shorter than d for t < 1)."""
     with np.errstate(divide="ignore", invalid="ignore"):
         n = rect.normal
         m = rect.origin - origins
         t = (m @ n) / (dirs @ n)
-        q = t[:, None] * dirs - m
-        g11 = rect.edge_u @ rect.edge_u
-        g12 = rect.edge_u @ rect.edge_v
-        g22 = rect.edge_v @ rect.edge_v
-        det = g11 * g22 - g12 * g12
-        qu = q @ rect.edge_u
-        qv = q @ rect.edge_v
-        a = (qu * g22 - qv * g12) / det
-        b = (qv * g11 - qu * g12) / det
+        with np.errstate(over="ignore"):
+            q = t[:, None] * dirs - m
+            g11 = rect.edge_u @ rect.edge_u
+            g12 = rect.edge_u @ rect.edge_v
+            g22 = rect.edge_v @ rect.edge_v
+            det = g11 * g22 - g12 * g12
+            qu = q @ rect.edge_u
+            qv = q @ rect.edge_v
+            a = (qu * g22 - qv * g12) / det
+            b = (qv * g11 - qu * g12) / det
         inside = np.isfinite(t) & (a >= 0.0) & (a <= 1.0) & (b >= 0.0) & (b <= 1.0)
         return np.where(inside, t, np.inf)
 
@@ -281,7 +289,7 @@ def oracle_visible(
 
 
 def oracle_paint(
-    pose: Pose, K: Intrinsics, surfaces: list[Rect3], background: float = 0.5
+    pose: Pose, K: Intrinsics, surfaces: list[Rect3], background: float = DEFAULT_BACKGROUND
 ) -> np.ndarray:
     """Analytic ground-truth render: nearest surface hit per pixel-center
     ray, textured; background where no surface is hit."""

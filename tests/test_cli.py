@@ -2,6 +2,7 @@ import os
 import shutil
 import subprocess
 import sys
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from pointvis import bench, cli
 from pointvis.bench import Strategy, read_report_csv, run_strategy
 from pointvis.cli import main
 from pointvis.connectivity import load_graph
+from pointvis.errors import DomainError
 from pointvis.ingest import (
     Sequence,
     accumulate,
@@ -19,9 +21,9 @@ from pointvis.ingest import (
     read_poses,
     read_scan,
 )
-from pointvis.raster import Channels, rasterize
-from pointvis.render import read_ppm
-from pointvis.synth import oracle_visible_many, read_scene, read_surfaces
+from pointvis.raster import Channels, RasterImage, RasterPyramid, rasterize
+from pointvis.render import read_ppm, render_rgb
+from pointvis.synth import CanyonParams, oracle_visible_many, read_scene, read_surfaces
 
 from conftest import GRAPH_DEFECTS, corrupt_graph
 
@@ -401,6 +403,33 @@ def test_render_levels_checked_before_loading(built, tmp_path, monkeypatch, leve
     assert loads == []
 
 
+# `render --levels` holds a level list to the renderer's own rule.
+@pytest.mark.parametrize("levels", ["1,3", "0", "-1,0"])
+def test_render_levels_rejected_as_render_rgb_rejects_them(built, tmp_path, levels):
+    scene_dir, map_path, graph_path = built
+    assert main(["render", "--map", str(map_path), "--graph", str(graph_path),
+                 "--intrinsics", str(scene_dir / "intrinsics.txt"), "--frame", "3",
+                 f"--levels={levels}", "--out", str(tmp_path / "v.ppm")]) == 2
+    ts = [int(t) for t in levels.split(",")]
+    hw = [(16 >> (t - min(ts)), 16 >> (t - min(ts))) for t in ts]
+    with pytest.raises(DomainError):
+        render_rgb(RasterPyramid([RasterImage(t, np.zeros((*s, 3)), np.full(s, np.inf), np.zeros(s, dtype=bool))
+                                  for t, s in zip(ts, hw)], Channels.COLOR))
+
+
+# `synth`'s scene options take their defaults from `CanyonParams`.
+def test_synth_defaults_are_canyon_params(tmp_path, monkeypatch):
+    made = []
+
+    def record(params):
+        made.append(params)
+        raise DomainError("recorded")
+
+    monkeypatch.setattr(cli, "make_canyon", record)
+    assert main(["synth", "--out", str(tmp_path / "scene")]) == 2
+    assert made == [CanyonParams()]
+
+
 @pytest.mark.parametrize("strategies", ["sorcery", "depth:nan", ","])
 def test_bench_strategies_checked_before_reading_the_scene(scene_dir, tmp_path, monkeypatch, strategies):
     reads = []
@@ -530,6 +559,23 @@ def test_malformed_input_usage_error(built, tmp_path, command, extra):
         "synth": ["--out", str(tmp_path / "scene")],
     }[command]
     assert main([command, *base, *extra]) == 2
+
+
+# A wall moved 1e306 along z is a valid surface that no view's ray reaches:
+# the oracle's solve overflows on it, which is a miss, so `bench` exits 0
+# and scores every view as if the wall were not there.
+def test_far_surface_scores_as_absent(scene_dir, tmp_path):
+    lines = (scene_dir / "surfaces.txt").read_text().splitlines()
+    fields = lines[1].split()
+    far = [lines[0], " ".join([*fields[:2], "1e306", *fields[3:]]), *lines[2:]]
+    reports = []
+    for name, surfaces in (("far", far), ("absent", [lines[0], *lines[2:]])):
+        shutil.copytree(scene_dir, tmp_path / name, ignore=shutil.ignore_patterns("images"))
+        (tmp_path / name / "surfaces.txt").write_text("\n".join(surfaces) + "\n")
+        assert main(["bench", "--scene", str(tmp_path / name), "--strategies", "fullmap",
+                     "--out", str(tmp_path / f"{name}.csv")]) == 0
+        reports.append([r[:6] for r in map(astuple, read_report_csv(tmp_path / f"{name}.csv").rows)])
+    assert reports[0] == reports[1]
 
 
 # An output that cannot be written (here a full device) is an OSError: exit 2.

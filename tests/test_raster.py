@@ -325,6 +325,25 @@ class TestRasterSerialization:
             save_raster(path, img)
         assert not path.exists()
 
+    # An image the format cannot hold is refused before the file is opened.
+    @pytest.mark.parametrize("level, depth_shape", [(0, (3, 4)), (-3, (3, 5)), (70000, (3, 5))],
+                             ids=["depth-shape", "level-negative", "level-beyond-header"])
+    def test_image_outside_the_format_not_saved(self, tmp_path, level, depth_shape):
+        img = RasterImage(level, np.zeros((3, 5, 2)), np.full(depth_shape, np.inf), np.zeros((3, 5), dtype=bool))
+        path = tmp_path / "x.ras"
+        with pytest.raises(DomainError, match=f"level {level}"):
+            save_raster(path, img)
+        assert not path.exists()
+
+    # The format holds a 0x0 image; its occupancy is undefined, not a division by zero.
+    def test_empty_image_round_trips_and_has_no_occupancy(self, tmp_path):
+        img = RasterImage(2, np.zeros((0, 0, 3)), np.zeros((0, 0)), np.zeros((0, 0), dtype=bool))
+        save_raster(tmp_path / "e.ras", img)
+        back = load_raster(tmp_path / "e.ras")
+        assert back.level == 2 and back.features.shape == (0, 0, 3)
+        with pytest.raises(DomainError, match="level 2 has no pixels"):
+            occupancy(back)
+
 
 @st.composite
 def _small_rasters(draw):

@@ -179,15 +179,30 @@ def _level(t, mask_shape, features_shape):
 ])
 def test_level_of_wrong_shape_rejected(t, mask_shape, features_shape):
     base = _level(0, (16, 16), (16, 16, 3))
-    pyr = RasterPyramid([base, _level(t, mask_shape, features_shape)], Channels.COLOR)
     with pytest.raises(DomainError, match=f"level {t}"):
-        render_rgb(pyr)
+        RasterPyramid([base, _level(t, mask_shape, features_shape)], Channels.COLOR)
 
 
 def test_level_0_mask_of_wrong_shape_rejected():
-    pyr = RasterPyramid([_level(0, (16, 15), (16, 16, 3)), _level(1, (8, 8), (8, 8, 3))], Channels.COLOR)
     with pytest.raises(DomainError, match="level 0"):
-        render_rgb(pyr)
+        RasterPyramid([_level(0, (16, 15), (16, 16, 3)), _level(1, (8, 8), (8, 8, 3))], Channels.COLOR)
+
+
+@pytest.mark.parametrize("levels, match", [
+    ([], "at least one level"), ([0, 1, 1], "level 1 is repeated"), ([0, 2, 0], "level 0 is repeated"),
+], ids=["none", "repeated-1", "repeated-0"])
+def test_pyramid_level_set_rejected(levels, match):
+    with pytest.raises(DomainError, match=match):
+        RasterPyramid([_level(t, (16 >> t, 16 >> t), (16 >> t, 16 >> t, 3)) for t in levels], Channels.COLOR)
+
+
+# A pyramid sorts its levels, so any order renders as the sorted one.
+def test_unsorted_levels_render_as_sorted():
+    fills = {0: [(3, 4, (1.0, 0.0, 0.0))], 1: [(5, 5, (0.0, 1.0, 0.0))], 3: [(1, 0, (0.0, 0.0, 1.0))]}
+    pyr = pyramid_of(fills)
+    shuffled = RasterPyramid([pyr.levels[2], pyr.levels[0], pyr.levels[1]], Channels.COLOR)
+    assert [img.level for img in shuffled.levels] == [0, 1, 3]
+    assert np.array_equal(render_rgb(shuffled, 0.2), render_rgb(pyr, 0.2))
 
 
 class TestPsnr:

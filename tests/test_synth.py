@@ -270,7 +270,8 @@ class TestSceneDump:
         "0 0 0 1e308 0 0 0 1 0 0.5 0.5 0.5",
         "0 0 0 1e100 0 0 0 1e110 0 0.5 0.5 0.5",
         "1e308 0 0 2 0 0 0 1 0 0.5 0.5 0.5",
-    ], ids=["gram-entry", "gram-determinant", "origin-along-edge"])
+        "0 0 0 8 0 1e120 0 0 24 0.5 0.5 0.5",  # a hit's b numerator reaches 2.4e121 * 1e240
+    ], ids=["gram-entry", "gram-determinant", "origin-along-edge", "hit-numerator"])
     def test_overflowing_surface_names_line(self, tmp_path, line):
         path = tmp_path / "surfaces.txt"
         path.write_text("0 0 0 1 0 0 0 1 0 0.5 0.5 0.5\n" + line + "\n")
