@@ -32,9 +32,11 @@
 # small scene without images/ and surfaces.txt, the scene reader's two
 # optional parts, is benched too: its map has no colors and its leak columns
 # are nan. The CSVs are compared on columns 1-6, since columns 7-8 are
-# timings. Last, `synth --out` with no other option writes the scene of
-# every default scene option, and the two scene directories are compared
-# file by file.
+# timings. Last, `synth --out --images` with no other option writes the
+# scene of every default scene option. The two trees' scene directories
+# (the small scene, the dense one and the default one) are compared file by
+# file: scans, poses, intrinsics, surfaces and the painter's images/, whose
+# bits would otherwise be compared only through the map's colors.
 set -euo pipefail
 if [ $# -lt 1 ] || [ $# -gt 2 ]; then
   echo "usage: $0 BASE_TREE [WORK_DIR]" >&2
@@ -91,7 +93,7 @@ for tree in base head; do
     --out "$out/bare-bench.csv"
   pv bench --scene "$out/dense" --strategies connectivity,fullmap,depth:10,radius:6 --n 3 \
     --out "$out/dense-bench.csv"
-  pv synth --out "$out/default"
+  pv synth --out "$out/default" --images
 done
 for f in map.bin graph.bin view.ppm view-gaps.ppm view-pose.ppm view-pose4.ppm view-first.ppm view-last.ppm \
   dense-view-first.ppm dense-view-4.ppm dense-view-last.ppm; do
@@ -108,8 +110,10 @@ for f in "$work"/cli-base/bench_*.csv "$work"/cli-base/bare-bench_*.csv \
     status=1
   fi
 done
-if ! diff -r --brief "$work/cli-base/default" "$work/cli-head/default"; then
-  echo "::error::the scene of synth's default options differs from the base commit"
-  status=1
-fi
+for d in scene dense default; do
+  if ! diff -r --brief "$work/cli-base/$d" "$work/cli-head/$d"; then
+    echo "::error::the synth scene directory $d differs from the base commit"
+    status=1
+  fi
+done
 exit $status

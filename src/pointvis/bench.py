@@ -7,7 +7,7 @@ import csv
 import io
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
@@ -22,8 +22,6 @@ from .geom import Pose, world_to_camera_many
 from .ingest import Sequence, read_text
 from .raster import Channels, rasterize
 from .synth import Rect3, oracle_occluded_many, oracle_visible_many
-
-CSV_HEADER = ["frame_id", "retrieved", "visible", "leak", "precision", "recall", "prune_s", "raster_s"]
 
 
 @dataclass(frozen=True)
@@ -69,6 +67,9 @@ class ViewStats:
     recall: float
     prune_s: float
     raster_s: float
+
+
+CSV_HEADER = [f.name for f in fields(ViewStats)]  # a report's columns: `write_report_csv` writes each row's fields
 
 
 @dataclass
@@ -181,11 +182,7 @@ def write_report_csv(path, report: StrategyReport) -> None:
     with open(path, "w", encoding="utf-8", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(CSV_HEADER)
-        for r in report.rows:
-            writer.writerow(
-                [r.frame_id, r.retrieved, r.visible, repr(r.leak), repr(r.precision),
-                 repr(r.recall), repr(r.prune_s), repr(r.raster_s)]
-            )
+        writer.writerows(astuple(r) for r in report.rows)
 
 
 def read_report_csv(path, strategy: str = "", map_size: int = 0) -> StrategyReport:

@@ -37,16 +37,11 @@ class RasterImage:
     depth: np.ndarray  # (h, w), +inf where empty
     mask: np.ndarray  # (h, w) bool
 
-    @property
-    def channel_count(self) -> int:
-        return self.features.shape[2]
-
 
 @dataclass
 class RasterPyramid:
     levels: list[RasterImage]  # sorted by level on construction
     channels: Channels
-    source_frame: int = -1
 
     def __post_init__(self):
         """Sort the levels. No level is negative or repeated, and with (h, w, C)
@@ -117,7 +112,7 @@ def rasterize_pyramid(
     if not isinstance(vis, VisibleSet):
         vis = prune_visible(indices, cloud, pose, K)
     elif vis.pose != pose or vis.K != K:
-        vis = prune_visible(vis.point_indices, cloud, pose, K, vis.source_frame)
+        vis = prune_visible(vis.point_indices, cloud, pose, K)
     idx, ui, vi, depth = vis.point_indices, vis.pixel_of[:, 0], vis.pixel_of[:, 1], vis.depth_of
     images, prev = [], 0
     for t in levels:
@@ -136,7 +131,7 @@ def rasterize_pyramid(
         mask.reshape(-1)[pix] = True
         images.append(RasterImage(t, features, depth_img, mask))
         prev = t
-    return RasterPyramid(images, channels, vis.source_frame)
+    return RasterPyramid(images, channels)
 
 
 def occupancy(image: RasterImage) -> float:

@@ -29,12 +29,20 @@ CAMERA_HEIGHT = 1.5  # the ground lies this far below the camera path
 
 @dataclass
 class Rect3:
-    """Textured rectangle: origin + a*edge_u + b*edge_v, (a, b) in [0,1]^2."""
+    """Textured rectangle: origin + a*edge_u + b*edge_v, (a, b) in [0,1]^2.
+
+    Construction also computes what the ray-rectangle solve reads: the
+    normal n = edge_u x edge_v and the dual vectors dual_u = (edge_v x n) /
+    (n @ n) and dual_v = (n x edge_u) / (n @ n), so that an offset q =
+    a*edge_u + b*edge_v in the plane has a = q @ dual_u and b = q @ dual_v."""
 
     origin: np.ndarray
     edge_u: np.ndarray
     edge_v: np.ndarray
     color: np.ndarray  # base RGB in [0, 1]
+    normal: np.ndarray = field(init=False, repr=False)
+    dual_u: np.ndarray = field(init=False, repr=False)
+    dual_v: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.origin = np.asarray(self.origin, dtype=np.float64).reshape(3)
@@ -42,20 +50,18 @@ class Rect3:
         self.edge_v = np.asarray(self.edge_v, dtype=np.float64).reshape(3)
         self.color = np.asarray(self.color, dtype=np.float64).reshape(3)
         u, v = self.edge_u, self.edge_v
-        with np.errstate(over="ignore", invalid="ignore"):  # what the ray-rectangle solve derives from it alone
-            n, g = self.normal, np.array([u @ u, u @ v, v @ v])  # the normal and the edges' Gram entries
-            corners = self.origin + np.array([(0, 0), (1, 0), (0, 1), (1, 1)]) @ np.stack([u, v])
-            k = np.abs(g[1])  # twice the bounds on a hit's a and b numerators in `_ray_rect_t`
-            hit = 2 * np.array([(g[0] + k) * g[2] + (k + g[2]) * k, (k + g[2]) * g[0] + (g[0] + k) * k])
-            derived = (n, g, g[0] * g[2] - g[1] ** 2, np.stack([u, v, n]) @ self.origin, corners, hit)
-            if not all(np.isfinite(x).all() for x in derived):
-                raise DomainError("rectangle too large: its normal, edge products or corners overflow float64")
-            if np.linalg.norm(n) == 0.0:
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            n = self.normal = np.cross(u, v)
+            nn = n @ n
+            if nn == 0.0:
                 raise DomainError("degenerate rectangle: spanning vectors are parallel")
-
-    @property
-    def normal(self) -> np.ndarray:
-        return np.cross(self.edge_u, self.edge_v)
+            duals = np.stack([np.cross(v, n), np.cross(n, u)]) / nn
+            self.dual_u, self.dual_v = duals
+            corners = self.origin + np.array([(0, 0), (1, 0), (0, 1), (1, 1)]) @ np.stack([u, v])
+            reach = 2 * (np.abs(u) + np.abs(v)) @ np.abs(duals).T  # twice the bound on a hit's |a|, |b| terms
+            derived = (n, nn, duals, corners, np.stack([u, v, n]) @ self.origin, reach)
+            if not all(np.isfinite(x).all() for x in derived):
+                raise DomainError("rectangle too large: its normal, dual vectors or corners overflow float64")
 
 
 def texture_color(surface_idx: int, base: np.ndarray, points: np.ndarray) -> np.ndarray:
@@ -94,7 +100,6 @@ class SyntheticScene:
     trajectory: list[Pose]
     scans: list[Scan]
     intrinsics: Intrinsics
-    seed: int
     scan_colors: list[np.ndarray] = field(default_factory=list)
     samples: np.ndarray | None = None
     sample_colors: np.ndarray | None = None
@@ -141,6 +146,11 @@ def make_canyon(params: CanyonParams) -> SyntheticScene:
         grids = np.maximum(1.0, np.rint(sides / p.point_spacing))
         n_samples = sum(n * c for n, c in zip(grids.prod(axis=1), counts) if c)
     check_fits(frames, 96, f"length {L:g} at frame_step {p.frame_step:g} gives {frames:g} poses")  # 12 float64
+    n_frames = int(round(L / p.frame_step))
+    if n_frames == 0:
+        raise DomainError(f"length {L:g} at frame_step {p.frame_step:g} gives no pose")
+    focal = p.focal if p.focal is not None else p.image_width / 2
+    K = Intrinsics(focal, focal, p.image_width / 2, p.image_height / 2, p.image_width, p.image_height)
     check_fits(n_samples, 24, f"length {L:g}, wall_gap {g:g} and {p.occluders} occluders at point_spacing "
                f"{p.point_spacing:g} give {n_samples:g} samples")  # one float64 xyz row each
     surfaces = [
@@ -180,7 +190,6 @@ def make_canyon(params: CanyonParams) -> SyntheticScene:
     sample_colors = np.concatenate(color_parts)
     sample_surface = np.concatenate(surf_parts)
 
-    n_frames = int(round(L / p.frame_step))
     n_rows = _scan_rows_bound(samples[:, 2], n_frames, p)
     check_fits(n_rows, 48, f"{n_frames} frames in lidar_range {p.lidar_range:g} of {len(samples)} samples "
                f"give up to {n_rows} scan rows")  # float64 xyz and color each
@@ -193,9 +202,7 @@ def make_canyon(params: CanyonParams) -> SyntheticScene:
         scans.append(Scan(t, samples[near] - center))
         scan_colors.append(sample_colors[near])
 
-    focal = p.focal if p.focal is not None else p.image_width / 2
-    K = Intrinsics(focal, focal, p.image_width / 2, p.image_height / 2, p.image_width, p.image_height)
-    return SyntheticScene(surfaces, trajectory, scans, K, p.seed, scan_colors, samples, sample_colors, sample_surface)
+    return SyntheticScene(surfaces, trajectory, scans, K, scan_colors, samples, sample_colors, sample_surface)
 
 
 def _scan_rows_bound(z: np.ndarray, n_frames: int, p: CanyonParams) -> int:
@@ -221,26 +228,23 @@ def _ray_rect_t(origins: np.ndarray, dirs: np.ndarray, rect: Rect3) -> np.ndarra
     """Ray parameter t at which row i of origins + t*dirs meets the
     rectangle, or +inf where the ray misses it or runs parallel to it.
     The single ray-rectangle solve behind the oracle, the painter and
-    `ray_rect_intersect`; callers choose the admissible t interval.
+    `ray_rect_intersect`; callers choose the admissible t interval, which
+    never holds 0.
 
-    Past t an overflow is a miss: it leaves inf or nan in a or b, which fail
-    the [0, 1] tests, and no hit overflows. For a hit, |qu| <= g11 + |g12| and
-    |qv| <= |g12| + g22 bound a's and b's numerators, which `Rect3` holds
-    finite, and t*d is the camera-to-hit offset (shorter than d for t < 1)."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        n = rect.normal
+    With m = origin - o, t = (m @ n) / (d @ n), and the offset q = t*d - m
+    from the rectangle's origin to the plane hit is a*edge_u + b*edge_v, so
+    a = q @ dual_u and b = q @ dual_v: no Gram determinant to cancel. An
+    overflow is a miss: it leaves inf, nan or 0 in t, or inf or nan in a or
+    b. No hit overflows past t. A hit has |q_i| <= |u_i| + |v_i|, so (|u| +
+    |v|) @ |dual| bounds each term of a and b, and `Rect3` holds twice that
+    finite; t*d is the camera-to-hit offset (shorter than d for t < 1). A
+    segment hit has |m @ n| < |d @ n|, so its t overflows only with d @ n,
+    on a segment too long for float64 to solve."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         m = rect.origin - origins
-        t = (m @ n) / (dirs @ n)
-        with np.errstate(over="ignore"):
-            q = t[:, None] * dirs - m
-            g11 = rect.edge_u @ rect.edge_u
-            g12 = rect.edge_u @ rect.edge_v
-            g22 = rect.edge_v @ rect.edge_v
-            det = g11 * g22 - g12 * g12
-            qu = q @ rect.edge_u
-            qv = q @ rect.edge_v
-            a = (qu * g22 - qv * g12) / det
-            b = (qv * g11 - qu * g12) / det
+        t = (m @ rect.normal) / (dirs @ rect.normal)
+        q = t[:, None] * dirs - m
+        a, b = q @ rect.dual_u, q @ rect.dual_v
         inside = np.isfinite(t) & (a >= 0.0) & (a <= 1.0) & (b >= 0.0) & (b <= 1.0)
         return np.where(inside, t, np.inf)
 
@@ -280,12 +284,6 @@ def oracle_visible_many(
     if np.any(visible):
         visible[visible] &= ~oracle_occluded_many(pts[visible], pose, surfaces)
     return visible
-
-
-def oracle_visible(
-    cloud: PointCloudMap, index: int, pose: Pose, K: Intrinsics, surfaces: list[Rect3]
-) -> bool:
-    return bool(oracle_visible_many(cloud.positions[index : index + 1], pose, K, surfaces)[0])
 
 
 def oracle_paint(

@@ -96,18 +96,18 @@ def outside_view(boxes: np.ndarray, pose: Pose, K: Intrinsics) -> np.ndarray:
     magnitudes the projection rounds: (size + |t|) times the sum of the
     intrinsics' magnitudes. It is all one (boxes, 7) @ (7, 5) product. A
     box whose numbers overflow, or one not built (infinite), is never
-    outside."""
+    outside, and neither is any box of a plane whose bound overflows."""
     planes = np.array([
         [0.0, K.fx, -K.fx, 0.0, 0.0],
         [0.0, 0.0, 0.0, K.fy, -K.fy],
         [1.0, K.cx, K.width - K.cx, K.cy, K.height - K.cy],
     ])
-    normals = pose.rotation @ planes
-    slack = _MARGIN * (1.0 + K.fx + K.fy + abs(K.cx) + abs(K.cy) + K.width + K.height)
-    weights = np.vstack([normals, np.abs(normals), np.full(5, slack)])
-    bound = pose.translation @ normals - slack * np.abs(pose.translation).sum()
     with np.errstate(over="ignore", invalid="ignore"):
-        return (boxes @ weights < bound).any(axis=1)
+        normals = pose.rotation @ planes
+        slack = _MARGIN * (1.0 + K.fx + K.fy + abs(K.cx) + abs(K.cy) + K.width + K.height)
+        weights = np.vstack([normals, np.abs(normals), np.full(5, slack)])
+        bound = pose.translation @ normals - slack * np.abs(pose.translation).sum()
+        return (boxes @ weights < np.where(np.isfinite(bound), bound, -np.inf)).any(axis=1)
 
 
 def zbuffer_winners(

@@ -515,6 +515,8 @@ def test_import_needs_no_scipy():
     ("render", ["--frame", "3", "--map", "UNDER_MAP"]),
     *[("render", ["--frame", "3", "--graph", f"GRAPH_{defect}"]) for defect in GRAPH_DEFECTS],
     ("bench", ["--scene", "OVERFLOW_SURFACES_SCENE"]),
+    ("synth", ["--frame-step", "3", "--length", "1"]),
+    ("synth", ["--width", "0"]),
 ], ids=["pose-token", "background-nan", "reference-negative-size", "every-zero", "every-negative",
         "strategy-text", "strategy-nan", "strategy-fractional-window", "strategy-extra-field",
         "strategy-fullmap-param", "bench-n-zero", "images-size", "synth-length-nan",
@@ -523,7 +525,8 @@ def test_import_needs_no_scipy():
         "synth-poses-beyond-memory", "synth-scans-beyond-memory",
         "intrinsics-image-beyond-memory", "levels-huge", "pose-distance-overflow",
         "intrinsics-binary", "poses-binary", "map-directory", "poses-directory", "map-under-file",
-        *[f"graph-{defect}" for defect in GRAPH_DEFECTS], "surfaces-derived-overflow"])
+        *[f"graph-{defect}" for defect in GRAPH_DEFECTS], "surfaces-derived-overflow", "synth-no-pose",
+        "synth-width-zero"])
 def test_malformed_input_usage_error(built, tmp_path, command, extra):
     scene_dir, map_path, graph_path = built
     negative = tmp_path / "neg.ppm"

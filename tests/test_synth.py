@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from pointvis import synth
 from pointvis.errors import DomainError, FormatError
 from pointvis.geom import Intrinsics, Pose, project_points
 from pointvis.synth import (
@@ -11,7 +12,6 @@ from pointvis.synth import (
     Rect3,
     make_canyon,
     oracle_paint,
-    oracle_visible,
     oracle_visible_many,
     ray_rect_intersect,
     read_scene,
@@ -73,6 +73,15 @@ class TestMakeCanyon:
         with pytest.raises(DomainError):
             make_canyon(CanyonParams(point_spacing=10.0, wall_gap=8.0))
 
+    # a request that gives no pose or no image is refused before any surface is sampled
+    @pytest.mark.parametrize("change", [dict(frame_step=3.0, length=1.0), dict(image_width=0)])
+    def test_unservable_request_refused_before_sampling(self, monkeypatch, change):
+        sampled = []
+        monkeypatch.setattr(synth, "texture_color", lambda *args: sampled.append(args))
+        with pytest.raises(DomainError):
+            make_canyon(CanyonParams(**change))
+        assert sampled == []
+
     def test_bad_range_rejected(self):
         with pytest.raises(DomainError):
             make_canyon(CanyonParams(wall_gap=8.0, lidar_range=4.0))
@@ -98,6 +107,13 @@ class TestRayRectIntersect:
     def test_zero_direction_rejected(self):
         with pytest.raises(DomainError):
             ray_rect_intersect([0, 0, 0], [0, 0, 0], self.RECT)
+
+    # edge_v's 1e50 along x cancels a Gram determinant g11*g22 - g12^2 to 0; the dual
+    # vectors put (0, 1.5, 0) at a = 0.5, b = 0 on the sheared and the plain rectangle
+    def test_sheared_rectangle_hit(self):
+        for edge_v in ([1e50, 0, 24], [0, 0, 24]):
+            rect = Rect3([-4, 1.5, 0], [8, 0, 0], edge_v, [1, 1, 1])
+            assert ray_rect_intersect([0, 0, -1], [0, 3, 2], rect) == 0.5
 
 
 def triangle_hit(orig, delta, a, b, c, t_max):
@@ -153,7 +169,7 @@ class TestOracleVisible:
         u, v, z = project_points(pose, scene.intrinsics, cloud.positions)
         ok = (z > 2) & (u > 10) & (u < 50) & (v > 5) & (v < 25)
         idx = int(np.nonzero(ok)[0][0])
-        assert oracle_visible(cloud, idx, pose, scene.intrinsics, scene.surfaces)
+        assert oracle_visible_many(cloud.positions[idx : idx + 1], pose, scene.intrinsics, scene.surfaces)[0]
 
     def test_full_corridor_occluder_blocks(self):
         scene = make_canyon(SMALL)
@@ -163,7 +179,8 @@ class TestOracleVisible:
         ok = (z > 5) & (u > 20) & (u < 40) & (v > 10) & (v < 20)
         idx = int(np.nonzero(ok)[0][0])
         blocker = Rect3([-10, -20, 1.0], [20, 0, 0], [0, 40, 0], [0, 0, 0])
-        assert not oracle_visible(cloud, idx, pose, scene.intrinsics, scene.surfaces + [blocker])
+        assert not oracle_visible_many(cloud.positions[idx : idx + 1], pose, scene.intrinsics,
+                                       scene.surfaces + [blocker])[0]
 
     def test_matches_triangle_pair_oracle(self):
         params = CanyonParams(
@@ -270,8 +287,7 @@ class TestSceneDump:
         "0 0 0 1e308 0 0 0 1 0 0.5 0.5 0.5",
         "0 0 0 1e100 0 0 0 1e110 0 0.5 0.5 0.5",
         "1e308 0 0 2 0 0 0 1 0 0.5 0.5 0.5",
-        "0 0 0 8 0 1e120 0 0 24 0.5 0.5 0.5",  # a hit's b numerator reaches 2.4e121 * 1e240
-    ], ids=["gram-entry", "gram-determinant", "origin-along-edge", "hit-numerator"])
+    ], ids=["gram-entry", "gram-determinant", "origin-along-edge"])
     def test_overflowing_surface_names_line(self, tmp_path, line):
         path = tmp_path / "surfaces.txt"
         path.write_text("0 0 0 1 0 0 0 1 0 0.5 0.5 0.5\n" + line + "\n")
@@ -279,6 +295,17 @@ class TestSceneDump:
             warnings.simplefilter("error")
             with pytest.raises(FormatError, match="surfaces.txt:2: rectangle too large"):
                 read_surfaces(path)
+
+    # An edge of 1e120 along z leaves the normal, the dual vectors and the bound on
+    # a hit's terms finite: a valid rectangle, met at a = 5e-121, b = 0.5
+    def test_long_sheared_surface_accepted_and_hit(self, tmp_path):
+        path = tmp_path / "surfaces.txt"
+        path.write_text("0 0 0 8 0 1e120 0 0 24 0.5 0.5 0.5\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            (rect,) = read_surfaces(path)
+            assert ray_rect_intersect([4e-120, -1, 12.5], [0, 2, 0], rect) == 0.5
+            assert ray_rect_intersect([4e-120, -1, 50], [0, 2, 0], rect) is None
 
     def test_dump_is_deterministic(self, tmp_path):
         for sub in ("a", "b"):
