@@ -20,6 +20,9 @@ import numpy as np
 from .errors import DomainError
 
 _ORTHO_TOL = 1e-6
+# Rows of t a `BinWork` tiles: one z-buffer block's, so a longer array is
+# subtracted a stretch at a time and its tile stays in cache.
+_SHIFT_ROWS = 1 << 15
 # Bytes a view holds per pixel of its image: the tracemalloc peak over the
 # prune, pyramid levels 0-5, `render_rgb` and `write_ppm` read 116 B a pixel
 # for an empty 512x256 or 1024x512 view and 198 B for one whose every pixel
@@ -137,26 +140,60 @@ def world_to_camera(pose: Pose, p) -> CamPoint:
     return CamPoint(float(c[0]), float(c[1]), float(c[2]))
 
 
-def world_to_camera_many(pose: Pose, points: np.ndarray, work: np.ndarray | None = None) -> np.ndarray:
+class BinWork:
+    """Scratch arrays for binning blocks of up to `rows` points at one pose,
+    so that a caller binning many blocks, as the z-buffer does, allocates
+    each block's temporaries once per view. `shift` is t repeated, for up
+    to `_SHIFT_ROWS` rows, and is subtracted from a flat block a stretch at
+    a time; the rest is written in place by each call of
+    `world_to_camera_many`, `project_points` and `pixel_bins`, whose
+    results are views into it, valid until its next use."""
+
+    def __init__(self, pose: Pose, rows: int):
+        self.pose, self.shift = pose, np.tile(pose.translation, min(max(rows, 1), _SHIFT_ROWS))
+        self.diff, self.prod = np.empty((rows, 3)), np.empty((rows, 3))
+        self.xyz, self.uv, self.ok = np.empty((3, rows)), np.empty((2, rows)), np.empty(rows, dtype=bool)
+
+
+def _work(pose: Pose, points: np.ndarray, work: BinWork | None) -> BinWork:
+    if work is None:
+        return BinWork(pose, len(points))
+    if work.pose is not pose or len(work.ok) < len(points):
+        raise DomainError(f"this BinWork ({len(work.ok)} rows) is for another pose or fewer than {len(points)} rows")
+    return work
+
+
+def world_to_camera_many(pose: Pose, points: np.ndarray, work: BinWork | None = None) -> np.ndarray:
     """Vectorized R^T (p - t) for an (N, 3) array, returned as a (3, N)
     array: the camera-frame x, y and z are three contiguous rows.
 
-    t is subtracted one column at a time, which is faster than broadcasting
-    it over rows of three. The product stays (p - t) @ R, transposed after:
-    R^T (p - t)^T would give the rows directly, but with OpenBLAS on a
-    Xeon (Sapphire Rapids) it made the z-buffer's later scatter-min about
-    15x slower, and it is a different BLAS call whose bits need not match.
+    t is subtracted over the flat (3N,) block against t repeated
+    (`BinWork.shift`, made once per view), in one pass for a z-buffer
+    block. Subtracting one column at a time was about 7% slower over the
+    z-buffer's binning of a 1024x512 view of 11.6M points (219 against
+    204 ms on a 2-core Xeon VM), and broadcasting t over rows of three is
+    slower still. The product stays (p - t) @ R, transposed after:
+    R^T (p - t)^T would give the rows directly, but with OpenBLAS on a Xeon
+    (Sapphire Rapids) it made the z-buffer's later scatter-min about 15x
+    slower, and it is a different BLAS call whose bits need not match.
+    Reading the product's strided columns in place of the transposed copy
+    was slower too (225 ms).
 
-    `work`, a float64 (2, M, 3) array with M >= N, holds p - t and the
-    product in place of two new (N, 3) arrays, with the same bits: a caller
-    binning many blocks allocates them once. Without it glibc can return
-    the freed arrays to the system after each block and fault them in again
-    on the next: about 4000 page faults in the prune of a 533k-row window."""
+    `work`, a `BinWork` made for this pose, holds p - t, the product and
+    the result in place of new arrays, with the same bits; without it one
+    is made for the call. A caller binning many blocks makes one per view:
+    otherwise glibc can return the freed arrays to the system after each
+    block and fault them in again on the next, about 4000 page faults in
+    the prune of a 533k-row window."""
     pts = np.asarray(points)
-    d, prod = (np.empty(pts.shape), None) if work is None else (work[0, : len(pts)], work[1, : len(pts)])
-    for j in range(3):
-        np.subtract(pts[:, j], pose.translation[j], out=d[:, j])
-    return np.matmul(d, pose.rotation, out=prod).T.copy()
+    work, n = _work(pose, pts, work), len(pts)
+    d, prod, xyz = work.diff[:n], work.prod[:n], work.xyz[:, :n]
+    flat, out, step = pts.reshape(-1), d.reshape(-1), len(work.shift)
+    for s in range(0, 3 * n, step):
+        np.subtract(flat[s : s + step], work.shift[: 3 * n - s], out=out[s : s + step])
+    np.matmul(d, pose.rotation, out=prod)
+    np.copyto(xyz, prod.T)
+    return xyz
 
 
 def project(K: Intrinsics, c: CamPoint):
@@ -189,27 +226,41 @@ def scale_intrinsics(K: Intrinsics, level: int) -> Intrinsics:
     return Intrinsics(K.fx / s, K.fy / s, K.cx / s, K.cy / s, w, h)
 
 
-def project_points(pose: Pose, K: Intrinsics, positions: np.ndarray, work: np.ndarray | None = None):
+def project_points(pose: Pose, K: Intrinsics, positions: np.ndarray, work: BinWork | None = None):
     """Project an (N, 3) world array. Returns (u, v, z) float64 arrays;
     entries with z <= 0 are behind the camera (u, v undefined there).
-    `work` is `world_to_camera_many`'s scratch array."""
+    `work` is `world_to_camera_many`'s scratch; u and v are written into it."""
+    work = _work(pose, positions, work)
     x, y, z = world_to_camera_many(pose, positions, work)
+    u, v = work.uv[:, : len(z)]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        u = K.fx * x / z + K.cx
-        v = K.fy * y / z + K.cy
+        for out, c, f, p in ((u, x, K.fx, K.cx), (v, y, K.fy, K.cy)):  # f * c / z + p, in that order
+            np.add(np.divide(np.multiply(f, c, out=out), z, out=out), p, out=out)
     return u, v, z
 
 
-def pixel_bins(pose: Pose, K: Intrinsics, positions: np.ndarray, work: np.ndarray | None = None):
-    """Integer pixel of each world point: (ok, ui, vi, z), where ok marks
-    the points with z > 0 whose pixel (floor(u), floor(v)) lies inside the
-    image, and ui, vi and z are given for those points only, in order.
+def pixel_bins(pose: Pose, K: Intrinsics, positions: np.ndarray, work: BinWork | None = None):
+    """The points with z > 0 whose pixel (floor(u), floor(v)) lies inside
+    the image: (keep, pix, z), their rows in `positions` in order, their
+    flat pixel index floor(v) * W + floor(u) (int64) and their depth.
 
     For a real u and an integer W, 0 <= u < W holds exactly when
     0 <= floor(u) < W, so bounds are decided on the float (u, v) and only
-    the kept rows are floored and cast: no out-of-image value is cast.
-    `work` is `world_to_camera_many`'s scratch array."""
+    the kept rows are floored. The index is exact in float64, as it is
+    below W * H < 2^53, so it is cast once, and no out-of-image value is
+    cast. `work` is `world_to_camera_many`'s scratch; the bounds mask is
+    written into it."""
+    work = _work(pose, positions, work)
     u, v, z = project_points(pose, K, positions, work)
-    ok = (z > 0) & (u >= 0) & (u < K.width) & (v >= 0) & (v < K.height)
-    keep = np.flatnonzero(ok)  # one index array takes three rows faster than three masks
-    return ok, np.floor(u.take(keep)).astype(np.int64), np.floor(v.take(keep)).astype(np.int64), z.take(keep)
+    ok = work.ok[: len(z)]
+    np.greater(z, 0, out=ok)
+    for c, limit in ((u, K.width), (v, K.height)):
+        ok &= c >= 0
+        ok &= c < limit
+    keep = np.flatnonzero(ok)
+    pu, pv = u.take(keep), v.take(keep)
+    np.floor(pu, out=pu)
+    np.floor(pv, out=pv)
+    pv *= K.width
+    pv += pu
+    return keep, pv.astype(np.int64), z.take(keep)

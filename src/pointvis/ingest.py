@@ -335,8 +335,8 @@ def colorize_map(
         if scan_id not in pose_of or scan_id not in images:
             continue
         img = images[scan_id]
-        ok, ui, vi, _ = pixel_bins(pose_of[scan_id], K, cloud.positions[first : first + count])
-        colors[first : first + count][ok] = img[vi, ui]
+        keep, pix, _ = pixel_bins(pose_of[scan_id], K, cloud.positions[first : first + count])
+        colors[first + keep] = img.reshape(-1, 3)[pix]
     return PointCloudMap(cloud.positions, list(cloud.scan_ranges), colors, cloud.descriptors)
 
 

@@ -114,6 +114,8 @@ def rasterize_pyramid(
     elif vis.pose != pose or vis.K != K:
         vis = prune_visible(vis.point_indices, cloud, pose, K)
     idx, ui, vi, depth = vis.point_indices, vis.pixel_of[:, 0], vis.pixel_of[:, 1], vis.depth_of
+    c = attrs.shape[1]
+    row = np.dtype((np.void, 8 * c))  # a pixel's C float64 features, scattered as one element
     images, prev = [], 0
     for t in levels:
         Kt = scale_intrinsics(K, t)
@@ -122,11 +124,13 @@ def rasterize_pyramid(
             keep = (ui < Kt.width) & (vi < Kt.height)
             block = idx[keep], vi[keep] * Kt.width + ui[keep], depth[keep]
             idx, ui, vi, depth = reduce_bins([block], Kt.width, Kt.height)
-        features = np.zeros((Kt.height, Kt.width, attrs.shape[1]))
+        features = np.zeros((Kt.height, Kt.width, c))
         depth_img = np.full((Kt.height, Kt.width), np.inf)
         mask = np.zeros((Kt.height, Kt.width), dtype=bool)
         pix = vi * Kt.width + ui  # written through flat views: one index array, not two
-        features.reshape(-1, attrs.shape[1])[pix] = attrs.take(idx, axis=0)
+        if c:  # the same bytes as an (n, C) row scatter, in one copy a pixel
+            rows = attrs.take(idx, axis=0).astype(np.float64, copy=False)
+            features.reshape(-1, c).view(row)[pix, 0] = rows.view(row)[:, 0]
         depth_img.reshape(-1)[pix] = depth
         mask.reshape(-1)[pix] = True
         images.append(RasterImage(t, features, depth_img, mask))

@@ -280,9 +280,10 @@ def oracle_visible_many(
 ) -> np.ndarray:
     """Vectorized oracle: positive depth, in-bounds pixel, unobstructed ray."""
     pts = np.asarray(positions, dtype=np.float64).reshape(-1, 3)
-    visible = pixel_bins(pose, K, pts)[0]
-    if np.any(visible):
-        visible[visible] &= ~oracle_occluded_many(pts[visible], pose, surfaces)
+    keep = pixel_bins(pose, K, pts)[0]
+    visible = np.zeros(len(pts), dtype=bool)
+    if len(keep):
+        visible[keep] = ~oracle_occluded_many(pts[keep], pose, surfaces)
     return visible
 
 

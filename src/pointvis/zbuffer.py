@@ -19,21 +19,30 @@ wholly outside the view frustum: behind the camera, or left, right,
 above or below the image, by a margin that covers rounding, so no
 skipped row could have landed in the image. A block's box is built the
 second time a range prune touches the block and is kept with the map; an
-array is never culled. All blocks share one camera-transform scratch
-array per view. `pixel_bins` returns only a block's in-bounds rows. Each
-block's depths are scatter-min'ed into the view's one W*H `best` buffer,
-and only the rows that still tie or beat `best` at their pixel are kept:
-`best` only decreases, so a dropped row can never equal the final
-minimum, and the result does not depend on how the rows are split into
-blocks. After the last block, one scatter-min of the index over the
-exact-depth ties decides each pixel. It runs in one thread.
+array is never culled. All blocks share one `BinWork` scratch per view,
+and `pixel_bins` returns only a block's in-bounds rows, with their flat
+pixel index. Blocks arrive in increasing row order: an index array that
+is not already non-decreasing is sorted once where it enters, which does
+not change the result, a set sorted by index. That order gives the tie
+rule: from the second block on, a row whose depth is not strictly below
+the `best` that earlier blocks left at its pixel is dropped before the
+scatter-min, since an earlier row, with a smaller index, holds that depth
+or a smaller one; such a row can neither win nor lower `best`. A map that
+holds a surface sample once for each frame that scanned it has many such
+exact-depth copies. Each block's remaining depths are scatter-min'ed into
+the view's one W*H `best` buffer, and only the rows that still tie or beat
+`best` at their pixel are kept: `best` only decreases, so a dropped row
+can never equal the final minimum, and the result does not depend on how
+the rows are split into blocks. After the last block, one scatter-min of
+the index over the exact-depth ties decides each pixel. It runs in one
+thread.
 """
 from __future__ import annotations
 
 import numpy as np
 
 from .errors import DomainError
-from .geom import Intrinsics, Pose, pixel_bins
+from .geom import BinWork, Intrinsics, Pose, pixel_bins
 
 _EMPTY = np.iinfo(np.int64).max
 # Candidates binned per block: a block's projection temporaries (a few MB)
@@ -143,6 +152,8 @@ def zbuffer_winners(
         # a negative index reads as a huge unsigned one, so one max checks both ends
         if rows.size and rows.view(np.uint64).max() >= n:
             raise DomainError(f"candidate index {rows[(rows < 0) | (rows >= n)][0]} is outside the map's {n} points")
+        if len(rows) > 1 and (rows[1:] < rows[:-1]).any():  # the tie rule needs ascending blocks
+            rows = np.sort(rows)
         lo, hi = 0, len(rows)
     grid = range(lo // _BLOCK, -(-hi // _BLOCK)) if lo < hi else range(0)
     if rows is None and boxes is not None and grid:
@@ -150,13 +161,12 @@ def zbuffer_winners(
         grid = [b for b, culled in zip(grid, out) if not culled]
 
     def blocks():
-        work = np.empty((2, min(_BLOCK, max(hi - lo, 0)), 3))  # one camera-transform scratch per view
+        work = BinWork(pose, min(_BLOCK, max(hi - lo, 0)))  # one scratch per view
         for b in grid:
             s, e = max(b * _BLOCK, lo), min((b + 1) * _BLOCK, hi)
             block = positions[s:e] if rows is None else np.take(positions, rows[s:e], axis=0)
-            ok, ui, vi, z = pixel_bins(pose, K, block, work)
-            keep = np.flatnonzero(ok)
-            yield (keep + s if rows is None else rows[s:e].take(keep)), vi * K.width + ui, z
+            keep, pix, z = pixel_bins(pose, K, block, work)
+            yield (keep + s if rows is None else rows[s:e].take(keep)), pix, z
 
     return reduce_bins(blocks(), K.width, K.height)
 
@@ -164,11 +174,16 @@ def zbuffer_winners(
 def reduce_bins(blocks, width: int, height: int):
     """The (depth, index) minimum of each pixel of a width x height image
     over `blocks`, an iterable of (idx, pix, depth) rows already binned
-    inside the image, with pix = v * width + u. Returns (winner_index,
+    inside the image, with pix = v * width + u. Each block's indices must
+    not be below any earlier block's: the tie rule drops a later block's
+    row that only ties an earlier block's depth. Returns (winner_index,
     pixel_u, pixel_v, winner_depth) sorted by point index."""
     best = np.full(width * height, np.inf)
     kept = [(np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0))]  # so no blocks is no rows
-    for idx, pix, depth in blocks:
+    for i, (idx, pix, depth) in enumerate(blocks):
+        if i:  # a row that does not beat the earlier blocks' best loses to an earlier row
+            ahead = np.flatnonzero(depth < best[pix])
+            idx, pix, depth = idx.take(ahead), pix.take(ahead), depth.take(ahead)
         np.minimum.at(best, pix, depth)
         keep = np.flatnonzero(depth <= best[pix])
         kept.append((idx.take(keep), pix.take(keep), depth.take(keep)))

@@ -249,6 +249,57 @@ def test_zbuffer_prefilter_across_blocks(block):
     assert idx.tolist() == [0, 1, 2, 5] and depth.tolist() == [2.0, 1.0, 2.0, 2.0]
 
 
+# The tie rule drops a later block's row that does not beat the depth the
+# earlier blocks left at its pixel. Exact copies of rows, at any distance
+# from their originals, put such ties across blocks of 1, 2 and 7 rows. A
+# row range must decide as the brute force does, and as the same rows given
+# as a shuffled index array with repeats, which is sorted where it enters.
+@pytest.mark.parametrize("block", [1, 2, 7])
+@settings(max_examples=200, deadline=None)
+@given(case=_zbuffer_case(), data=st.data())
+def test_zbuffer_tie_rule_with_copies_across_blocks(block, case, data):
+    base, _, shift = case
+    copies = data.draw(st.lists(st.integers(0, len(base) - 1), min_size=1, max_size=30))
+    positions = np.concatenate([base, base[copies]])
+    order = data.draw(st.permutations(range(len(positions))))
+    positions = positions[order]  # copies before and after their originals
+    n = len(positions)
+    lo = data.draw(st.integers(0, n))
+    hi = data.draw(st.integers(lo, n))
+    cloud = PointCloudMap(positions, [(0, 0, n)])
+    pose = Pose(np.eye(3), shift)
+    K = Intrinsics(4.0, 4.0, 4.0, 3.0, 8, 6)
+    repeats = data.draw(st.lists(st.integers(lo, max(hi - 1, lo)), max_size=10)) if hi > lo else []
+    shuffled = np.array(data.draw(st.permutations(list(range(lo, hi)) + repeats)), dtype=np.int64)
+    with mock.patch.object(zbuffer, "_BLOCK", block):
+        got = zbuffer_winners(range(lo, hi), pose, K, positions)
+        for a, b in zip(got, zbuffer_winners(shuffled, pose, K, positions)):
+            np.testing.assert_array_equal(a, b, strict=True)
+    idx, pu, pv, _ = got
+    assert {(int(u), int(v)): int(i) for u, v, i in zip(pu, pv, idx)} == brute_force_zbuffer(
+        cloud, range(lo, hi), pose, K
+    )
+
+
+# A descending range is an index array whose blocks, left unsorted, would
+# come in decreasing row order: sorted where it enters, it must decide as
+# the ascending row range does, ties across blocks included.
+@pytest.mark.parametrize("block", [1, 2, 7, 1 << 15])
+def test_zbuffer_descending_range_equals_ascending(block):
+    rng = np.random.default_rng(5)
+    base = rng.integers(-6, 7, (40, 3)) * 0.5
+    base[:, 2] = rng.choice([-1.0, 1.0, 2.0, 3.0], 40)
+    positions = np.concatenate([base, base[::3], base[::-2]])
+    n = len(positions)
+    K = Intrinsics(4.0, 4.0, 4.0, 3.0, 8, 6)
+    with mock.patch.object(zbuffer, "_BLOCK", block):
+        got = zbuffer_winners(range(n - 1, -1, -1), identity_pose(), K, positions)
+        want = zbuffer_winners(range(0, n), identity_pose(), K, positions)
+    for a, b in zip(got, want):
+        np.testing.assert_array_equal(a, b, strict=True)
+    assert len(want[0]) > 5 and want[0].max() < 40  # each original wins the tie with its copies
+
+
 def test_zbuffer_drops_far_off_image_points_without_warning():
     """Projections too large for int64, or overflowing to inf, are out of
     bounds: they are dropped, and nothing is cast or warned about."""

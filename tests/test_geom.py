@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from pointvis import geom
 from pointvis.errors import DomainError
 from pointvis.geom import (
+    BinWork,
     CamPoint,
     Intrinsics,
     Pose,
@@ -177,30 +178,30 @@ class TestPixelBins:
         K = Intrinsics(20.0, 20.0, 16.0, 8.0, 32, 16)
         pose = Pose(rot_z(0.3), np.array([0.5, -0.2, 1.0]))
         pts = np.random.default_rng(3).uniform(-6, 6, size=(500, 3))
-        ok, ui, vi, z = pixel_bins(pose, K, pts)
-        assert len(ui) == len(vi) == len(z) == np.count_nonzero(ok)
-        kept = iter(zip(ui, vi, z))
+        keep, pix, z = pixel_bins(pose, K, pts)
+        assert keep.dtype == pix.dtype == np.int64 and len(keep) == len(pix) == len(z)
+        kept = iter(zip(keep, pix, z))
         for i, p in enumerate(pts):
             hit = project(K, world_to_camera(pose, p))
             inside = hit is not None and 0 <= math.floor(hit[0]) < 32 and 0 <= math.floor(hit[1]) < 16
-            assert ok[i] == inside
             if inside:
-                u, v, depth = next(kept)
-                assert (u, v) == (math.floor(hit[0]), math.floor(hit[1]))
+                row, pixel, depth = next(kept)
+                assert row == i and pixel == math.floor(hit[1]) * 32 + math.floor(hit[0])
                 assert depth == pytest.approx(hit[2], rel=1e-12)
-        assert 0 < np.count_nonzero(ok) < len(pts)
+        assert next(kept, None) is None
+        assert 0 < len(keep) < len(pts)
 
 
 def _full_length_rule(K, u, v, z):
     """The binning rule as it was before bounds were decided on the float
     (u, v): floor and cast every row (rows behind the camera as -1), mark
-    the in-bounds ones, then keep those."""
+    the in-bounds ones, then keep those, with the pixel index in int64."""
     ahead = z > 0
     with np.errstate(invalid="ignore"):  # an infinite or huge u does not fit int64: out of bounds either way
         ui = np.floor(np.where(ahead, u, -1)).astype(np.int64)
         vi = np.floor(np.where(ahead, v, -1)).astype(np.int64)
     ok = ahead & (ui >= 0) & (ui < K.width) & (vi >= 0) & (vi < K.height)
-    return ok, ui[ok], vi[ok], z[ok]
+    return np.flatnonzero(ok), vi[ok] * K.width + ui[ok], z[ok]
 
 
 def _coord(size):
@@ -264,11 +265,28 @@ def test_pixel_bins_per_block_equals_whole(seed, n, block, dtype):
     K = Intrinsics(40.0, 30.0, 31.5, 23.5, 64, 48)
     pts = rng.uniform(-20, 20, size=(n, 3)).astype(dtype)
     whole = pixel_bins(pose, K, pts)
-    work = np.full((2, block, 3), np.nan)
-    for scratch in (None, work):  # a camera-transform scratch reused by every block changes no bit
-        parts = [pixel_bins(pose, K, pts[s : s + block], scratch) for s in range(0, max(n, 1), block)]
+    work = BinWork(pose, block)
+    for buf in (work.diff, work.prod, work.xyz, work.uv):
+        buf.fill(np.nan)
+    for scratch in (None, work):  # a scratch reused by every block changes no bit
+        parts = []
+        for s in range(0, max(n, 1), block):
+            keep, pix, z = pixel_bins(pose, K, pts[s : s + block], scratch)
+            parts.append((keep + s, pix.copy(), z.copy()))  # with a scratch, views valid until its next use
         for a, b in zip(whole, zip(*parts)):
             assert np.concatenate(b).tobytes() == a.tobytes()
+
+
+# A BinWork tiles t for at most _SHIFT_ROWS rows, and a longer array is
+# subtracted a stretch at a time: the stretches must meet with t aligned.
+@pytest.mark.parametrize("shift_rows", [1, 2, 7])
+def test_world_to_camera_many_in_stretches(monkeypatch, shift_rows):
+    pose = Pose(rot_z(0.3), np.array([0.5, -0.2, 1.0]))
+    pts = np.random.default_rng(shift_rows).uniform(-5, 5, size=(50, 3))
+    want = np.ascontiguousarray(np.matmul(pts - pose.translation, pose.rotation).T)
+    monkeypatch.setattr(geom, "_SHIFT_ROWS", shift_rows)
+    assert len(geom.BinWork(pose, 50).shift) == 3 * shift_rows
+    assert geom.world_to_camera_many(pose, pts).tobytes() == want.tobytes()
 
 
 @settings(max_examples=300, deadline=None)

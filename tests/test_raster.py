@@ -100,6 +100,37 @@ class TestRasterize:
         assert img.features.shape[2] == 8
         assert np.array_equal(img.features[50, 50], cloud.descriptors[0])
 
+    # Features are scattered as one void element a pixel: every level's bytes
+    # must equal a row scatter of the widened attributes, NaN payloads
+    # included. Zero channels make an empty feature image, not a ValueError.
+    @pytest.mark.parametrize("channels", [0, 1, 3, 8])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_features_scattered_as_rows_keep_every_byte(self, channels, dtype):
+        rng = np.random.default_rng(channels)
+        n = 400
+        pts = np.column_stack([rng.uniform(-1, 1, n), rng.uniform(-1, 1, n), rng.uniform(1, 4, n)])
+        desc = rng.normal(size=(n, channels)).astype(dtype)
+        desc[rng.random((n, channels)) < 0.1] = np.nan
+        desc.view(np.uint32 if dtype == np.float32 else np.uint64)[:5] |= 3  # odd NaN payloads and mantissas
+        cloud = PointCloudMap(pts, [(0, 0, n)], None, desc)
+        vis = prune_visible(np.arange(n), cloud, IDENTITY, self.K)
+        pyr = rasterize_pyramid(cloud, vis, IDENTITY, self.K, (0, 2, 4), Channels.DESCRIPTOR)
+        for img in pyr.levels:
+            h, w, _ = img.features.shape
+            want = np.zeros((h * w, channels))
+            idx, pix = reduce_to_level(vis, img.level)
+            want[pix] = desc.take(idx, axis=0).astype(np.float64)
+            assert img.features.tobytes() == want.tobytes()
+
+
+def reduce_to_level(vis, t):
+    """(winner index, flat pixel) of level t from a visible set, by reduce_bins on one block."""
+    w, h = vis.K.width >> t, vis.K.height >> t
+    u, v = vis.pixel_of[:, 0] >> t, vis.pixel_of[:, 1] >> t
+    keep = (u < w) & (v < h)
+    idx, pu, pv, _ = zbuffer.reduce_bins([(vis.point_indices[keep], v[keep] * w + u[keep], vis.depth_of[keep])], w, h)
+    return idx, pv * w + pu
+
 
 class TestRasterizePyramid:
     K = Intrinsics(100.0, 100.0, 512.0, 256.0, 1024, 512)
