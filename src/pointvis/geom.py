@@ -169,15 +169,8 @@ def world_to_camera_many(pose: Pose, points: np.ndarray, work: BinWork | None = 
 
     t is subtracted over the flat (3N,) block against t repeated
     (`BinWork.shift`, made once per view), in one pass for a z-buffer
-    block. Subtracting one column at a time was about 7% slower over the
-    z-buffer's binning of a 1024x512 view of 11.6M points (219 against
-    204 ms on a 2-core Xeon VM), and broadcasting t over rows of three is
-    slower still. The product stays (p - t) @ R, transposed after:
-    R^T (p - t)^T would give the rows directly, but with OpenBLAS on a Xeon
-    (Sapphire Rapids) it made the z-buffer's later scatter-min about 15x
-    slower, and it is a different BLAS call whose bits need not match.
-    Reading the product's strided columns in place of the transposed copy
-    was slower too (225 ms).
+    block. The product stays (p - t) @ R, transposed after: any other
+    BLAS call, R^T (p - t)^T among them, need not give the same bits.
 
     `work`, a `BinWork` made for this pose, holds p - t, the product and
     the result in place of new arrays, with the same bits; without it one

@@ -353,27 +353,32 @@ def write_binary(path, magic: bytes, header: struct.Struct, fields, arrays) -> N
 
 
 def read_binary(path, magic: bytes, version: int, header: struct.Struct, sizes):
-    """Read a format-v1 file with one `readinto` into a byte buffer.
+    """Read a format-v1 file: its header, then one `readinto` of the arrays.
 
-    Checks the magic, the header and its version, then that the file is
-    exactly as long as the header implies: `sizes(fields)` gives each
-    array's `(count, dtype)` in file order. Returns the header fields and
-    one flat writable view of the buffer per array."""
-    with open(path, "rb") as f:
-        raw = np.empty(os.fstat(f.fileno()).st_size, dtype=np.uint8)
-        raw = raw[: f.readinto(raw)]
-    if raw[: len(magic)].tobytes() != magic:
-        raise FormatError(f"{path}: bad magic, expected {magic!r}")
+    Checks the magic, the header and its version, then, from `fstat` and
+    before anything is allocated, that the file is exactly as long as the
+    header implies: `sizes(fields)` gives each array's `(count, dtype)` in
+    file order. Returns the header fields and one flat writable view of
+    the arrays' buffer per array."""
     off = len(magic) + header.size
-    if len(raw) < off:
-        raise FormatError(f"{path}: truncated header ({len(raw)} bytes)")
-    fields = header.unpack_from(raw, len(magic))
-    if fields[0] != version:
-        raise FormatError(f"{path}: unsupported version {fields[0]}")
-    spans = [(count * np.dtype(dtype).itemsize, dtype) for count, dtype in sizes(fields)]
-    bounds = list(itertools.accumulate((nbytes for nbytes, _ in spans), initial=off))
-    if len(raw) != bounds[-1]:
-        raise FormatError(f"{path}: expected {bounds[-1]} bytes, got {len(raw)}")
+    with open(path, "rb") as f:
+        size = os.fstat(f.fileno()).st_size
+        head = f.read(off)
+        if head[: len(magic)] != magic:
+            raise FormatError(f"{path}: bad magic, expected {magic!r}")
+        if len(head) < off:
+            raise FormatError(f"{path}: truncated header ({len(head)} bytes)")
+        fields = header.unpack_from(head, len(magic))
+        if fields[0] != version:
+            raise FormatError(f"{path}: unsupported version {fields[0]}")
+        spans = [(count * np.dtype(dtype).itemsize, dtype) for count, dtype in sizes(fields)]
+        bounds = list(itertools.accumulate((nbytes for nbytes, _ in spans), initial=0))
+        if size != off + bounds[-1]:
+            raise FormatError(f"{path}: expected {off + bounds[-1]} bytes, got {size}")
+        raw = np.empty(bounds[-1], dtype=np.uint8)
+        got = f.readinto(raw)
+    if got != len(raw):  # the file changed after the fstat
+        raise FormatError(f"{path}: expected {off + bounds[-1]} bytes, got {off + got}")
     return fields, [raw[a:b].view(dtype) for a, b, (_, dtype) in zip(bounds, bounds[1:], spans)]
 
 

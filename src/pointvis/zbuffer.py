@@ -3,39 +3,40 @@
 This is the single reduction shared by visibility pruning and
 rasterization: bin projected points into integer pixels and keep, per
 pixel, the candidate with minimal depth (ties broken by smallest point
-index). Candidates are a step-1 `range` of map rows (a window's one run
-of rows, from `connectivity.window_rows`, or the whole map) or an index
+index). Its one contract is that rows arrive in strictly increasing
+order; every step keeps that order instead of restoring or re-checking
+it. Candidates are a step-1 `range` of map rows (a window's one run of
+rows, from `connectivity.window_rows`, or the whole map) or an index
 array (a `depth` or `radius` bench selection, a visible set re-pruned
 from another pose, or a hand-built array, cast to int64 without a copy
-when it already is one). They are checked where they enter, before any
-block is binned: a range at its two ends, an array once over all its
-entries. Both take one block plan: entries lo..hi-1 (a range's ends, or
-0 and the array's length) are binned in the `_BLOCK`-entry blocks of a
-grid aligned to entry 0, each cut to lo..hi, and one loop body reads a
-block as a slice of the positions (a range: no index array is built and
-no row is copied) or as a gather (an array). Given the map's
-`BlockBoxes`, a range skips every grid block whose axis-aligned box lies
-wholly outside the view frustum: behind the camera, or left, right,
-above or below the image, by a margin that covers rounding, so no
-skipped row could have landed in the image. A block's box is built the
-second time a range prune touches the block and is kept with the map; an
-array is never culled. All blocks share one `BinWork` scratch per view,
-and `pixel_bins` returns only a block's in-bounds rows, with their flat
-pixel index. Blocks arrive in increasing row order: an index array that
-is not already non-decreasing is sorted once where it enters, which does
-not change the result, a set sorted by index. That order gives the tie
-rule: from the second block on, a row whose depth is not strictly below
-the `best` that earlier blocks left at its pixel is dropped before the
-scatter-min, since an earlier row, with a smaller index, holds that depth
-or a smaller one; such a row can neither win nor lower `best`. A map that
-holds a surface sample once for each frame that scanned it has many such
-exact-depth copies. Each block's remaining depths are scatter-min'ed into
-the view's one W*H `best` buffer, and only the rows that still tie or beat
-`best` at their pixel are kept: `best` only decreases, so a dropped row
-can never equal the final minimum, and the result does not depend on how
-the rows are split into blocks. After the last block, one scatter-min of
-the index over the exact-depth ties decides each pixel. It runs in one
-thread.
+when it already is one). An array that is not strictly increasing
+becomes its `np.unique` where it enters, which is also where a repeated
+candidate comes to count once. A range and an array are then checked by
+one rule at their two ends, before any block is binned. Both take one
+block plan: entries lo..hi-1 (a range's ends, or 0 and the array's
+length) are binned in the `_BLOCK`-entry blocks of a grid aligned to
+entry 0, each cut to lo..hi, and one loop body reads a block as a slice
+of the positions (a range: no index array is built and no row is copied)
+or as a gather (an array). Given the map's `BlockBoxes`, a range skips
+every grid block whose axis-aligned box lies wholly outside the view
+frustum: behind the camera, or left, right, above or below the image, by
+a margin that covers rounding, so no skipped row could have landed in
+the image. A block's box is built the second time a range prune touches
+the block and is kept with the map; an array is never culled. All blocks
+share one `BinWork` scratch per view, and `pixel_bins` returns a block's
+in-bounds rows in order, with their flat pixel index.
+
+The order gives the tie rule: from the second block on, a row whose depth
+is not strictly below the `best` that earlier blocks left at its pixel is
+dropped before the scatter-min, since an earlier row, with a smaller
+index, holds that depth or a smaller one; such a row can neither win nor
+lower `best`. A map that holds a surface sample once for each frame that
+scanned it has many such exact-depth copies. Each block's remaining
+depths are scatter-min'ed into the view's one W*H `best` buffer. After
+the last block the rows whose depth equals the final `best` at their
+pixel are the ties; one scatter-min of their indices picks each pixel's
+smallest, and the rows that hold it are the winners, still in increasing
+order, so no sort follows. It runs in one thread.
 """
 from __future__ import annotations
 
@@ -128,33 +129,33 @@ def zbuffer_winners(
 ):
     """Z-buffer over `positions[indices]` at the resolution of K.
 
-    Returns (winner_index, pixel_u, pixel_v, winner_depth) sorted by
-    point index. Candidates behind the camera or out of bounds are
-    dropped before the reduction; a repeated candidate counts once.
-    `indices` is a step-1 `range` of rows or a 1-D integer array, with
-    every entry in [0, N); an empty array may have any dtype, an empty
-    range any bounds. Anything else raises DomainError before any block
-    is binned. Entries lo..hi-1 (a range's ends, or 0 and the array's
-    length) are binned in the blocks of the grid aligned to entry 0;
-    given `boxes`, the map's `BlockBoxes`, a range skips the grid blocks
+    Returns (winner_index, pixel_u, pixel_v, winner_depth) in increasing
+    point index. Candidates behind the camera or out of bounds are dropped
+    before the reduction. `indices` is a step-1 `range` of rows or a 1-D
+    integer array, which becomes its `np.unique` unless strictly
+    increasing, so a repeated candidate counts once. Its rows, checked at
+    their two ends, must lie in [0, N); an empty array may have any dtype,
+    an empty range any bounds. Anything else raises DomainError before any
+    block is binned. Entries lo..hi-1 (a range's ends, or 0 and the
+    array's length) are binned in the blocks of the grid aligned to entry
+    0; given `boxes`, the map's `BlockBoxes`, a range skips the grid blocks
     outside the view. The result is the same with or without them.
     """
     n, rows = len(positions), None
     if isinstance(indices, range) and indices.step == 1:
         lo, hi = indices.start, indices.stop
-        if lo < hi and not (0 <= lo and hi <= n):  # a non-empty range is checked once, at its ends
-            raise DomainError(f"candidate index {lo if not 0 <= lo < n else n} is outside the map's {n} points")
+        first, last = lo, hi - 1
     else:
         rows = np.asarray(indices)
         if rows.ndim != 1 or (rows.size and not np.issubdtype(rows.dtype, np.integer)):
             raise DomainError(f"candidate indices must be a 1-D integer array, got {rows.dtype} {rows.shape}")
         rows = rows.astype(np.int64, copy=False)
-        # a negative index reads as a huge unsigned one, so one max checks both ends
-        if rows.size and rows.view(np.uint64).max() >= n:
-            raise DomainError(f"candidate index {rows[(rows < 0) | (rows >= n)][0]} is outside the map's {n} points")
-        if len(rows) > 1 and (rows[1:] < rows[:-1]).any():  # the tie rule needs ascending blocks
-            rows = np.sort(rows)
+        if len(rows) > 1 and (rows[1:] <= rows[:-1]).any():
+            rows = np.unique(rows)
         lo, hi = 0, len(rows)
+        first, last = (rows[0], rows[-1]) if len(rows) else (0, -1)
+    if first <= last and not (0 <= first and last < n):  # the rows increase, so their ends bound them
+        raise DomainError(f"candidate index {first if not 0 <= first < n else last} is outside the map's {n} points")
     grid = range(lo // _BLOCK, -(-hi // _BLOCK)) if lo < hi else range(0)
     if rows is None and boxes is not None and grid:
         out = outside_view(boxes.cover(positions, grid.start, grid.stop), pose, K).tolist()
@@ -174,10 +175,11 @@ def zbuffer_winners(
 def reduce_bins(blocks, width: int, height: int):
     """The (depth, index) minimum of each pixel of a width x height image
     over `blocks`, an iterable of (idx, pix, depth) rows already binned
-    inside the image, with pix = v * width + u. Each block's indices must
-    not be below any earlier block's: the tie rule drops a later block's
-    row that only ties an earlier block's depth. Returns (winner_index,
-    pixel_u, pixel_v, winner_depth) sorted by point index."""
+    inside the image, with pix = v * width + u. The indices must strictly
+    increase over all the rows, within a block and from one block to the
+    next: the tie rule drops a later block's row that only ties an earlier
+    block's depth, and each pixel's winner is its first tie row. Returns
+    (winner_index, pixel_u, pixel_v, winner_depth) in the rows' order."""
     best = np.full(width * height, np.inf)
     kept = [(np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0))]  # so no blocks is no rows
     for i, (idx, pix, depth) in enumerate(blocks):
@@ -185,15 +187,12 @@ def reduce_bins(blocks, width: int, height: int):
             ahead = np.flatnonzero(depth < best[pix])
             idx, pix, depth = idx.take(ahead), pix.take(ahead), depth.take(ahead)
         np.minimum.at(best, pix, depth)
-        keep = np.flatnonzero(depth <= best[pix])
-        kept.append((idx.take(keep), pix.take(keep), depth.take(keep)))
+        kept.append((idx, pix, depth))
     idx, pix, depth = (np.concatenate(rows) for rows in zip(*kept))
     tie = np.flatnonzero(depth == best[pix])
+    idx, pix, depth = idx.take(tie), pix.take(tie), depth.take(tie)
     winner = np.full(width * height, _EMPTY)
-    np.minimum.at(winner, pix.take(tie), idx.take(tie))
-
-    pix = np.flatnonzero(winner != _EMPTY)
-    idx = winner[pix]
-    order = np.argsort(idx)
-    idx, pix = idx[order], pix[order]
-    return idx, pix % width, pix // width, best[pix]
+    np.minimum.at(winner, pix, idx)
+    won = np.flatnonzero(winner[pix] == idx)
+    pix = pix.take(won)
+    return idx.take(won), pix % width, pix // width, depth.take(won)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pointvis import ingest
-from pointvis.connectivity import _GRAPH_ENTRY, ConnectivityGraph, prune_visible, save_graph, window_rows
+from pointvis.connectivity import _GRAPH_ENTRY, ConnectivityGraph, load_graph, prune_visible, save_graph, window_rows
 from pointvis.errors import DomainError, FormatError
 from pointvis.geom import Intrinsics, Pose, identity_pose
 from pointvis.ingest import (
@@ -28,7 +28,7 @@ from pointvis.ingest import (
     write_poses,
     write_scan,
 )
-from pointvis.raster import RasterImage, rasterize_pyramid, save_raster
+from pointvis.raster import RasterImage, load_raster, rasterize_pyramid, save_raster
 from pointvis.render import render_rgb
 from pointvis.synth import read_surfaces
 
@@ -674,3 +674,23 @@ def test_format_v1_golden_bytes(tmp_path):
     _golden_files(tmp_path)
     got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in GOLDEN_SHA256}
     assert got == GOLDEN_SHA256
+
+
+# A file's length is checked against its header, from `fstat`, before any
+# buffer is allocated: 8 MiB of trailing bytes are refused having read only
+# the header, so a file extended to terabytes is a FormatError too, not an
+# allocation failure.
+@pytest.mark.parametrize("name, load", [("full.map", load_map), ("g.grf", load_graph), ("r.ras", load_raster)])
+def test_trailing_bytes_refused_before_the_arrays_are_read(tmp_path, name, load):
+    _golden_files(tmp_path)
+    path = tmp_path / name
+    with open(path, "ab") as f:
+        f.truncate(path.stat().st_size + (8 << 20))
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError, match="bytes"):
+            load(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
