@@ -23,7 +23,10 @@
 # blocks) is rendered from frame 0, frame 4 and the last frame: their
 # windows cross block boundaries and start at row 0, mid-block in a float32
 # file, and mid-block again, and each block's box is tested against the view
-# (these views cull none; the tests cover culled blocks). `bench` scores five
+# (these views cull none; the tests cover culled blocks). That map file is
+# 10.4 MB, above `ingest._SPLIT_BYTES` (4 MB), so build-graph and these
+# renders read it, and check its positions, in two halves, the second on
+# the helper thread; the small map is read in one call. `bench` scores five
 # strategies, two of which (depth, radius) prune candidates gathered outside
 # any window, and then connectivity, fullmap, depth and radius on the
 # 14-block scene. There fullmap's row range builds the map's boxes on its

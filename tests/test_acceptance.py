@@ -4,6 +4,7 @@ Each test covers one numbered criterion and prints a single PASS/FAIL line
 (written to the real stdout so it shows up even under capture).
 """
 
+import itertools
 import math
 import os
 import sys
@@ -20,6 +21,7 @@ from pointvis.connectivity import (
     save_graph,
     visible_set_for,
 )
+from pointvis import ingest
 from pointvis.errors import FormatError
 from pointvis.geom import Intrinsics, Pose
 from pointvis.ingest import (
@@ -323,7 +325,7 @@ class TestCriterion10:
         data[offset : offset + len(payload)] = payload
         path.write_bytes(bytes(data))
 
-    def test_round_trips_and_rejections(self, tmp_path):
+    def test_round_trips_and_rejections(self, tmp_path, monkeypatch):
         rng = np.random.default_rng(101)
         pts = rng.uniform(-10, 10, (64, 3)).astype(np.float32).astype(np.float64)
         colors = rng.uniform(0, 1, (64, 3)).astype(np.float32).astype(np.float64)
@@ -384,12 +386,15 @@ class TestCriterion10:
             bad_ver = tmp_path / ("ver_" + name)
             bad_ver.write_bytes((tmp_path / name).read_bytes())
             self._tamper(bad_ver, 11, (99).to_bytes(2, "little"))
-            for bad in (bad_magic, bad_ver):
+            # each file is read in one call, then with every array in two halves
+            for split_bytes, bad in itertools.product((ingest._SPLIT_BYTES, 1), (bad_magic, bad_ver)):
+                monkeypatch.setattr(ingest, "_SPLIT_BYTES", split_bytes)
                 try:
                     loader(bad)
                 except FormatError:
                     rejections += 1
-        ok = map_ok and graph_ok and raster_ok and report_ok and rejections == 6
+        ok = map_ok and graph_ok and raster_ok and report_ok and rejections == 12
         _report(10, "format round-trips and rejection",
                 ok, f"map/graph/raster/report lossless: "
-                    f"{map_ok}/{graph_ok}/{raster_ok}/{report_ok}, 6/6 corrupt files rejected")
+                    f"{map_ok}/{graph_ok}/{raster_ok}/{report_ok}, "
+                    f"{rejections}/12 loads of the 6 corrupt files rejected, in one read and in halves")

@@ -1,5 +1,10 @@
 import hashlib
+import os
 import struct
+import subprocess
+import sys
+import threading
+import time
 import tracemalloc
 from unittest import mock
 
@@ -23,7 +28,6 @@ from pointvis.ingest import (
     read_poses,
     read_scan,
     save_map,
-    split_train_test,
     write_intrinsics,
     write_poses,
     write_scan,
@@ -381,35 +385,6 @@ def test_accumulate_and_save_map_hold_no_second_copy(tmp_path):
     assert write_peak - held < 3 * 2**20
 
 
-class TestSplitTrainTest:
-    def test_twenty_frames(self):
-        ids = list(range(100, 120))
-        train, test = split_train_test(ids)
-        assert test == [100, 110]
-        assert len(train) == 18
-
-    def test_single_frame(self):
-        train, test = split_train_test([42])
-        assert test == [42] and train == []
-
-    def test_316_frames(self):
-        # oracle: count of 0-based positions p < 316 with p % 10 == 0
-        expected_test = sum(1 for p in range(316) if p % 10 == 0)
-        train, test = split_train_test(list(range(316)))
-        assert len(test) == expected_test == 32
-        assert len(train) == 284
-
-    def test_empty_rejected(self):
-        with pytest.raises(DomainError):
-            split_train_test([])
-
-    @given(st.lists(st.integers(0, 10**6), min_size=1, max_size=200, unique=True))
-    def test_disjoint_union(self, ids):
-        train, test = split_train_test(ids)
-        assert set(train).isdisjoint(test)
-        assert sorted(train + test) == sorted(ids)
-
-
 class TestMapValidation:
     def test_range_sum_must_match(self):
         with pytest.raises(DomainError):
@@ -577,6 +552,13 @@ def _map_bytes(directory, cloud) -> bytes:
     return path.read_bytes()
 
 
+def _split_bytes(data):
+    """A patch of `ingest._SPLIT_BYTES` drawn from `data`: unchanged, so a small
+    map is read in one call, or 1, so every array of two bytes or more is read
+    and checked in two halves."""
+    return mock.patch.object(ingest, "_SPLIT_BYTES", data.draw(st.sampled_from([ingest._SPLIT_BYTES, 1])))
+
+
 @settings(max_examples=200, deadline=None)
 @given(_small_maps(), st.data())
 def test_every_map_truncation_rejected(tmp_path_factory, cloud, data):
@@ -585,7 +567,7 @@ def test_every_map_truncation_rejected(tmp_path_factory, cloud, data):
     cut = data.draw(st.integers(0, len(raw) - 1))
     path = work / "m.map"
     path.write_bytes(raw[:cut])
-    with pytest.raises(FormatError):
+    with _split_bytes(data), pytest.raises(FormatError):
         load_map(path)
 
 
@@ -599,10 +581,11 @@ def test_map_byte_mutation_loads_or_format_error(tmp_path_factory, cloud, data):
     mutated[pos] = data.draw(st.integers(0, 255).filter(lambda b: b != raw[pos]))
     path = work / "m.map"
     path.write_bytes(bytes(mutated))
-    try:
-        load_map(path)
-    except FormatError:
-        pass
+    with _split_bytes(data):
+        try:
+            load_map(path)
+        except FormatError:
+            pass
 
 
 @settings(max_examples=100, deadline=None)
@@ -694,3 +677,140 @@ def test_trailing_bytes_refused_before_the_arrays_are_read(tmp_path, name, load)
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+# The split path: `_SPLIT_BYTES` lowered to 64 makes these small files take
+# the two-halves read and check that a map of megabytes takes.
+@pytest.fixture
+def split_at_64(monkeypatch):
+    monkeypatch.setattr(ingest, "_SPLIT_BYTES", 64)
+
+
+_TEST_MAGIC, _TEST_HEADER = b"TEST", struct.Struct("<HQ")  # version, byte count
+
+
+def _byte_file(path, n: int) -> bytes:
+    """A v1-style file of `n` payload bytes, returned."""
+    payload = np.random.default_rng(n).integers(0, 256, n, dtype=np.uint8)
+    ingest.write_binary(path, _TEST_MAGIC, _TEST_HEADER, (1, n), [payload])
+    return payload.tobytes()
+
+
+def _read_bytes(path):
+    return ingest.read_binary(path, _TEST_MAGIC, 1, _TEST_HEADER, lambda fields: [(fields[1], "u1")])[1][0]
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 63, 64, 65, 127, 1001, 4097])
+def test_read_binary_halves_give_the_file_bytes(tmp_path, split_at_64, n):
+    want = _byte_file(tmp_path / "b.bin", n)
+    assert _read_bytes(tmp_path / "b.bin").tobytes() == want
+
+
+@pytest.mark.parametrize("points", [0, 1, 2, 3, 7, 100, 1001])
+def test_load_map_same_arrays_in_one_read_and_in_halves(tmp_path, monkeypatch, points):
+    rng = np.random.default_rng(points)
+    half = points // 2
+    cloud = PointCloudMap(rng.uniform(-9, 9, (points, 3)), [(0, 0, half), (3, half, points - half)],
+                          rng.uniform(0, 1, (points, 3)), rng.normal(size=(points, 1)))
+    save_map(tmp_path / "m.map", cloud)
+    loads = []
+    for split_bytes in (1 << 62, 64):
+        monkeypatch.setattr(ingest, "_SPLIT_BYTES", split_bytes)
+        back = load_map(tmp_path / "m.map")
+        loads.append((back.positions, back.colors, back.descriptors))
+        assert back.scan_ranges == cloud.scan_ranges
+    for one, split in zip(*loads):
+        np.testing.assert_array_equal(split, one, strict=True)
+
+
+@pytest.mark.parametrize("row", [0, 49, 50, 99])  # 100 rows: rows 50 on are the helper's half
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_position_found_in_either_half(tmp_path, split_at_64, row, bad):
+    pos = np.arange(300.0).reshape(100, 3)
+    pos[row, 2] = bad
+    with pytest.raises(DomainError, match="non-finite"):
+        PointCloudMap(pos, [(0, 0, 100)])
+    pos[row, 2] = 1.0
+    save_map(tmp_path / "m.map", PointCloudMap(pos, [(0, 0, 100)]))
+    raw = bytearray((tmp_path / "m.map").read_bytes())
+    off = raw.index(pos.astype("<f4").tobytes())
+    raw[off + 12 * row + 8 : off + 12 * row + 12] = np.float32(bad).tobytes()
+    (tmp_path / "m.map").write_bytes(bytes(raw))
+    with pytest.raises(FormatError, match=r"m\.map: non-finite point position"):
+        load_map(tmp_path / "m.map")
+
+
+def _fake_preadv(monkeypatch, step, calls_allowed=100):
+    """Patch `os.preadv` with one that reads at most `step(call)` bytes on
+    the `call`-th call of its thread (none when 0) and fails the call after
+    `calls_allowed`, so a reader that retries at end of file fails, not hangs."""
+    real, calls = os.preadv, {}
+
+    def preadv(fd, buffers, offset):
+        me = threading.get_ident()
+        calls[me] = calls.get(me, 0) + 1
+        assert calls[me] <= calls_allowed, f"preadv called {calls[me]} times in one thread"
+        return real(fd, [buffers[0][: step(calls[me])]], offset) if step(calls[me]) else 0
+
+    monkeypatch.setattr(os, "preadv", preadv)
+    return calls
+
+
+def test_short_reads_are_read_on(tmp_path, monkeypatch, split_at_64):
+    want = _byte_file(tmp_path / "b.bin", 1001)
+    calls = _fake_preadv(monkeypatch, lambda call: 7)
+    assert _read_bytes(tmp_path / "b.bin").tobytes() == want
+    assert sorted(calls.values()) == [72, 72]  # 500 and 501 bytes, 7 a call
+
+
+@pytest.mark.parametrize("step", [lambda call: 0, lambda call: 7 if call == 1 else 0])
+def test_end_of_file_before_the_buffer_is_full(tmp_path, monkeypatch, split_at_64, step):
+    _byte_file(tmp_path / "b.bin", 1001)
+    _fake_preadv(monkeypatch, step, calls_allowed=2)
+    with pytest.raises(FormatError, match=r"b\.bin: expected 1015 bytes, got \d+"):
+        _read_bytes(tmp_path / "b.bin")
+
+
+@pytest.mark.parametrize("failing", ["caller", "helper"])
+def test_a_failing_half_raises_once_both_halves_end(tmp_path, monkeypatch, split_at_64, failing):
+    _byte_file(tmp_path / "b.bin", 1001)
+    real, ended = os.preadv, []
+
+    def preadv(fd, buffers, offset):
+        half = "caller" if threading.current_thread() is threading.main_thread() else "helper"
+        if half == failing:
+            raise OSError(5, f"the {half}'s half failed")
+        time.sleep(0.2)
+        got = real(fd, buffers, offset)
+        ended.append(half)
+        return got
+
+    monkeypatch.setattr(os, "preadv", preadv)
+    with pytest.raises(OSError, match=f"the {failing}'s half failed"):
+        _read_bytes(tmp_path / "b.bin")
+    assert ended == [{"caller": "helper", "helper": "caller"}[failing]]
+
+
+_LAZY_HELPER = """
+import sys, tempfile, threading
+import numpy as np
+from pointvis import ingest
+
+with tempfile.TemporaryDirectory() as d:
+    ingest.save_map(d + "/m.map", ingest.PointCloudMap(np.zeros((1000, 3)), [(0, 0, 1000)]))
+    ingest.load_map(d + "/m.map")
+    print(threading.active_count(), "concurrent.futures" in sys.modules)
+    rows = ingest._SPLIT_BYTES // 24 + 1  # float64 positions of at least _SPLIT_BYTES
+    for _ in range(3):
+        ingest.PointCloudMap(np.zeros((rows, 3)), [(0, 0, rows)])
+        print(threading.active_count())
+"""
+
+
+def test_helper_thread_starts_on_the_first_split_only():
+    """Loading a small map starts no thread and imports no executor; the first
+    array at `_SPLIT_BYTES` starts the one helper, and later ones reuse it."""
+    src = os.path.dirname(os.path.dirname(ingest.__file__))
+    run = subprocess.run([sys.executable, "-c", _LAZY_HELPER], env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, check=True)
+    assert run.stdout.split() == ["1", "False", "2", "2", "2"]
