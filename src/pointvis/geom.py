@@ -94,10 +94,6 @@ class Pose:
         )
 
 
-def identity_pose(frame_id: int | None = None) -> Pose:
-    return Pose(np.eye(3), np.zeros(3), frame_id)
-
-
 @dataclass(frozen=True)
 class Intrinsics:
     """Pinhole model: focal lengths and principal point in pixels."""
@@ -118,26 +114,6 @@ class Intrinsics:
         for v in (self.fx, self.fy, self.cx, self.cy):
             if not np.isfinite(v):
                 raise DomainError("intrinsics must be finite")
-
-
-@dataclass(frozen=True)
-class CamPoint:
-    """A point in the camera frame; z is depth along the optical axis."""
-
-    x: float
-    y: float
-    z: float
-
-    def __post_init__(self):
-        if not (np.isfinite(self.x) and np.isfinite(self.y) and np.isfinite(self.z)):
-            raise DomainError("camera point must be finite")
-
-
-def world_to_camera(pose: Pose, p) -> CamPoint:
-    """Map a world point into the camera frame: R^T (p - t)."""
-    p = _as_matrix(p, (3,), "point")
-    c = pose.rotation.T @ (p - pose.translation)
-    return CamPoint(float(c[0]), float(c[1]), float(c[2]))
 
 
 class BinWork:
@@ -187,22 +163,6 @@ def world_to_camera_many(pose: Pose, points: np.ndarray, work: BinWork | None = 
     np.matmul(d, pose.rotation, out=prod)
     np.copyto(xyz, prod.T)
     return xyz
-
-
-def project(K: Intrinsics, c: CamPoint):
-    """Project a camera-frame point; returns (u, v, depth) or None if behind."""
-    if c.z <= 0:
-        return None
-    u = K.fx * c.x / c.z + K.cx
-    v = K.fy * c.y / c.z + K.cy
-    return (u, v, c.z)
-
-
-def back_project(K: Intrinsics, u: float, v: float, depth: float) -> CamPoint:
-    """Invert `project` for a known depth."""
-    if depth <= 0:
-        raise DomainError("depth must be positive")
-    return CamPoint((u - K.cx) * depth / K.fx, (v - K.cy) * depth / K.fy, depth)
 
 
 def scale_intrinsics(K: Intrinsics, level: int) -> Intrinsics:

@@ -15,14 +15,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, FormatError
-from .geom import Intrinsics, Pose, _as_matrix, pixel_bins, rotation_error
+from .geom import Intrinsics, Pose, pixel_bins, rotation_error
 from .zbuffer import BlockBoxes
 
 MAP_MAGIC = b"CENPBG-MAP\x00"
 MAP_VERSION = 1
 _MAP_HEADER = struct.Struct("<HQHBQ")  # version, N, C, flags, range count
-
-NO_COLOR = np.float32(np.nan)  # sentinel for points without a sampled color
 
 
 @dataclass
@@ -257,22 +255,18 @@ def accumulate(
     scans: list[Scan],
     sensor_poses: list[Pose],
     colors: list[np.ndarray] | None = None,
-    extrinsic: np.ndarray | None = None,
 ) -> PointCloudMap:
     """Transform each scan to the world frame and lay the scans out in
     scan-id order.
 
-    `extrinsic` is an optional finite 3x4 sensor-to-camera transform
-    applied before the pose (identity by default); any other raises
-    DomainError. `colors` is an optional per-scan list of (N_i, 3) arrays.
-    The map's arrays are allocated once at their final size and each scan
-    is written into its own rows, so no step holds a second copy of the map.
+    `colors` is an optional per-scan list of (N_i, 3) arrays. The map's
+    arrays are allocated once at their final size and each scan is written
+    into its own rows, so no step holds a second copy of the map.
     """
     if len(scans) != len(sensor_poses):
         raise DomainError(f"{len(scans)} scans but {len(sensor_poses)} poses")
     if colors is not None and len(colors) != len(scans):
         raise DomainError("colors list length does not match scans")
-    ext = _as_matrix(extrinsic, (3, 4), "extrinsic") if extrinsic is not None else None
     triples = list(zip(scans, sensor_poses, colors if colors is not None else [None] * len(scans)))
     triples.sort(key=lambda t: t[0].scan_id)
     n = sum(len(scan) for scan, _, _ in triples)
@@ -281,12 +275,9 @@ def accumulate(
     ranges = []
     cursor = 0
     for scan, pose, col in triples:
-        pts = scan.points
-        if ext is not None:
-            pts = pts @ ext[:, :3].T + ext[:, 3]
         rows = positions[cursor : cursor + len(scan)]
         # the two steps of `pts @ R.T + t`, written into the map's own rows
-        np.matmul(pts, pose.rotation.T, out=rows)
+        np.matmul(scan.points, pose.rotation.T, out=rows)
         rows += pose.translation
         if color_arr is not None:
             color_arr[cursor : cursor + len(scan)] = _scan_colors(scan, col)

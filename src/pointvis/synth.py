@@ -227,9 +227,8 @@ def scene_sequence(scene: SyntheticScene) -> Sequence:
 def _ray_rect_t(origins: np.ndarray, dirs: np.ndarray, rect: Rect3) -> np.ndarray:
     """Ray parameter t at which row i of origins + t*dirs meets the
     rectangle, or +inf where the ray misses it or runs parallel to it.
-    The single ray-rectangle solve behind the oracle, the painter and
-    `ray_rect_intersect`; callers choose the admissible t interval, which
-    never holds 0.
+    The single ray-rectangle solve behind the oracle and the painter;
+    callers choose the admissible t interval, which never holds 0.
 
     With m = origin - o, t = (m @ n) / (d @ n), and the offset q = t*d - m
     from the rectangle's origin to the plane hit is a*edge_u + b*edge_v, so
@@ -247,17 +246,6 @@ def _ray_rect_t(origins: np.ndarray, dirs: np.ndarray, rect: Rect3) -> np.ndarra
         a, b = q @ rect.dual_u, q @ rect.dual_v
         inside = np.isfinite(t) & (a >= 0.0) & (a <= 1.0) & (b >= 0.0) & (b <= 1.0)
         return np.where(inside, t, np.inf)
-
-
-def ray_rect_intersect(origin, direction, rect: Rect3):
-    """Smallest t in the open interval (0, 1) where the segment
-    origin + t*direction crosses the rectangle, or None."""
-    origin = np.asarray(origin, dtype=np.float64).reshape(1, 3)
-    d = np.asarray(direction, dtype=np.float64).reshape(1, 3)
-    if np.linalg.norm(d) == 0.0:
-        raise DomainError("direction must be non-zero")
-    t = float(_ray_rect_t(origin, d, rect)[0])
-    return t if 0.0 < t < 1.0 else None
 
 
 def oracle_occluded_many(positions: np.ndarray, pose: Pose, surfaces: list[Rect3]) -> np.ndarray:
@@ -341,23 +329,26 @@ def write_scene(out_dir, scene: SyntheticScene, with_images: bool = False) -> No
 
 def load_scans(scan_dir, poses_path, image_dir=None, K=None) -> tuple[list[tuple[int, Pose]], PointCloudMap]:
     """The trajectory in `poses_path`, and every numbered scan file in
-    `scan_dir` accumulated at its pose into a map. With `image_dir` each
-    scan's points are colored from its `<scan id:06d>.ppm` there, if any, as
-    projected by `K`; an image not K's size is a DomainError."""
+    `scan_dir` accumulated at its pose into a map. A scan file is named by
+    its scan id in ASCII digits, leading zeros allowed, and `.bin`, `.dat`
+    or no extension; other names are skipped, and two files of one id are
+    a FormatError. With `image_dir` each scan's points are colored from its
+    `<scan id:06d>.ppm` there, if any, as projected by `K`; an image not
+    K's size is a DomainError."""
     frames = read_poses(poses_path)
     pose_of = dict(frames)
-    scans = []
+    scans, named = [], {}
     for name in sorted(os.listdir(scan_dir)):
         stem, ext = os.path.splitext(name)
-        if ext not in (".bin", ".dat", ""):
+        if ext not in (".bin", ".dat", "") or not (stem.isascii() and stem.isdigit()):
             continue
-        try:
-            sid = int(stem)
-        except ValueError:
-            continue
+        sid, path = int(stem), os.path.join(scan_dir, name)
+        if sid in named:
+            raise FormatError(f"{named[sid]} and {path} are both scan {sid}")
         if sid not in pose_of:
             raise FormatError(f"scan {sid} has no pose in {poses_path}")
-        scans.append(read_scan(os.path.join(scan_dir, name), scan_id=sid))
+        named[sid] = path
+        scans.append(read_scan(path, scan_id=sid))
     if not scans:
         raise FormatError(f"no scan files found in {scan_dir}")
     cloud = accumulate(scans, [pose_of[scan.scan_id] for scan in scans])

@@ -1,14 +1,15 @@
 import math
 import struct
 import warnings
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 
 from pointvis.connectivity import build_graph
-from pointvis.errors import FormatError
-from pointvis.geom import Intrinsics, Pose, project, world_to_camera
-from pointvis.ingest import PointCloudMap, Scan, Sequence, accumulate
+from pointvis.errors import DomainError, FormatError
+from pointvis.geom import Intrinsics, Pose
+from pointvis.ingest import Scan, Sequence, accumulate
 from pointvis.synth import CanyonParams, make_canyon, scene_sequence
 
 
@@ -41,6 +42,38 @@ def uniform_sequence(n_scans, pts_per_scan, seed=0, spacing=1.0, with_colors=Fal
     cloud = accumulate(scans, [p for _, p in frames], colors=colors if with_colors else None)
     K = Intrinsics(64.0, 64.0, 64.0, 32.0, 128, 64)
     return Sequence(frames, K, cloud)
+
+
+class CamPoint(NamedTuple):
+    """A point in the camera frame; z is depth along the optical axis."""
+
+    x: float
+    y: float
+    z: float
+
+
+def world_to_camera(pose: Pose, p) -> CamPoint:
+    """One world point in the camera frame, R^T (p - t), written apart from
+    the package's vectorized transform; a non-finite point is a DomainError."""
+    p = np.asarray(p, dtype=np.float64)
+    if p.shape != (3,) or not np.all(np.isfinite(p)):
+        raise DomainError(f"point must be 3 finite numbers, got {p}")
+    c = pose.rotation.T @ (p - pose.translation)
+    return CamPoint(float(c[0]), float(c[1]), float(c[2]))
+
+
+def project(K: Intrinsics, c: CamPoint):
+    """The pinhole projection of a camera-frame point: (u, v, depth), or None at z <= 0."""
+    if c.z <= 0:
+        return None
+    return (K.fx * c.x / c.z + K.cx, K.fy * c.y / c.z + K.cy, c.z)
+
+
+def back_project(K: Intrinsics, u: float, v: float, depth: float) -> CamPoint:
+    """Invert `project` for a known depth."""
+    if depth <= 0:
+        raise DomainError("depth must be positive")
+    return CamPoint((u - K.cx) * depth / K.fx, (v - K.cy) * depth / K.fy, depth)
 
 
 def brute_force_zbuffer(cloud, candidate_idx, pose, K):

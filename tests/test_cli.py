@@ -1,5 +1,6 @@
 import os
 import shutil
+import struct
 import subprocess
 import sys
 from dataclasses import astuple
@@ -114,20 +115,35 @@ class TestBuildMap:
         assert np.array_equal(seq.map.colors.astype(np.float32), load_map(map_path).colors, equal_nan=True)
         assert len(surfaces) == len(read_surfaces(scene_dir / "surfaces.txt"))
 
-    def test_two_scan_fixture(self, tmp_path):
-        import struct
-
+    @staticmethod
+    def _two_scan_build(tmp_path, names):
+        """`build-map` over scan files `names` of 3 points each, at poses for scans 0 and 1."""
         scans = tmp_path / "scans"
         scans.mkdir()
-        for sid in (0, 1):
-            (scans / f"{sid:06d}.bin").write_bytes(struct.pack("<12f", *range(12)))
+        for name in names:
+            (scans / name).write_bytes(struct.pack("<12f", *range(12)))
         (tmp_path / "poses.txt").write_text(
             "0 1 0 0 0 0 1 0 0 0 0 1 0\n1 1 0 0 0 0 1 0 0 0 0 1 0\n"
         )
-        out = tmp_path / "m.map"
-        assert main(["build-map", "--scans", str(scans), "--poses", str(tmp_path / "poses.txt"),
-                     "--out", str(out)]) == 0
-        assert len(load_map(out)) == 6
+        return main(["build-map", "--scans", str(scans), "--poses", str(tmp_path / "poses.txt"),
+                     "--out", str(tmp_path / "m.map")])
+
+    def test_two_scan_fixture(self, tmp_path):
+        assert self._two_scan_build(tmp_path, [f"{sid:06d}.bin" for sid in (0, 1)]) == 0
+        assert len(load_map(tmp_path / "m.map")) == 6
+
+    # only a stem of ASCII digits names a scan: `int()` would also read `1_0` as 10,
+    # `+1` and ` 1` as 1 and `-1` as -1
+    def test_stem_not_all_digits_skipped(self, tmp_path):
+        names = ["000000.bin", "000001.bin", "1_0.bin", "+1.bin", " 1.bin", "-1.bin", "\u0661.bin"]
+        assert self._two_scan_build(tmp_path, names) == 0
+        assert load_map(tmp_path / "m.map").scan_ranges == [(0, 0, 3), (1, 3, 3)]
+
+    # refused where the files are listed, naming both, not later by the map's sorted-ids check
+    def test_two_files_of_one_scan_rejected_naming_both(self, tmp_path, capsys):
+        assert self._two_scan_build(tmp_path, ["000000.bin", "000001.bin", "1.bin"]) == 2
+        scans = tmp_path / "scans"
+        assert f"error: {scans / '000001.bin'} and {scans / '1.bin'} are both scan 1" in capsys.readouterr().err
 
 
 class TestBuildGraph:

@@ -1,5 +1,6 @@
 """A standing mutation property of the CLI: one malformed field or byte in
-any input file ends in exit 0 or 2, never in exit 1 or a RuntimeWarning."""
+any input file of `bench`, `render`, `build-map` or `build-graph` ends in
+exit 0 or 2, never in exit 1 or a RuntimeWarning."""
 import os
 import tempfile
 import warnings
@@ -19,12 +20,22 @@ FIELD_VALUES = st.one_of(
                      "0", "-0", "-1", "2.5", "1e400", "18446744073709551616", "abc", ""]),
     st.floats().map(repr),
 )
+OFFSETS = st.one_of(st.integers(0, 63), st.integers(0, 1 << 20))
+# (file, line, field, new text): line and field are taken modulo the file's
+FIELD = (st.integers(0, 15), st.integers(0, 15), FIELD_VALUES)
+# (file, offset, new byte): the offset is taken modulo the file's size; half land in the header
+BYTE = (OFFSETS, st.integers(0, 255))
+# `bench` reads the text files, `render` the map and the graph
 MUTATIONS = st.one_of(
-    # (file, line, field, new text): line and field are taken modulo the file's
-    st.tuples(st.sampled_from(TEXT_FILES), st.integers(0, 15), st.integers(0, 15), FIELD_VALUES),
-    # (file, offset, new byte): the offset is taken modulo the file's size; half land in the header
-    st.tuples(st.sampled_from(["map", "graph"]), st.one_of(st.integers(0, 63), st.integers(0, 1 << 20)),
-              st.integers(0, 255)),
+    st.tuples(st.sampled_from(TEXT_FILES), *FIELD),
+    st.tuples(st.sampled_from(["map", "graph"]), *BYTE),
+)
+# `build-map` reads poses.txt and the scans, `build-graph` the map; ("scans", scan,
+# offset, new byte) mutates scan 0-11, and a byte of None cuts the file at the offset
+BUILD_MUTATIONS = st.one_of(
+    st.tuples(st.just("poses.txt"), *FIELD),
+    st.tuples(st.just("scans"), st.integers(0, 11), OFFSETS, st.one_of(st.integers(0, 255), st.none())),
+    st.tuples(st.just("map"), *BYTE),
 )
 
 
@@ -40,29 +51,77 @@ def ci_scene(tmp_path_factory):
     return work
 
 
+def _mutate_text(src: Path, dst: Path, line, field, value) -> None:
+    lines = src.read_text().splitlines()
+    fields = lines[line % len(lines)].split()
+    fields[field % len(fields)] = value
+    lines[line % len(lines)] = " ".join(fields)
+    dst.write_text("\n".join(lines) + "\n")
+
+
+def _mutate_bytes(src: Path, dst: Path, offset, byte) -> None:
+    """`src` with its byte at `offset` (modulo its size) set to `byte`, or cut there when `byte` is None."""
+    raw = bytearray(src.read_bytes())
+    if byte is None:
+        del raw[offset % len(raw) :]
+    else:
+        raw[offset % len(raw)] = byte
+    dst.write_bytes(bytes(raw))
+
+
 def _mutated_run(work, mutation, out_dir) -> list[str]:
-    """The `pointvis` arguments that read the scene with one input mutated
-    as `mutation` says, the mutated copy written under `out_dir`."""
+    """The `pointvis bench` or `render` arguments that read the scene with
+    one input mutated as `mutation` says, the mutated copy written under
+    `out_dir`."""
     name, *how = mutation
     if name in TEXT_FILES:  # `bench` reads the scene's three text files; its scans are linked
-        line, field, value = how
-        lines = (work / "scene" / name).read_text().splitlines()
-        fields = lines[line % len(lines)].split()
-        fields[field % len(fields)] = value
-        lines[line % len(lines)] = " ".join(fields)
         scene = out_dir / "scene"
         scene.mkdir()
         os.symlink(work / "scene" / "scans", scene / "scans")
         for text in TEXT_FILES:
-            (scene / text).write_text("\n".join(lines) + "\n" if text == name else (work / "scene" / text).read_text())
+            if text == name:
+                _mutate_text(work / "scene" / text, scene / text, *how)
+            else:
+                os.symlink(work / "scene" / text, scene / text)
         return ["bench", "--scene", str(scene), "--every", "3", "--out", str(out_dir / "r.csv")]
-    offset, byte = how
-    raw = bytearray((work / f"{name}.bin").read_bytes())
-    raw[offset % len(raw)] = byte
-    (out_dir / f"{name}.bin").write_bytes(bytes(raw))
+    _mutate_bytes(work / f"{name}.bin", out_dir / f"{name}.bin", *how)
     files = {"map": work / "map.bin", "graph": work / "graph.bin", name: out_dir / f"{name}.bin"}
     return ["render", "--map", str(files["map"]), "--graph", str(files["graph"]),
             "--intrinsics", str(work / "scene" / "intrinsics.txt"), "--frame", "4", "--out", str(out_dir / "v.ppm")]
+
+
+def _mutated_build(work, mutation, out_dir) -> list[str]:
+    """The `pointvis build-map` or `build-graph` arguments that read the
+    scene with one input mutated as `mutation` says, as `_mutated_run`."""
+    name, *how = mutation
+    if name == "map":
+        _mutate_bytes(work / "map.bin", out_dir / "map.bin", *how)
+        return ["build-graph", "--map", str(out_dir / "map.bin"), "--poses", str(work / "scene" / "poses.txt"),
+                "--n", "3", "--out", str(out_dir / "graph.bin")]
+    scans, poses = work / "scene" / "scans", work / "scene" / "poses.txt"
+    if name == "poses.txt":
+        poses = out_dir / name
+        _mutate_text(work / "scene" / name, poses, *how)
+    else:  # one scan mutated, the others linked
+        index, *how = how
+        originals = sorted(scans.iterdir())
+        scans = out_dir / "scans"
+        scans.mkdir()
+        for i, path in enumerate(originals):
+            if i == index % len(originals):
+                _mutate_bytes(path, scans / path.name, *how)
+            else:
+                os.symlink(path, scans / path.name)
+    return ["build-map", "--scans", str(scans), "--poses", str(poses), "--out", str(out_dir / "map.bin")]
+
+
+def _exits_0_or_2(work, mutated_args, mutation) -> None:
+    with tempfile.TemporaryDirectory(dir=work) as out_dir:
+        args = mutated_args(work, mutation, Path(out_dir))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main(args)
+    assert code in (0, 2), (mutation, code)
 
 
 @settings(max_examples=40, derandomize=True, database=None, deadline=None)
@@ -72,9 +131,11 @@ def _mutated_run(work, mutation, out_dir) -> list[str]:
 @example(mutation=("intrinsics.txt", 0, 2, "1e308"))  # cx: the z-buffer's culling bound overflowed
 @example(mutation=("poses.txt", 0, 4, "1.7976931348623157e+308"))  # frame 0's x: the oracle's t overflowed
 def test_one_mutation_exits_0_or_2(ci_scene, mutation):
-    with tempfile.TemporaryDirectory(dir=ci_scene) as out_dir:
-        args = _mutated_run(ci_scene, mutation, Path(out_dir))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            code = main(args)
-    assert code in (0, 2), (mutation, code)
+    _exits_0_or_2(ci_scene, _mutated_run, mutation)
+
+
+@settings(max_examples=30, derandomize=True, database=None, deadline=None)
+@given(mutation=BUILD_MUTATIONS)
+@example(mutation=("scans", 3, 100, None))  # scan 3 cut inside its seventh point
+def test_one_build_input_mutation_exits_0_or_2(ci_scene, mutation):
+    _exits_0_or_2(ci_scene, _mutated_build, mutation)

@@ -19,7 +19,7 @@ from pointvis.connectivity import (
     window_rows,
 )
 from pointvis.errors import DomainError, FormatError
-from pointvis.geom import Intrinsics, Pose, identity_pose
+from pointvis.geom import Intrinsics, Pose
 from pointvis.ingest import PointCloudMap, Sequence
 from pointvis.zbuffer import zbuffer_winners
 
@@ -59,7 +59,7 @@ class TestBuildGraph:
         """The graph table stores frame ids unsigned and searches them sorted."""
         seq = uniform_sequence(3, 5, seed=24)
         with pytest.raises(DomainError, match="non-negative and strictly increasing"):
-            Sequence([(fid, identity_pose()) for fid in fids], seq.intrinsics, seq.map)
+            Sequence([(fid, Pose(np.eye(3), np.zeros(3))) for fid in fids], seq.intrinsics, seq.map)
 
     def test_every_frame_has_entry(self):
         seq = uniform_sequence(50, 5, seed=1)
@@ -242,9 +242,9 @@ def test_zbuffer_prefilter_across_blocks(block):
     cand = np.array([3, 4, 2, 5, 6, 7, 3, 1, 0, 2, 7, 6, 5, 4])
     cloud = PointCloudMap(positions, [(0, 0, len(positions))])
     with mock.patch.object(zbuffer, "_BLOCK", block):
-        idx, pu, pv, depth = zbuffer_winners(cand, identity_pose(), K, positions)
+        idx, pu, pv, depth = zbuffer_winners(cand, Pose(np.eye(3), np.zeros(3)), K, positions)
     got = {(int(u), int(v)): int(i) for u, v, i in zip(pu, pv, idx)}
-    assert got == brute_force_zbuffer(cloud, cand, identity_pose(), K)
+    assert got == brute_force_zbuffer(cloud, cand, Pose(np.eye(3), np.zeros(3)), K)
     assert got == {(6, 3): 0, (4, 3): 1, (2, 3): 2, (4, 1): 5}
     assert idx.tolist() == [0, 1, 2, 5] and depth.tolist() == [2.0, 1.0, 2.0, 2.0]
 
@@ -293,8 +293,8 @@ def test_zbuffer_descending_range_equals_ascending(block):
     n = len(positions)
     K = Intrinsics(4.0, 4.0, 4.0, 3.0, 8, 6)
     with mock.patch.object(zbuffer, "_BLOCK", block):
-        got = zbuffer_winners(range(n - 1, -1, -1), identity_pose(), K, positions)
-        want = zbuffer_winners(range(0, n), identity_pose(), K, positions)
+        got = zbuffer_winners(range(n - 1, -1, -1), Pose(np.eye(3), np.zeros(3)), K, positions)
+        want = zbuffer_winners(range(0, n), Pose(np.eye(3), np.zeros(3)), K, positions)
     for a, b in zip(got, want):
         np.testing.assert_array_equal(a, b, strict=True)
     assert len(want[0]) > 5 and want[0].max() < 40  # each original wins the tie with its copies
@@ -313,7 +313,7 @@ def test_zbuffer_drops_far_off_image_points_without_warning():
     ])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        idx, pu, pv, depth = zbuffer_winners(np.arange(5), identity_pose(), K, positions)
+        idx, pu, pv, depth = zbuffer_winners(np.arange(5), Pose(np.eye(3), np.zeros(3)), K, positions)
     assert (idx.tolist(), pu.tolist(), pv.tolist(), depth.tolist()) == ([4], [16], [8], [4.0])
 
 
@@ -337,7 +337,7 @@ def test_zbuffer_rejects_bad_candidate_indices(cand):
     K = Intrinsics(4.0, 4.0, 4.0, 3.0, 8, 6)
     cloud = PointCloudMap(np.array([[0.0, 0.0, 1.0], [0.5, 0.0, 2.0], [-0.5, 0.0, 2.0]]), [(0, 0, 3)])
     with pytest.raises(DomainError):
-        prune_visible(np.asarray(cand), cloud, identity_pose(), K)
+        prune_visible(np.asarray(cand), cloud, Pose(np.eye(3), np.zeros(3)), K)
 
 
 @pytest.mark.parametrize("block", [1, 2, 7])
@@ -349,7 +349,7 @@ def test_zbuffer_rejects_bad_index_in_a_later_block(block):
         mock.patch.object(zbuffer, "pixel_bins", wraps=zbuffer.pixel_bins) as bins,
         pytest.raises(DomainError, match="-1"),
     ):
-        zbuffer_winners(np.array([0, 1, 2, 3, 4, 5, 6, -1]), identity_pose(), K, positions)
+        zbuffer_winners(np.array([0, 1, 2, 3, 4, 5, 6, -1]), Pose(np.eye(3), np.zeros(3)), K, positions)
     bins.assert_not_called()  # the array is checked where it enters, before any block is binned
 
 
@@ -359,7 +359,7 @@ def test_zbuffer_rejects_bad_index_in_a_later_block(block):
 )
 def test_zbuffer_empty_candidates_of_any_dtype(cand):
     K = Intrinsics(4.0, 4.0, 4.0, 3.0, 8, 6)
-    idx, _, _, _ = zbuffer_winners(cand, identity_pose(), K, np.ones((3, 3)))
+    idx, _, _, _ = zbuffer_winners(cand, Pose(np.eye(3), np.zeros(3)), K, np.ones((3, 3)))
     assert idx.dtype == np.int64 and len(idx) == 0
 
 
@@ -494,7 +494,7 @@ def test_culled_prune_equals_unculled_at_the_frustum_planes(block, case):
 def test_frustum_planes_cull_boxes_wholly_beyond_them():
     """Single-point boxes well beyond each plane are culled; points inside
     the image, or on a plane up to rounding (inside the margin), are not."""
-    K, pose = _PLANE_K, identity_pose()
+    K, pose = _PLANE_K, Pose(np.eye(3), np.zeros(3))
     inside = np.array([[0.1, 0.2, 3.0], [_on_plane(1, 0, 5)[0] + 1e-3, 0.0, 5.0]])
     beyond = np.array([_on_plane(p, 0.5, 4.0) + off for p, off in
                        [(0, (0, 0, -0.1)), (1, (-0.1, 0, 0)), (2, (0.1, 0, 0)), (3, (0, -0.1, 0)), (4, (0, 0.1, 0))]])
@@ -513,13 +513,13 @@ def test_boxes_built_at_one_block_size_are_not_reused_at_another():
     positions = np.vstack([np.column_stack([np.linspace(-1, 1, 7), np.zeros(7), np.full(7, 3.0)]),
                            np.tile([0.0, 0.0, -2.0], (7, 1))])
     cloud = PointCloudMap(positions, [(0, 0, 14)])
-    want = zbuffer_winners(np.arange(14), identity_pose(), _PLANE_K, positions)[0]
+    want = zbuffer_winners(np.arange(14), Pose(np.eye(3), np.zeros(3)), _PLANE_K, positions)[0]
     assert len(want) == 7
     for block in (7, 2, 7):
         with mock.patch.object(zbuffer, "_BLOCK", block):
             for binned in (14, -(-7 // block) * block):  # the second prune builds the boxes and culls
                 with mock.patch.object(zbuffer, "pixel_bins", wraps=zbuffer.pixel_bins) as bins:
-                    got = prune_visible(range(0, 14), cloud, identity_pose(), _PLANE_K).point_indices
+                    got = prune_visible(range(0, 14), cloud, Pose(np.eye(3), np.zeros(3)), _PLANE_K).point_indices
                 np.testing.assert_array_equal(got, want, strict=True)
                 assert sum(len(call.args[2]) for call in bins.call_args_list) == binned
         assert cloud.boxes.block == block and len(cloud.boxes.table) == -(-14 // block)
@@ -531,12 +531,12 @@ def test_boxes_are_built_on_the_second_prune_of_their_block():
     cloud = PointCloudMap(positions, [(0, 0, 40)])
     assert cloud.boxes.block == 0  # none at construction
     with mock.patch.object(zbuffer, "_BLOCK", 8):
-        prune_visible(range(9, 17), cloud, identity_pose(), _PLANE_K)  # blocks 1 and 2
+        prune_visible(range(9, 17), cloud, Pose(np.eye(3), np.zeros(3)), _PLANE_K)  # blocks 1 and 2
         assert not cloud.boxes.built.any() and np.isinf(cloud.boxes.table[:, 3:]).all()
-        prune_visible(range(15, 26), cloud, identity_pose(), _PLANE_K)  # blocks 1, 2 and 3
+        prune_visible(range(15, 26), cloud, Pose(np.eye(3), np.zeros(3)), _PLANE_K)  # blocks 1, 2 and 3
         assert cloud.boxes.built.tolist() == [False, True, True, False, False]
-        prune_visible(np.arange(40), cloud, identity_pose(), _PLANE_K)  # an index array touches no box
-        prune_visible(range(0, 40), cloud, identity_pose(), _PLANE_K)
+        prune_visible(np.arange(40), cloud, Pose(np.eye(3), np.zeros(3)), _PLANE_K)  # an index array touches no box
+        prune_visible(range(0, 40), cloud, Pose(np.eye(3), np.zeros(3)), _PLANE_K)
         assert cloud.boxes.built.tolist() == [False, True, True, True, False]
     block = positions[16:24]
     center, half, size = np.split(cloud.boxes.table[2], [3, 6])
@@ -567,15 +567,15 @@ def test_zbuffer_row_range_bit_identical_on_a_rotated_view(dtype):
 def test_zbuffer_rejects_row_range_outside_the_map(rows, bad):
     K = Intrinsics(4.0, 4.0, 4.0, 3.0, 8, 6)
     with pytest.raises(DomainError, match=f"candidate index {bad} is outside the map's 3 points"):
-        zbuffer_winners(rows, identity_pose(), K, np.ones((3, 3)))
+        zbuffer_winners(rows, Pose(np.eye(3), np.zeros(3)), K, np.ones((3, 3)))
 
 
 @pytest.mark.parametrize("rows", [range(0, 3, 2), range(2, -1, -1)])
 def test_zbuffer_range_of_other_step_is_an_index_array(rows):
     K = Intrinsics(4.0, 4.0, 4.0, 3.0, 8, 6)
     positions = np.array([[0.0, 0.0, 1.0], [0.5, 0.0, 2.0], [-0.5, 0.0, 2.0]])
-    got = zbuffer_winners(rows, identity_pose(), K, positions)
-    want = zbuffer_winners(np.array(list(rows)), identity_pose(), K, positions)
+    got = zbuffer_winners(rows, Pose(np.eye(3), np.zeros(3)), K, positions)
+    want = zbuffer_winners(np.array(list(rows)), Pose(np.eye(3), np.zeros(3)), K, positions)
     for a, b in zip(got, want):
         np.testing.assert_array_equal(a, b, strict=True)
 

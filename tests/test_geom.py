@@ -8,19 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 from pointvis import geom
 from pointvis.errors import DomainError
-from pointvis.geom import (
-    BinWork,
-    CamPoint,
-    Intrinsics,
-    Pose,
-    back_project,
-    identity_pose,
-    pixel_bins,
-    project,
-    project_points,
-    scale_intrinsics,
-    world_to_camera,
-)
+from pointvis.geom import BinWork, Intrinsics, Pose, pixel_bins, project_points, scale_intrinsics
+
+from conftest import CamPoint, back_project, project, world_to_camera
 
 
 def rot_z(angle):
@@ -73,7 +63,7 @@ class TestPose:
 
 class TestWorldToCamera:
     def test_identity(self):
-        c = world_to_camera(identity_pose(), [1.0, 2.0, 3.0])
+        c = world_to_camera(Pose(np.eye(3), np.zeros(3)), [1.0, 2.0, 3.0])
         assert (c.x, c.y, c.z) == (1.0, 2.0, 3.0)
 
     def test_pure_translation(self):
@@ -90,7 +80,7 @@ class TestWorldToCamera:
 
     def test_rejects_non_finite(self):
         with pytest.raises(DomainError):
-            world_to_camera(identity_pose(), [np.nan, 0.0, 1.0])
+            world_to_camera(Pose(np.eye(3), np.zeros(3)), [np.nan, 0.0, 1.0])
 
 
 class TestProject:
@@ -231,7 +221,7 @@ _DEPTH = st.one_of(st.sampled_from([1.0, 0.0, -0.0, -1.0, 1e-300, 0.5]), st.floa
 def test_pixel_bins_matches_full_length_rule(data, width, height, dtype):
     rows = data.draw(st.lists(st.tuples(_coord(width), _coord(height), _DEPTH), max_size=40))
     K = Intrinsics(1.0, 1.0, 0.0, 0.0, width, height)
-    pose = identity_pose()
+    pose = Pose(np.eye(3), np.zeros(3))
     pts = np.array(rows, dtype=np.float64).reshape(-1, 3).astype(dtype)
     want = _full_length_rule(K, *project_points(pose, K, pts))
     for a, b in zip(pixel_bins(pose, K, pts), want):

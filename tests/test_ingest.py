@@ -15,10 +15,9 @@ from hypothesis import given, settings, strategies as st
 from pointvis import ingest
 from pointvis.connectivity import _GRAPH_ENTRY, ConnectivityGraph, load_graph, prune_visible, save_graph, window_rows
 from pointvis.errors import DomainError, FormatError
-from pointvis.geom import Intrinsics, Pose, identity_pose
+from pointvis.geom import Intrinsics, Pose
 from pointvis.ingest import (
     MAP_MAGIC,
-    NO_COLOR,
     PointCloudMap,
     Scan,
     accumulate,
@@ -76,7 +75,7 @@ class TestReadPoses:
         path = tmp_path / "poses.txt"
         path.write_text("7 1 0 0 0 0 1 0 0 0 0 1 0\n")
         frames = read_poses(path)
-        assert frames == [(7, identity_pose(7))]
+        assert frames == [(7, Pose(np.eye(3), np.zeros(3), 7))]
 
     def test_duplicate_frame_id(self, tmp_path):
         path = tmp_path / "poses.txt"
@@ -230,7 +229,7 @@ def test_poses_byte_mutation_loads_or_format_error(tmp_path_factory, frames, dat
 class TestAccumulate:
     def test_two_scans_identity(self):
         scans = [Scan(0, np.arange(9).reshape(3, 3)), Scan(1, np.arange(9).reshape(3, 3) + 1)]
-        cloud = accumulate(scans, [identity_pose(), identity_pose()])
+        cloud = accumulate(scans, [Pose(np.eye(3), np.zeros(3))] * 2)
         assert len(cloud) == 6
         assert cloud.scan_ranges == [(0, 0, 3), (1, 3, 3)]
 
@@ -242,25 +241,6 @@ class TestAccumulate:
     def test_count_mismatch(self):
         with pytest.raises(DomainError):
             accumulate([Scan(0, np.zeros((1, 3)))], [])
-
-    def test_extrinsic_applied_before_pose(self):
-        ext = np.hstack([np.eye(3), [[1], [0], [0]]])
-        scan = Scan(0, [[0.0, 0.0, 0.0]])
-        cloud = accumulate([scan], [Pose(np.eye(3), [0, 0, 5])], extrinsic=ext)
-        assert np.array_equal(cloud.positions, [[1, 0, 5]])
-
-    @pytest.mark.parametrize("n_scans", [1, 0])
-    @pytest.mark.parametrize(
-        "ext",
-        [np.eye(3), np.arange(12.0).reshape(4, 3), np.full((3, 4), np.nan), np.hstack([np.eye(3), [[np.inf], [0], [0]]])],
-        ids=["3x3", "4x3", "nan", "inf"],
-    )
-    def test_malformed_extrinsic_rejected_before_any_scan(self, ext, n_scans):
-        """A 3x3 used to raise a stray ValueError, a 4x3 was reshaped into
-        another transform, and with no scans nothing was checked."""
-        scans, poses = [Scan(0, np.zeros((2, 3)))][:n_scans], [identity_pose()][:n_scans]
-        with pytest.raises(DomainError, match="extrinsic"):
-            accumulate(scans, poses, extrinsic=ext)
 
     def test_permutation_consistency(self):
         rng = np.random.default_rng(7)
@@ -279,13 +259,13 @@ class TestAccumulate:
         scans = [Scan(0, np.zeros((2, 3))), Scan(1, np.ones((3, 3)))]
         colors = [np.full((3, 3), 0.1), np.full((2, 3), 0.9)]
         with pytest.raises(DomainError, match="scan 0"):
-            accumulate(scans, [identity_pose(), identity_pose()], colors=colors)
+            accumulate(scans, [Pose(np.eye(3), np.zeros(3))] * 2, colors=colors)
 
     @pytest.mark.parametrize("col", [[["a", "b", "c"]], np.zeros((1, 2)), None, np.zeros(3)])
     def test_malformed_colors_name_the_scan(self, col):
         scans = [Scan(4, np.zeros((1, 3))), Scan(7, np.zeros((1, 3)))]
         with pytest.raises(DomainError, match="scan 7"):
-            accumulate(scans, [identity_pose(), identity_pose()], colors=[np.zeros((1, 3)), col])
+            accumulate(scans, [Pose(np.eye(3), np.zeros(3))] * 2, colors=[np.zeros((1, 3)), col])
 
     @pytest.mark.parametrize("colors", [None, []])
     def test_no_scans_is_an_empty_map(self, colors):
@@ -303,7 +283,7 @@ def _random_rotation(rng) -> np.ndarray:
 @st.composite
 def _scan_lists(draw):
     """Scans with unsorted ids, empty scans among them, random poses, and
-    colors and an extrinsic or not."""
+    colors or not."""
     k = draw(st.integers(0, 6))
     ids = draw(st.lists(st.integers(0, 100), min_size=k, max_size=k, unique=True))
     sizes = draw(st.lists(st.integers(0, 12), min_size=k, max_size=k))
@@ -311,8 +291,7 @@ def _scan_lists(draw):
     scans = [Scan(sid, rng.uniform(-50, 50, (n, 3))) for sid, n in zip(ids, sizes)]
     poses = [Pose(_random_rotation(rng), rng.uniform(-20, 20, 3)) for _ in ids]
     colors = [rng.uniform(0, 1, (n, 3)) for n in sizes] if draw(st.booleans()) else None
-    ext = np.hstack([_random_rotation(rng), rng.uniform(-1, 1, (3, 1))]) if draw(st.booleans()) else None
-    return scans, poses, colors, ext
+    return scans, poses, colors
 
 
 @settings(max_examples=200, deadline=None)
@@ -321,13 +300,10 @@ def test_accumulate_and_save_map_match_the_concatenated_reference(tmp_path_facto
     """The map is bit-equal to the per-scan `pts @ R.T + t` concatenated in
     scan-id order, and the file to the header and the arrays' `tobytes()`,
     whatever the chunk size `save_map` casts in."""
-    scans, poses, colors, ext = case
-    cloud = accumulate(scans, poses, colors=colors, extrinsic=ext)
+    scans, poses, colors = case
+    cloud = accumulate(scans, poses, colors=colors)
     order = sorted(range(len(scans)), key=lambda i: scans[i].scan_id)
-    world = []
-    for i in order:
-        pts = scans[i].points if ext is None else scans[i].points @ ext[:, :3].T + ext[:, 3]
-        world.append(pts @ poses[i].rotation.T + poses[i].translation)
+    world = [scans[i].points @ poses[i].rotation.T + poses[i].translation for i in order]
     want = np.concatenate(world) if world else np.zeros((0, 3))
     assert cloud.positions.dtype == want.dtype and cloud.positions.tobytes() == want.tobytes()
     if colors is None:
@@ -356,17 +332,16 @@ def test_accumulate_and_save_map_match_the_concatenated_reference(tmp_path_facto
 
 def test_accumulate_and_save_map_hold_no_second_copy(tmp_path):
     """numpy reports its buffers to tracemalloc: building a 1M-point map in
-    20 scans allocates the map and, beyond it, only the extrinsic step's two
-    temporaries of one scan; writing it holds one float32 chunk at a time,
-    not a float32 copy of the map."""
+    20 scans allocates the map and under 1 MiB beyond it, no temporary of
+    one scan's size; writing it holds one float32 chunk at a time, not a
+    float32 copy of the map."""
     rng = np.random.default_rng(5)
     scans = [Scan(i, rng.uniform(-10, 10, (50_000, 3))) for i in range(20)]
     poses = [Pose(_random_rotation(rng), rng.uniform(-5, 5, 3)) for _ in scans]
     colors = [rng.uniform(0, 1, (50_000, 3)) for _ in scans]
-    ext = np.hstack([np.eye(3), [[0.5], [0.0], [0.0]]])
     tracemalloc.start()
     try:
-        cloud = accumulate(scans, poses, colors=colors, extrinsic=ext)
+        cloud = accumulate(scans, poses, colors=colors)
         _, build_peak = tracemalloc.get_traced_memory()
         map_bytes = cloud.positions.nbytes + cloud.colors.nbytes
         tracemalloc.reset_peak()
@@ -375,11 +350,9 @@ def test_accumulate_and_save_map_hold_no_second_copy(tmp_path):
         _, write_peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    want = np.concatenate([(s.points @ ext[:, :3].T + ext[:, 3]) @ p.rotation.T + p.translation
-                           for s, p in zip(scans, poses)])
+    want = np.concatenate([s.points @ p.rotation.T + p.translation for s, p in zip(scans, poses)])
     assert cloud.positions.tobytes() == want.tobytes()  # bit-equal at full scan size too
-    scan_bytes = scans[0].points.nbytes
-    assert build_peak <= map_bytes + 2 * scan_bytes + 2**20  # 1.07x; one concatenated copy made it 1.5x
+    assert build_peak <= map_bytes + 2**20  # 1.02x; one concatenated copy made it 1.5x
     file_bytes = (tmp_path / "m.map").stat().st_size
     assert file_bytes > 22 * 2**20
     assert write_peak - held < 3 * 2**20
@@ -410,7 +383,7 @@ class TestMapValidation:
     # The z-buffer caches a box per block of positions with the map, so a
     # write through the map would leave a stale box that culls visible rows.
     def test_positions_are_read_only(self, tmp_path):
-        built = accumulate([Scan(0, np.ones((4, 3)))], [identity_pose()], colors=[np.zeros((4, 3))])
+        built = accumulate([Scan(0, np.ones((4, 3)))], [Pose(np.eye(3), np.zeros(3))], colors=[np.zeros((4, 3))])
         save_map(tmp_path / "m.map", built)
         for cloud in (built, load_map(tmp_path / "m.map"), PointCloudMap(np.zeros((2, 3)), [(0, 0, 2)])):
             with pytest.raises(ValueError, match="read-only"):
@@ -523,7 +496,7 @@ class TestMapSerialization:
 
     def test_missing_color_still_loads(self, tmp_path):
         cloud = self._cloud(with_desc=False)
-        cloud.colors[3] = NO_COLOR
+        cloud.colors[3] = np.nan
         path = tmp_path / "nc.map"
         save_map(path, cloud)
         back = load_map(path)
@@ -598,7 +571,7 @@ def test_loaded_map_renders_like_float64(tmp_path_factory, seed):
     pos = np.column_stack([rng.uniform(-4, 4, n), rng.uniform(-2, 2, n), rng.uniform(-1, 8, n)])
     pos[rng.integers(0, n, n // 4)] = pos[rng.integers(0, n, n // 4)]  # exact depth ties
     colors = rng.uniform(0, 1, (n, 3))
-    colors[rng.random(n) < 0.1] = NO_COLOR
+    colors[rng.random(n) < 0.1] = np.nan
     split = int(rng.integers(0, n + 1))
     ranges = [(0, 0, split), (1, split, n - split)]
     path = tmp_path_factory.mktemp("exact") / "m.map"
@@ -627,7 +600,7 @@ def _golden_files(directory):
     raster dump, every array built from np.arange."""
     pos = np.arange(36.0).reshape(12, 3) * 0.25 - 4
     colors = np.arange(36.0).reshape(12, 3) / 64
-    colors[7] = NO_COLOR
+    colors[7] = np.nan
     desc = np.arange(48.0).reshape(12, 4) * 0.5 - 10
     ranges = [(0, 0, 5), (3, 5, 0), (4, 5, 7)]
     save_map(directory / "full.map", PointCloudMap(pos, ranges, colors, desc))
