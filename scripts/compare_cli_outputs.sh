@@ -36,10 +36,13 @@
 # optional parts, is benched too: its map has no colors and its leak columns
 # are nan. The CSVs are compared on columns 1-6, since columns 7-8 are
 # timings. Last, `synth --out --images` with no other option writes the
-# scene of every default scene option. The two trees' scene directories
-# (the small scene, the dense one and the default one) are compared file by
-# file: scans, poses, intrinsics, surfaces and the painter's images/, whose
-# bits would otherwise be compared only through the map's colors.
+# scene of every default scene option, and a small scene with two occluders
+# and `--occluder-clearance 4` clears the ground and walls behind each: the
+# one path on which `make_canyon` drops samples and cuts its sample arrays
+# short. The two trees' scene directories (the small scene, the dense one,
+# the default one and the cleared one) are compared file by file: scans,
+# poses, intrinsics, surfaces and the painter's images/, whose bits would
+# otherwise be compared only through the map's colors.
 set -euo pipefail
 if [ $# -lt 1 ] || [ $# -gt 2 ]; then
   echo "usage: $0 BASE_TREE [WORK_DIR]" >&2
@@ -97,6 +100,8 @@ for tree in base head; do
   pv bench --scene "$out/dense" --strategies connectivity,fullmap,depth:10,radius:6 --n 3 \
     --out "$out/dense-bench.csv"
   pv synth --out "$out/default" --images
+  pv synth --out "$out/cleared" --images --length 24 --spacing 0.5 --lidar-range 9 \
+    --frame-step 2 --occluders 2 --occluder-clearance 4 --seed 4 --width 64 --height 32
 done
 for f in map.bin graph.bin view.ppm view-gaps.ppm view-pose.ppm view-pose4.ppm view-first.ppm view-last.ppm \
   dense-view-first.ppm dense-view-4.ppm dense-view-last.ppm; do
@@ -113,7 +118,7 @@ for f in "$work"/cli-base/bench_*.csv "$work"/cli-base/bare-bench_*.csv \
     status=1
   fi
 done
-for d in scene dense default; do
+for d in scene dense default cleared; do
   if ! diff -r --brief "$work/cli-base/$d" "$work/cli-head/$d"; then
     echo "::error::the synth scene directory $d differs from the base commit"
     status=1

@@ -101,9 +101,6 @@ class SyntheticScene:
     scans: list[Scan]
     intrinsics: Intrinsics
     scan_colors: list[np.ndarray] = field(default_factory=list)
-    samples: np.ndarray | None = None
-    sample_colors: np.ndarray | None = None
-    sample_surface: np.ndarray | None = None
 
 
 _PALETTE = np.array(
@@ -136,23 +133,43 @@ def make_canyon(params: CanyonParams) -> SyntheticScene:
     if p.lidar_range <= p.wall_gap:
         raise DomainError("lidar_range must exceed wall_gap")
 
+    with np.errstate(over="ignore"):  # inf: refused
+        frames = np.float64(p.length) / p.frame_step
+    check_fits(frames, 96, f"length {p.length:g} at frame_step {p.frame_step:g} gives {frames:g} poses")  # 12 float64
+    n_frames = int(round(p.length / p.frame_step))
+    if n_frames == 0:
+        raise DomainError(f"length {p.length:g} at frame_step {p.frame_step:g} gives no pose")
+    focal = p.focal if p.focal is not None else p.image_width / 2
+    K = Intrinsics(focal, focal, p.image_width / 2, p.image_height / 2, p.image_width, p.image_height)
+    surfaces, samples, sample_colors, _ = _sample_canyon(p)
+    n_rows = _scan_rows_bound(samples[:, 2], n_frames, p)
+    check_fits(n_rows, 48, f"{n_frames} frames in lidar_range {p.lidar_range:g} of {len(samples)} samples "
+               f"give up to {n_rows} scan rows")  # float64 xyz and color each
+    trajectory, scans, scan_colors = [], [], []
+    for t in range(n_frames):
+        center = np.array([0.0, 0.0, t * p.frame_step])
+        trajectory.append(Pose(np.eye(3), center, t))
+        near = np.linalg.norm(samples - center, axis=1) <= p.lidar_range
+        scans.append(Scan(t, samples[near] - center))
+        scan_colors.append(sample_colors[near])
+
+    return SyntheticScene(surfaces, trajectory, scans, K, scan_colors)
+
+
+def _sample_canyon(p: CanyonParams) -> tuple[list[Rect3], np.ndarray, np.ndarray, list[int]]:
+    """The canyon's surfaces; their samples, a jittered grid of round(a / spacing)
+    x round(b / spacing) on a surface of sides a x b, with texture colors; and
+    each surface's row count. Samples and colors are allocated once, at the grids'
+    total, and written in place; occluder clearance drops rows, so the tail is cut."""
     g, L, wh, ch = p.wall_gap, p.length, p.wall_height, CAMERA_HEIGHT
-    # a surface of sides a x b is sampled on a grid of round(a / spacing) x round(b / spacing):
     # the ground g x L, two walls L x wh, the end cap g x wh and each occluder g x 0.75 wh
     sides = np.abs(np.array([(g, L), (L, wh), (g, wh), (g, 0.75 * wh)]))
     counts = [1, 2, int(p.close_end), p.occluders]
     with np.errstate(over="ignore"):  # inf: refused
-        frames = np.float64(L) / p.frame_step
         grids = np.maximum(1.0, np.rint(sides / p.point_spacing))
         n_samples = sum(n * c for n, c in zip(grids.prod(axis=1), counts) if c)
-    check_fits(frames, 96, f"length {L:g} at frame_step {p.frame_step:g} gives {frames:g} poses")  # 12 float64
-    n_frames = int(round(L / p.frame_step))
-    if n_frames == 0:
-        raise DomainError(f"length {L:g} at frame_step {p.frame_step:g} gives no pose")
-    focal = p.focal if p.focal is not None else p.image_width / 2
-    K = Intrinsics(focal, focal, p.image_width / 2, p.image_height / 2, p.image_width, p.image_height)
-    check_fits(n_samples, 24, f"length {L:g}, wall_gap {g:g} and {p.occluders} occluders at point_spacing "
-               f"{p.point_spacing:g} give {n_samples:g} samples")  # one float64 xyz row each
+    check_fits(n_samples, 48, f"length {L:g}, wall_gap {g:g} and {p.occluders} occluders at point_spacing "
+               f"{p.point_spacing:g} give {n_samples:g} samples")  # float64 xyz and color each
     surfaces = [
         Rect3((-g / 2, ch, 0), (g, 0, 0), (0, 0, L), _PALETTE[0]),  # ground
         Rect3((-g / 2, ch, 0), (0, 0, L), (0, -wh, 0), _PALETTE[1]),  # left wall
@@ -160,49 +177,32 @@ def make_canyon(params: CanyonParams) -> SyntheticScene:
     ]
     if p.close_end:
         surfaces.append(Rect3((-g / 2, ch, L), (g, 0, 0), (0, -wh, 0), _PALETTE[3]))
-    occ_z = []
-    for k in range(p.occluders):
-        z = L * (k + 1) / (p.occluders + 1)
-        occ_z.append(z)
-        color = _PALETTE[4 + k % (len(_PALETTE) - 4)]
-        surfaces.append(Rect3((-g / 2, ch, z), (g, 0, 0), (0, -0.75 * wh, 0), color))
-    n_static = 3 + (1 if p.close_end else 0)
-
+    n_static, occ_z = len(surfaces), [L * (k + 1) / (p.occluders + 1) for k in range(p.occluders)]
+    surfaces += [Rect3((-g / 2, ch, z), (g, 0, 0), (0, -0.75 * wh, 0), _PALETTE[4 + k % (len(_PALETTE) - 4)])
+                 for k, z in enumerate(occ_z)]
     rng = np.random.default_rng(p.seed)
-    sample_parts, color_parts, surf_parts = [], [], []
+    samples, colors = np.empty((int(n_samples), 3)), np.empty((int(n_samples), 3))
+    rows, cursor = [], 0
     plan = np.repeat(grids, counts, axis=0).astype(np.int64).tolist()  # one (nu, nv) per surface
     for idx, (rect, (nu, nv)) in enumerate(zip(surfaces, plan, strict=True)):
         ii, jj = np.meshgrid(np.arange(nu), np.arange(nv), indexing="ij")
         a = (ii.reshape(-1) + 0.5 + rng.uniform(-0.45, 0.45, ii.size)) / nu
         b = (jj.reshape(-1) + 0.5 + rng.uniform(-0.45, 0.45, jj.size)) / nv
-        pts = rect.origin + a[:, None] * rect.edge_u + b[:, None] * rect.edge_v
+        pts = samples[cursor : cursor + len(a)]
+        # the two steps of `origin + a * edge_u + b * edge_v`, written into the surface's own rows
+        np.add(rect.origin, a[:, None] * rect.edge_u, out=pts)
+        pts += b[:, None] * rect.edge_v
         if p.occluder_clearance > 0 and idx < n_static:
             blocked = np.zeros(len(pts), dtype=bool)
             for z in occ_z:
                 blocked |= (pts[:, 2] > z) & (pts[:, 2] < z + p.occluder_clearance)
-            pts = pts[~blocked]
-        if len(pts) == 0:
-            continue
-        sample_parts.append(pts)
-        color_parts.append(texture_color(idx, rect.color, pts))
-        surf_parts.append(np.full(len(pts), idx, dtype=np.int64))
-    samples = np.concatenate(sample_parts)
-    sample_colors = np.concatenate(color_parts)
-    sample_surface = np.concatenate(surf_parts)
-
-    n_rows = _scan_rows_bound(samples[:, 2], n_frames, p)
-    check_fits(n_rows, 48, f"{n_frames} frames in lidar_range {p.lidar_range:g} of {len(samples)} samples "
-               f"give up to {n_rows} scan rows")  # float64 xyz and color each
-    trajectory, scans, scan_colors = [], [], []
-    for t in range(n_frames):
-        center = np.array([0.0, 0.0, t * p.frame_step])
-        pose = Pose(np.eye(3), center, t)
-        trajectory.append(pose)
-        near = np.linalg.norm(samples - center, axis=1) <= p.lidar_range
-        scans.append(Scan(t, samples[near] - center))
-        scan_colors.append(sample_colors[near])
-
-    return SyntheticScene(surfaces, trajectory, scans, K, scan_colors, samples, sample_colors, sample_surface)
+            kept = pts[~blocked]
+            pts = samples[cursor : cursor + len(kept)]
+            pts[:] = kept
+        colors[cursor : cursor + len(pts)] = texture_color(idx, rect.color, pts)
+        rows.append(len(pts))
+        cursor += len(pts)
+    return surfaces, samples[:cursor], colors[:cursor], rows
 
 
 def _scan_rows_bound(z: np.ndarray, n_frames: int, p: CanyonParams) -> int:

@@ -1,3 +1,5 @@
+import os
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -25,6 +27,12 @@ SMALL = CanyonParams(
 )
 
 
+def canyon_samples(params):
+    """The samples `make_canyon(params)` scans, their colors, and each one's surface index."""
+    _, samples, colors, rows = synth._sample_canyon(params)
+    return samples, colors, np.repeat(np.arange(len(rows)), rows)
+
+
 class TestMakeCanyon:
     def test_frame_count(self):
         params = CanyonParams(length=100.0, frame_step=1.0, point_spacing=1.0, seed=0)
@@ -37,13 +45,28 @@ class TestMakeCanyon:
         b = make_canyon(SMALL)
         for sa, sb in zip(a.scans, b.scans):
             assert np.array_equal(sa.points, sb.points)
-        assert np.array_equal(a.sample_colors, b.sample_colors)
+        for ca, cb in zip(a.scan_colors, b.scan_colors, strict=True):
+            assert np.array_equal(ca, cb)
+
+    # occluder clearance is the one path that drops samples, so the trimmed
+    # rows matter only there
+    @pytest.mark.parametrize("params", [SMALL, CanyonParams(
+        length=24.0, wall_gap=6.0, point_spacing=0.5, lidar_range=9.0, frame_step=2.0, occluders=2,
+        occluder_clearance=4.0, seed=4)], ids=["open", "cleared"])
+    def test_scans_are_the_samples_in_range(self, params):
+        scene = make_canyon(params)
+        samples, colors, _ = canyon_samples(params)
+        for pose, scan, col in zip(scene.trajectory, scene.scans, scene.scan_colors, strict=True):
+            near = np.linalg.norm(samples - pose.translation, axis=1) <= params.lidar_range
+            assert np.array_equal(scan.points, samples[near] - pose.translation)
+            assert np.array_equal(col, colors[near])
 
     def test_points_lie_on_surfaces(self):
         scene = make_canyon(SMALL)
-        for idx in np.random.default_rng(30).choice(len(scene.samples), 200):
-            p = scene.samples[idx]
-            rect = scene.surfaces[scene.sample_surface[idx]]
+        samples, _, sample_surface = canyon_samples(SMALL)
+        for idx in np.random.default_rng(30).choice(len(samples), 200):
+            p = samples[idx]
+            rect = scene.surfaces[sample_surface[idx]]
             n = rect.normal / np.linalg.norm(rect.normal)
             assert abs(np.dot(p - rect.origin, n)) <= 1e-6
 
@@ -59,13 +82,14 @@ class TestMakeCanyon:
             image_width=64, image_height=32, focal=32.0,
         )
         scene = make_canyon(params)
+        samples, _, _ = canyon_samples(params)
         pose = scene.trajectory[2]
-        u, v, z = project_points(pose, scene.intrinsics, scene.samples)
+        u, v, z = project_points(pose, scene.intrinsics, samples)
         ahead = z > 0
         ui = np.floor(np.where(ahead, u, -1)).astype(int)
         vi = np.floor(np.where(ahead, v, -1)).astype(int)
         in_frustum = ahead & (ui >= 0) & (ui < 64) & (vi >= 0) & (vi < 32)
-        vis = oracle_visible_many(scene.samples, pose, scene.intrinsics, scene.surfaces)
+        vis = oracle_visible_many(samples, pose, scene.intrinsics, scene.surfaces)
         assert np.array_equal(vis, in_frustum)
 
     def test_degenerate_spacing_rejected(self):
@@ -81,9 +105,42 @@ class TestMakeCanyon:
             make_canyon(CanyonParams(**change))
         assert sampled == []
 
+    # physical memory faked as 64 MiB: the default canyon at spacing 0.027 has
+    # 2.06M samples, which fit at 24 B a sample (49 MB) but not at the 48 B
+    # that the samples and their colors take (99 MB)
+    def test_samples_beyond_memory_refused_before_sampling(self, monkeypatch):
+        monkeypatch.setattr(os, "sysconf", {"SC_PHYS_PAGES": 1 << 14, "SC_PAGE_SIZE": 1 << 12}.__getitem__)
+        sampled = []
+        monkeypatch.setattr(synth, "texture_color", lambda *args: sampled.append(args))
+        with pytest.raises(DomainError, match="2.0[0-9]*e\\+06 samples"):
+            make_canyon(CanyonParams(point_spacing=0.027))
+        assert sampled == []
+
     def test_bad_range_rejected(self):
         with pytest.raises(DomainError):
             make_canyon(CanyonParams(wall_gap=8.0, lidar_range=4.0))
+
+    def test_holds_only_its_scans(self):
+        """numpy reports its buffers to tracemalloc. A scene holds its scans and
+        scan colors and under 1 MiB beside them. Building it allocates the
+        samples and their colors once (48 B a sample), and the peak adds one
+        frame's temporaries: `np.linalg.norm`'s offsets, squares, sums and
+        roots, 64 B a kept sample (measured)."""
+        # ground 120 x 800, walls 800 x 160, end cap 120 x 160, occluders 120 x 120
+        params = CanyonParams(length=40.0, wall_gap=6.0, point_spacing=0.05, lidar_range=8.0, frame_step=8.0,
+                              occluders=2, occluder_clearance=4.0, seed=3, image_width=64, image_height=32)
+        n_samples, kept = 400_000, sum(synth._sample_canyon(params)[3])
+        assert kept < n_samples  # the clearance cut the tail
+        make_canyon(SMALL)  # leave numpy's first-call allocations out of the trace
+        tracemalloc.start()
+        try:
+            scene = make_canyon(params)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        scan_bytes = sum(s.points.nbytes + c.nbytes for s, c in zip(scene.scans, scene.scan_colors, strict=True))
+        assert held <= scan_bytes + 2**20
+        assert peak <= scan_bytes + n_samples * 48 + kept * 64 + 2**20
 
 
 def segment_t(origin, direction, rect):
@@ -190,8 +247,9 @@ class TestOracleVisible:
             frame_step=3.0, occluders=2, seed=2, image_width=64, image_height=32, focal=32.0,
         )
         scene = make_canyon(params)
+        samples, _, _ = canyon_samples(params)
         pose = scene.trajectory[3]
-        pts = scene.samples[:: max(1, len(scene.samples) // 400)]
+        pts = samples[:: max(1, len(samples) // 400)]
         got = oracle_visible_many(pts, pose, scene.intrinsics, scene.surfaces)
         u, v, z = project_points(pose, scene.intrinsics, pts)
         for i, p in enumerate(pts):
@@ -208,7 +266,7 @@ class TestOracleVisible:
     def test_adding_occluder_is_monotone(self):
         scene = make_canyon(SMALL)
         pose = scene.trajectory[1]
-        pts = scene.samples[::37]
+        pts = canyon_samples(SMALL)[0][::37]
         before = oracle_visible_many(pts, pose, scene.intrinsics, scene.surfaces)
         extra = Rect3([-3, -6, 4.0], [6, 0, 0], [0, 7.5, 0], [0.5, 0.5, 0.5])
         after = oracle_visible_many(pts, pose, scene.intrinsics, scene.surfaces + [extra])
@@ -217,7 +275,7 @@ class TestOracleVisible:
     def test_visible_implies_in_frustum(self):
         scene = make_canyon(SMALL)
         pose = scene.trajectory[4]
-        pts = scene.samples[::11]
+        pts = canyon_samples(SMALL)[0][::11]
         vis = oracle_visible_many(pts, pose, scene.intrinsics, scene.surfaces)
         u, v, z = project_points(pose, scene.intrinsics, pts)
         assert np.all(z[vis] > 0)
