@@ -20,9 +20,7 @@ import numpy as np
 from .errors import DomainError
 
 _ORTHO_TOL = 1e-6
-# Rows of t a `BinWork` tiles: one z-buffer block's, so a longer array is
-# subtracted a stretch at a time and its tile stays in cache.
-_SHIFT_ROWS = 1 << 15
+_DOT3_ROWS = 1 << 15  # rows a `dot3` pass takes: in cache, 2-3x faster than one pass over 0.9M-2.3M rows
 # Bytes a view holds per pixel of its image: the tracemalloc peak over the
 # prune, pyramid levels 0-5, `render_rgb` and `write_ppm` read 116 B a pixel
 # for an empty 512x256 or 1024x512 view and 198 B for one whose every pixel
@@ -50,8 +48,30 @@ def check_fits(count, row_bytes: int, what: str) -> None:
         raise DomainError(f"{what}, more than the {limit} bytes an array or this machine's memory can hold")
 
 
+def dot3(a, m, out=None, scratch=None) -> np.ndarray:
+    """`a @ m` for 3-vectors `a` ((N, 3) or (3,)) and a 3 x k matrix or a 3-vector `m`,
+    summed as (a0 * m[0, j] + a1 * m[1, j]) + a2 * m[2, j], one numpy operation at a time,
+    so every CPU rounds it alike (a BLAS kernel may fuse with FMA or reorder); every product
+    whose result reaches an output is taken here, `_DOT3_ROWS` rows at a time. `out` must
+    not overlap `a`; `scratch`, of min(N, `_DOT3_ROWS`) rows or more, holds the temporary."""
+    a, m = np.asarray(a), np.asarray(m, dtype=np.float64)  # float64 factors: a float32 `a` is multiplied in float64
+    out = np.empty(a.shape[:-1] + m.shape[1:]) if out is None else out
+    rows, cols = a.reshape(-1, 3), out.reshape(-1, m.size // 3)  # views: one row per 3-vector
+    tmp = np.empty(min(len(rows), _DOT3_ROWS)) if scratch is None else scratch
+    for s in range(0, len(rows), _DOT3_ROWS):
+        p = rows[s : s + _DOT3_ROWS]
+        t = tmp[: len(p)]
+        for j, col in enumerate(m.reshape(3, -1).T):
+            x = cols[s : s + _DOT3_ROWS, j]
+            np.multiply(p[:, 0], col[0], out=x)
+            x += np.multiply(p[:, 1], col[1], out=t)
+            x += np.multiply(p[:, 2], col[2], out=t)
+    return out
+
+
 def rotation_error(rot: np.ndarray):
-    """`(|R^T R - I|_max, det R)` of each 3x3 in `rot` (..., 3, 3); an overflow gives an inf or nan error."""
+    """`(|R^T R - I|_max, det R)` of each 3x3 in `rot` (..., 3, 3); an overflow gives an inf or nan error.
+    It decides a tolerance check only, so it stays one BLAS product."""
     with np.errstate(over="ignore", invalid="ignore"):
         return np.abs(np.swapaxes(rot, -1, -2) @ rot - np.eye(3)).max(axis=(-2, -1)), np.linalg.det(rot)
 
@@ -119,16 +139,13 @@ class Intrinsics:
 class BinWork:
     """Scratch arrays for binning blocks of up to `rows` points at one pose,
     so that a caller binning many blocks, as the z-buffer does, allocates
-    each block's temporaries once per view. `shift` is t repeated, for up
-    to `_SHIFT_ROWS` rows, and is subtracted from a flat block a stretch at
-    a time; the rest is written in place by each call of
-    `world_to_camera_many`, `project_points` and `pixel_bins`, whose
-    results are views into it, valid until its next use."""
+    each block's temporaries once per view. Each call of
+    `world_to_camera_many`, `project_points` and `pixel_bins` writes them in
+    place, and their results are views into them, valid until their next use."""
 
     def __init__(self, pose: Pose, rows: int):
-        self.pose, self.shift = pose, np.tile(pose.translation, min(max(rows, 1), _SHIFT_ROWS))
-        self.diff, self.prod = np.empty((rows, 3)), np.empty((rows, 3))
-        self.xyz, self.uv, self.ok = np.empty((3, rows)), np.empty((2, rows)), np.empty(rows, dtype=bool)
+        self.pose, self.diff, self.xyz = pose, np.empty((3, rows)), np.empty((3, rows))
+        self.tmp, self.uv, self.ok = np.empty(rows), np.empty((2, rows)), np.empty(rows, dtype=bool)
 
 
 def _work(pose: Pose, points: np.ndarray, work: BinWork | None) -> BinWork:
@@ -143,12 +160,9 @@ def world_to_camera_many(pose: Pose, points: np.ndarray, work: BinWork | None = 
     """Vectorized R^T (p - t) for an (N, 3) array, returned as a (3, N)
     array: the camera-frame x, y and z are three contiguous rows.
 
-    t is subtracted over the flat (3N,) block against t repeated
-    (`BinWork.shift`, made once per view), in one pass for a z-buffer
-    block. The product stays (p - t) @ R, transposed after: any other
-    BLAS call, R^T (p - t)^T among them, need not give the same bits.
-
-    `work`, a `BinWork` made for this pose, holds p - t, the product and
+    p is copied transposed, t is subtracted from each coordinate row, and
+    x, y and z are `dot3`'s (p - t) @ R, written straight into their rows.
+    `work`, a `BinWork` made for this pose, holds p - t, the temporary and
     the result in place of new arrays, with the same bits; without it one
     is made for the call. A caller binning many blocks makes one per view:
     otherwise glibc can return the freed arrays to the system after each
@@ -156,12 +170,10 @@ def world_to_camera_many(pose: Pose, points: np.ndarray, work: BinWork | None = 
     the prune of a 533k-row window."""
     pts = np.asarray(points)
     work, n = _work(pose, pts, work), len(pts)
-    d, prod, xyz = work.diff[:n], work.prod[:n], work.xyz[:, :n]
-    flat, out, step = pts.reshape(-1), d.reshape(-1), len(work.shift)
-    for s in range(0, 3 * n, step):
-        np.subtract(flat[s : s + step], work.shift[: 3 * n - s], out=out[s : s + step])
-    np.matmul(d, pose.rotation, out=prod)
-    np.copyto(xyz, prod.T)
+    d, xyz = work.diff[:, :n], work.xyz[:, :n]
+    np.copyto(d, pts.T)
+    np.subtract(d, pose.translation[:, None], out=d)
+    dot3(d.T, pose.rotation, out=xyz.T, scratch=work.tmp[:n])
     return xyz
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, FormatError
-from .geom import Intrinsics, Pose, pixel_bins, rotation_error
+from .geom import Intrinsics, Pose, dot3, pixel_bins, rotation_error
 from .zbuffer import BlockBoxes
 
 MAP_MAGIC = b"CENPBG-MAP\x00"
@@ -29,7 +29,6 @@ class Scan:
 
     scan_id: int
     points: np.ndarray  # (N, 3) float
-    reflectance: np.ndarray | None = None  # (N,) in [0, 1]
 
     def __post_init__(self):
         self.points = np.asarray(self.points, dtype=np.float64).reshape(-1, 3)
@@ -37,10 +36,6 @@ class Scan:
             raise DomainError(f"scan {self.scan_id} has non-finite coordinates")
         if self.scan_id < 0:
             raise DomainError("scan_id must be non-negative")
-        if self.reflectance is not None:
-            self.reflectance = np.asarray(self.reflectance, dtype=np.float64).reshape(-1)
-            if len(self.reflectance) != len(self.points):
-                raise DomainError("reflectance length does not match point count")
 
     def __len__(self):
         return len(self.points)
@@ -131,7 +126,7 @@ class Sequence:
 
 
 def read_scan(path, scan_id: int = 0) -> Scan:
-    """Parse little-endian float32 (x, y, z, reflectance) quadruples."""
+    """Parse little-endian float32 (x, y, z, reflectance) quadruples; nothing reads reflectance, so it is dropped."""
     with open(path, "rb") as f:
         raw = f.read()
     if len(raw) % 16 != 0:
@@ -139,18 +134,13 @@ def read_scan(path, scan_id: int = 0) -> Scan:
             f"{path}: truncated scan, {len(raw)} bytes is not a multiple of 16 "
             f"(stray data from byte offset {len(raw) - len(raw) % 16})"
         )
-    data = np.frombuffer(raw, dtype="<f4").reshape(-1, 4)
-    return Scan(scan_id, data[:, :3].astype(np.float64), data[:, 3].astype(np.float64))
+    return Scan(scan_id, np.frombuffer(raw, dtype="<f4").reshape(-1, 4)[:, :3])
 
 
 def write_scan(path, scan: Scan) -> None:
-    """Inverse of read_scan (test helper and scene-dump writer)."""
-    refl = scan.reflectance
-    if refl is None:
-        refl = np.zeros(len(scan))
-    data = np.empty((len(scan), 4), dtype="<f4")
+    """Inverse of read_scan, with reflectance 0 (test helper and scene-dump writer)."""
+    data = np.zeros((len(scan), 4), dtype="<f4")
     data[:, :3] = scan.points
-    data[:, 3] = refl
     with open(path, "wb") as f:
         f.write(data.tobytes())
 
@@ -198,7 +188,8 @@ def read_pose(where, tokens, frame_id: int | None) -> Pose:
     """The pose of a poses-file line or of `render --pose`: 12 tokens, a row-major
     3x4 camera-to-world matrix. Real trajectories carry rotations a little off, so
     one orthonormal within 1e-3 with det >= 0 is accepted and, if off by more than
-    1e-6, replaced by the nearest rotation; else FormatError naming `where`."""
+    1e-6, replaced by the nearest rotation (LAPACK's SVD and a BLAS product: the one
+    output a BLAS kernel can round); else FormatError naming `where`."""
     mat = read_numbers(where, tokens, 12).reshape(3, 4)
     rot, t = mat[:, :3], mat[:, 3]
     err, det = rotation_error(rot)
@@ -277,7 +268,7 @@ def accumulate(
     for scan, pose, col in triples:
         rows = positions[cursor : cursor + len(scan)]
         # the two steps of `pts @ R.T + t`, written into the map's own rows
-        np.matmul(scan.points, pose.rotation.T, out=rows)
+        dot3(scan.points, pose.rotation.T, out=rows)
         rows += pose.translation
         if color_arr is not None:
             color_arr[cursor : cursor + len(scan)] = _scan_colors(scan, col)

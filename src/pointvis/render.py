@@ -98,9 +98,12 @@ def _gaussian_kernel(size: int = 11, sigma: float = 1.5) -> np.ndarray:
 
 
 def _window_mean(img: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    """Separable Gaussian mean over every window that fits in the image."""
-    k = len(kernel)
-    return sliding_window_view(sliding_window_view(img, k, axis=0) @ kernel, k, axis=1) @ kernel
+    """Separable Gaussian mean over every window that fits in the image, the
+    taps of each pass summed in tap order, not by a BLAS kernel's order."""
+    for axis in (0, 1):
+        taps = sliding_window_view(img, len(kernel), axis=axis)
+        img = sum((taps[..., i] * kernel[i] for i in range(1, len(kernel))), taps[..., 0] * kernel[0])
+    return img
 
 
 def ssim(

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, FormatError
-from .geom import Intrinsics, Pose, check_fits, pixel_bins
+from .geom import Intrinsics, Pose, check_fits, dot3, pixel_bins
 from .ingest import (
     PointCloudMap, Scan, Sequence, accumulate, colorize_map, read_intrinsics, read_lines, read_numbers, read_poses,
     read_scan, write_intrinsics, write_poses, write_scan,
@@ -52,13 +52,14 @@ class Rect3:
         u, v = self.edge_u, self.edge_v
         with np.errstate(over="ignore", invalid="ignore"):  # checked below
             n = self.normal = np.cross(u, v)
-            nn = n @ n
+            nn = dot3(n, n)
             if nn == 0.0:
                 raise DomainError("degenerate rectangle: spanning vectors are parallel")
             duals = np.stack([np.cross(v, n), np.cross(n, u)]) / nn
             self.dual_u, self.dual_v = duals
             corners = self.origin + np.array([(0, 0), (1, 0), (0, 1), (1, 1)]) @ np.stack([u, v])
             reach = 2 * (np.abs(u) + np.abs(v)) @ np.abs(duals).T  # twice the bound on a hit's |a|, |b| terms
+            # corners, reach and the origin's offsets are only checked for overflow, so they stay on BLAS
             derived = (n, nn, duals, corners, np.stack([u, v, n]) @ self.origin, reach)
             if not all(np.isfinite(x).all() for x in derived):
                 raise DomainError("rectangle too large: its normal, dual vectors or corners overflow float64")
@@ -72,7 +73,7 @@ def texture_color(surface_idx: int, base: np.ndarray, points: np.ndarray) -> np.
     waves = rng.normal(size=(3, 3))
     waves /= np.linalg.norm(waves, axis=1, keepdims=True)
     phases = rng.uniform(0, 2 * np.pi, size=3)
-    phase_arg = 2 * np.pi * (pts @ waves.T) / 6.0 + phases
+    phase_arg = 2 * np.pi * dot3(pts, waves.T) / 6.0 + phases
     out = base * (0.85 + 0.15 * np.sin(phase_arg))
     return np.clip(out, 0.0, 1.0)
 
@@ -241,9 +242,9 @@ def _ray_rect_t(origins: np.ndarray, dirs: np.ndarray, rect: Rect3) -> np.ndarra
     on a segment too long for float64 to solve."""
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         m = rect.origin - origins
-        t = (m @ rect.normal) / (dirs @ rect.normal)
+        t = dot3(m, rect.normal) / dot3(dirs, rect.normal)
         q = t[:, None] * dirs - m
-        a, b = q @ rect.dual_u, q @ rect.dual_v
+        a, b = dot3(q, rect.dual_u), dot3(q, rect.dual_v)
         inside = np.isfinite(t) & (a >= 0.0) & (a <= 1.0) & (b >= 0.0) & (b <= 1.0)
         return np.where(inside, t, np.inf)
 
@@ -284,7 +285,7 @@ def oracle_paint(
     vs = (np.arange(K.height) + 0.5 - K.cy) / K.fy
     uu, vv = np.meshgrid(us, vs)
     dirs_cam = np.stack([uu, vv, np.ones_like(uu)], axis=-1).reshape(-1, 3)
-    dirs = dirs_cam @ pose.rotation.T
+    dirs = dot3(dirs_cam, pose.rotation.T)
     centers = np.broadcast_to(pose.translation, dirs.shape)
     best_t = np.full(len(dirs), np.inf)
     best_surf = np.full(len(dirs), -1, dtype=np.int64)

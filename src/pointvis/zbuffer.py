@@ -104,7 +104,9 @@ def outside_view(boxes: np.ndarray, pose: Pose, K: Intrinsics) -> np.ndarray:
     value over a box is n . center + |n| . half - n . t. A box is outside
     when that is below minus a margin, `_MARGIN` times a bound on the
     magnitudes the projection rounds: (size + |t|) times the sum of the
-    intrinsics' magnitudes. It is all one (boxes, 7) @ (7, 5) product. A
+    intrinsics' magnitudes. It is all one (boxes, 7) @ (7, 5) product, left
+    to BLAS: it decides culling only, and the margin covers any kernel's
+    rounding, so no output bit depends on it. A
     box whose numbers overflow, or one not built (infinite), is never
     outside, and neither is any box of a plane whose bound overflows."""
     planes = np.array([

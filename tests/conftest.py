@@ -54,12 +54,14 @@ class CamPoint(NamedTuple):
 
 def world_to_camera(pose: Pose, p) -> CamPoint:
     """One world point in the camera frame, R^T (p - t), written apart from
-    the package's vectorized transform; a non-finite point is a DomainError."""
+    the package's vectorized transform in plain Python floats, each entry
+    summed in the package's one order: (d0 R0j + d1 R1j) + d2 R2j for
+    d = p - t. A non-finite point is a DomainError."""
     p = np.asarray(p, dtype=np.float64)
     if p.shape != (3,) or not np.all(np.isfinite(p)):
         raise DomainError(f"point must be 3 finite numbers, got {p}")
-    c = pose.rotation.T @ (p - pose.translation)
-    return CamPoint(float(c[0]), float(c[1]), float(c[2]))
+    d = [a - b for a, b in zip(p.tolist(), pose.translation.tolist())]
+    return CamPoint(*((d[0] * r0 + d[1] * r1) + d[2] * r2 for r0, r1, r2 in zip(*pose.rotation.tolist())))
 
 
 def project(K: Intrinsics, c: CamPoint):

@@ -235,9 +235,9 @@ def test_pixel_bins_matches_full_length_rule(data, width, height, dtype):
 
 
 # The z-buffer bins its candidates block by block, so binning must not
-# depend on how many rows share one call: the (n, 3) @ (3, 3) product and
-# every step after it must give each row the same bits in a block of any
-# size as in the whole array.
+# depend on how many rows share one call: the camera transform and every
+# step after it must give each row the same bits in a block of any size as
+# in the whole array.
 @settings(max_examples=200, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
@@ -256,7 +256,7 @@ def test_pixel_bins_per_block_equals_whole(seed, n, block, dtype):
     pts = rng.uniform(-20, 20, size=(n, 3)).astype(dtype)
     whole = pixel_bins(pose, K, pts)
     work = BinWork(pose, block)
-    for buf in (work.diff, work.prod, work.xyz, work.uv):
+    for buf in (work.diff, work.xyz, work.tmp, work.uv):
         buf.fill(np.nan)
     for scratch in (None, work):  # a scratch reused by every block changes no bit
         parts = []
@@ -267,16 +267,20 @@ def test_pixel_bins_per_block_equals_whole(seed, n, block, dtype):
             assert np.concatenate(b).tobytes() == a.tobytes()
 
 
-# A BinWork tiles t for at most _SHIFT_ROWS rows, and a longer array is
-# subtracted a stretch at a time: the stretches must meet with t aligned.
-@pytest.mark.parametrize("shift_rows", [1, 2, 7])
-def test_world_to_camera_many_in_stretches(monkeypatch, shift_rows):
+# `dot3` is written out here in plain Python floats, which CPython rounds
+# once per operation: the package's product must give the same bits, with
+# a float32 `a` multiplied in float64, and so must the camera transform.
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_dot3_sums_in_a_fixed_order(dtype):
+    rng = np.random.default_rng(8)
+    a, m = rng.normal(size=(40, 3)).astype(dtype), rng.normal(size=(3, 4))
+    want = [[(float(r[0]) * c[0] + float(r[1]) * c[1]) + float(r[2]) * c[2] for c in m.T.tolist()] for r in a]
+    assert geom.dot3(a, m).tolist() == want
+    assert geom.dot3(a, m[:, 1]).tolist() == [row[1] for row in want]
+    assert geom.dot3(a[0], m[:, 2]).tolist() == want[0][2]
     pose = Pose(rot_z(0.3), np.array([0.5, -0.2, 1.0]))
-    pts = np.random.default_rng(shift_rows).uniform(-5, 5, size=(50, 3))
-    want = np.ascontiguousarray(np.matmul(pts - pose.translation, pose.rotation).T)
-    monkeypatch.setattr(geom, "_SHIFT_ROWS", shift_rows)
-    assert len(geom.BinWork(pose, 50).shift) == 3 * shift_rows
-    assert geom.world_to_camera_many(pose, pts).tobytes() == want.tobytes()
+    cam = [world_to_camera(pose, p) for p in a]
+    assert geom.world_to_camera_many(pose, a).T.tolist() == [list(c) for c in cam]
 
 
 @settings(max_examples=300, deadline=None)

@@ -366,35 +366,65 @@ def test_ppm_byte_mutation_loads_or_format_error(tmp_path_factory, img, data):
     loads_or_format_error(read_ppm, path)
 
 
-# The camera transform is a BLAS product, and OpenBLAS may split a product
-# over threads. A view of a map of more than 2^16 rows (the window holds
-# several z-buffer blocks) must come out bit for bit the same whatever
-# thread count BLAS is given.
+# OpenBLAS may split a product over threads, and it picks a kernel by CPU,
+# with FMA or without; `OPENBLAS_CORETYPE=Sandybridge` forces one without.
+# No output may depend on either: a view of a map of more than 2^16 rows
+# (the window holds several z-buffer blocks) from a pose on the trajectory
+# and from a turned one, a map accumulated at turned scan poses, the
+# oracle's ray parameters and decisions against a sheared, turned
+# rectangle, its painting, and the SSIM of two random images come out bit
+# for bit the same in every cell of the grid. The turned rotations are
+# written out entry by entry, so that no BLAS product makes the inputs.
 _BLAS_VIEW = """
 import hashlib
+import numpy as np
 from pointvis.connectivity import build_graph, visible_set_for
+from pointvis.geom import Pose
+from pointvis.ingest import accumulate
 from pointvis.raster import rasterize_pyramid
-from pointvis.render import render_rgb
-from pointvis.synth import CanyonParams, make_canyon, scene_sequence
+from pointvis.render import render_rgb, ssim
+from pointvis.synth import (
+    CanyonParams, Rect3, _ray_rect_t, make_canyon, oracle_occluded_many, oracle_paint, scene_sequence,
+)
+
+def sha(*arrays):
+    return hashlib.sha256(b"".join(np.ascontiguousarray(a).tobytes() for a in arrays)).hexdigest()
+
+def turn(yaw, pitch):  # yaw about y after pitch about x, entry by entry
+    cy, sy, cp, sp = np.cos(yaw), np.sin(yaw), np.cos(pitch), np.sin(pitch)
+    return np.array([[cy, sy * sp, sy * cp], [0.0, cp, -sp], [-sy, cy * sp, cy * cp]])
 
 scene = make_canyon(CanyonParams(length=24.0, wall_gap=6.0, point_spacing=0.2, lidar_range=9.0, frame_step=2.0,
                                  occluders=1, seed=4, image_width=64, image_height=32))
 seq = scene_sequence(scene)
-cloud, K, query = seq.map, scene.intrinsics, scene.trajectory[4]
-vis = visible_set_for(build_graph(seq, 3), cloud, query, K)
-img = render_rgb(rasterize_pyramid(cloud, vis, query, K))
-print(len(cloud), len(vis), *(hashlib.sha256(a.tobytes()).hexdigest()
-                              for a in (vis.point_indices, vis.pixel_of, vis.depth_of, img)))
+cloud, K, traj = seq.map, scene.intrinsics, scene.trajectory
+graph = build_graph(seq, 3)
+turned = Pose(turn(0.3, 0.1), (traj[4].translation + traj[5].translation) / 2)
+out = [len(cloud)]
+for query in (traj[4], turned):
+    vis = visible_set_for(graph, cloud, query, K)
+    img = render_rgb(rasterize_pyramid(cloud, vis, query, K))
+    out += [len(vis), sha(vis.point_indices, vis.pixel_of, vis.depth_of, img)]
+rotated = accumulate(scene.scans, [Pose(turn(0.05 * k, -0.02 * k), p.translation) for k, p in enumerate(traj)])
+rect = Rect3((-2.3, 1.1, 9.7), (4.1, -0.9, 1.3), (1.7, -3.6, 0.4), (0.6, 0.5, 0.4))
+pts = cloud.positions[::7]
+t = _ray_rect_t(np.broadcast_to(turned.translation, pts.shape), pts - turned.translation, rect)
+painted = oracle_paint(turned, K, [*scene.surfaces, rect])
+pair = np.random.default_rng(3).uniform(0, 1, (2, 64, 96, 3))
+out += [sha(rotated.positions), sha(t, oracle_occluded_many(pts, turned, [rect])), sha(painted), repr(ssim(*pair))]
+print(*out)
 """
 
 
 def test_view_bit_identical_across_blas_threads():
     src = os.path.dirname(os.path.dirname(render.__file__))
-    outs = []
+    base, outs = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"} | {"PYTHONPATH": src}, []
     for threads in ("1", "2"):
-        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads}
-        run = subprocess.run([sys.executable, "-c", _BLAS_VIEW], env=env, capture_output=True, text=True, check=True)
-        outs.append(run.stdout.split())
-    rows, winners = int(outs[0][0]), int(outs[0][1])
-    assert rows >= 2**16 and winners > 0
-    assert outs[0] == outs[1]
+        for core in ({}, {"OPENBLAS_CORETYPE": "Sandybridge"}):
+            env = {**base, "OPENBLAS_NUM_THREADS": threads, **core}
+            run = subprocess.run([sys.executable, "-c", _BLAS_VIEW], env=env, capture_output=True, text=True)
+            assert run.returncode == 0, run.stderr
+            outs.append(run.stdout.split())
+    rows, winners, turned_winners = int(outs[0][0]), int(outs[0][1]), int(outs[0][3])
+    assert rows >= 2**16 and winners > 0 and turned_winners > 0
+    assert all(out == outs[0] for out in outs), outs
