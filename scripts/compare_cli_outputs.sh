@@ -5,7 +5,7 @@
 #   scripts/compare_cli_outputs.sh BASE_TREE [WORK_DIR]
 #
 # BASE_TREE is a checkout of the commit to compare with (for example a
-# `git worktree add --detach` of it). Outputs go to WORK_DIR/cli-base and
+# `git archive` of it, unpacked). Outputs go to WORK_DIR/cli-base and
 # WORK_DIR/cli-head (default: a new temporary directory). Exit 0 when every
 # output matches, 1 otherwise.
 #
@@ -22,14 +22,15 @@
 # block of 2^15 rows, so a second scene at spacing 0.1 (434k rows, 14
 # blocks) is rendered from frame 0, frame 4 and the last frame: their
 # windows cross block boundaries and start at row 0, mid-block in a float32
-# file, and mid-block again, and each block's box is tested against the view
-# (these views cull none; the tests cover culled blocks). That map file is
-# 10.4 MB, above `ingest._SPLIT_BYTES` (4 MB), so build-graph and these
-# renders read it, and check its positions, in two halves, the second on
-# the helper thread; the small map is read in one call. `bench` scores five
+# file, and mid-block again. Each render is its process's first prune of
+# the map, so it builds and tests no block box (the tests and bench's
+# fullmap below cover built and culled boxes). That map file is 10.4 MB,
+# above `ingest._SPLIT_BYTES` (4 MB), so build-graph and these renders read
+# it, and check its positions, in two halves, the second on a helper thread
+# started for the split; the small map is read in one call. `bench` scores five
 # strategies, two of which (depth, radius) prune candidates gathered outside
 # any window, and then connectivity, fullmap, depth and radius on the
-# 14-block scene. There fullmap's row range builds the map's boxes on its
+# 14-block scene. There fullmap's row range builds every block's box on its
 # second query and culls from then on, and depth:10 passes index arrays of
 # 41k-225k rows, which the z-buffer bins in 2-7 blocks each. A copy of the
 # small scene without images/ and surfaces.txt, the scene reader's two

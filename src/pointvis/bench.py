@@ -18,7 +18,7 @@ from .connectivity import (
     window_rows,
 )
 from .errors import DomainError, FormatError
-from .geom import Pose, world_to_camera_many
+from .geom import Pose, dot3
 from .ingest import Sequence, read_text
 from .raster import Channels, rasterize
 from .synth import Rect3, oracle_occluded_many, oracle_visible_many
@@ -89,7 +89,7 @@ def _select_candidates(strategy, sequence, graph, query):
     if strategy.kind == "fullmap":
         return range(len(cloud)), -1
     if strategy.kind == "depth":
-        z = world_to_camera_many(query, cloud.positions)[2]
+        z = dot3(cloud.positions - query.translation, query.rotation[:, 2])  # camera-frame z
         return np.nonzero((z > 0) & (z <= strategy.param))[0], -1
     if strategy.kind == "radius":
         with np.errstate(over="ignore"):  # a radius or distance that overflows squares to inf

@@ -139,13 +139,13 @@ class Intrinsics:
 class BinWork:
     """Scratch arrays for binning blocks of up to `rows` points at one pose,
     so that a caller binning many blocks, as the z-buffer does, allocates
-    each block's temporaries once per view. Each call of
-    `world_to_camera_many`, `project_points` and `pixel_bins` writes them in
-    place, and their results are views into them, valid until their next use."""
+    each block's temporaries once per view. Each call of `project_points`
+    and `pixel_bins` writes them in place, and their results are views into
+    them, valid until their next use."""
 
     def __init__(self, pose: Pose, rows: int):
         self.pose, self.diff, self.xyz = pose, np.empty((3, rows)), np.empty((3, rows))
-        self.tmp, self.uv, self.ok = np.empty(rows), np.empty((2, rows)), np.empty(rows, dtype=bool)
+        self.tmp, self.ok = np.empty(rows), np.empty(rows, dtype=bool)
 
 
 def _work(pose: Pose, points: np.ndarray, work: BinWork | None) -> BinWork:
@@ -154,27 +154,6 @@ def _work(pose: Pose, points: np.ndarray, work: BinWork | None) -> BinWork:
     if work.pose is not pose or len(work.ok) < len(points):
         raise DomainError(f"this BinWork ({len(work.ok)} rows) is for another pose or fewer than {len(points)} rows")
     return work
-
-
-def world_to_camera_many(pose: Pose, points: np.ndarray, work: BinWork | None = None) -> np.ndarray:
-    """Vectorized R^T (p - t) for an (N, 3) array, returned as a (3, N)
-    array: the camera-frame x, y and z are three contiguous rows.
-
-    p is copied transposed, t is subtracted from each coordinate row, and
-    x, y and z are `dot3`'s (p - t) @ R, written straight into their rows.
-    `work`, a `BinWork` made for this pose, holds p - t, the temporary and
-    the result in place of new arrays, with the same bits; without it one
-    is made for the call. A caller binning many blocks makes one per view:
-    otherwise glibc can return the freed arrays to the system after each
-    block and fault them in again on the next, about 4000 page faults in
-    the prune of a 533k-row window."""
-    pts = np.asarray(points)
-    work, n = _work(pose, pts, work), len(pts)
-    d, xyz = work.diff[:, :n], work.xyz[:, :n]
-    np.copyto(d, pts.T)
-    np.subtract(d, pose.translation[:, None], out=d)
-    dot3(d.T, pose.rotation, out=xyz.T, scratch=work.tmp[:n])
-    return xyz
 
 
 def scale_intrinsics(K: Intrinsics, level: int) -> Intrinsics:
@@ -194,12 +173,26 @@ def scale_intrinsics(K: Intrinsics, level: int) -> Intrinsics:
 def project_points(pose: Pose, K: Intrinsics, positions: np.ndarray, work: BinWork | None = None):
     """Project an (N, 3) world array. Returns (u, v, z) float64 arrays;
     entries with z <= 0 are behind the camera (u, v undefined there).
-    `work` is `world_to_camera_many`'s scratch; u and v are written into it."""
-    work = _work(pose, positions, work)
-    x, y, z = world_to_camera_many(pose, positions, work)
-    u, v = work.uv[:, : len(z)]
+
+    The camera frame is R^T (p - t): p is copied transposed, t is
+    subtracted from each coordinate row, and x, y and z are `dot3`'s
+    (p - t) @ R, written straight into their rows. u and v are then
+    f * c / z + p, in that order, written over the rows of p - t.
+    `work`, a `BinWork` made for this pose, holds all of them in place of
+    new arrays, with the same bits; without it one is made for the call. A
+    caller binning many blocks makes one per view: otherwise glibc can
+    return the freed arrays to the system after each block and fault them
+    in again on the next, about 4000 page faults in the prune of a
+    533k-row window."""
+    pts = np.asarray(positions)
+    work, n = _work(pose, pts, work), len(pts)
+    d, xyz = work.diff[:, :n], work.xyz[:, :n]
+    np.copyto(d, pts.T)
+    np.subtract(d, pose.translation[:, None], out=d)
+    dot3(d.T, pose.rotation, out=xyz.T, scratch=work.tmp[:n])
+    (x, y, z), (u, v) = xyz, d[:2]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for out, c, f, p in ((u, x, K.fx, K.cx), (v, y, K.fy, K.cy)):  # f * c / z + p, in that order
+        for out, c, f, p in ((u, x, K.fx, K.cx), (v, y, K.fy, K.cy)):
             np.add(np.divide(np.multiply(f, c, out=out), z, out=out), p, out=out)
     return u, v, z
 
@@ -213,7 +206,7 @@ def pixel_bins(pose: Pose, K: Intrinsics, positions: np.ndarray, work: BinWork |
     0 <= floor(u) < W, so bounds are decided on the float (u, v) and only
     the kept rows are floored. The index is exact in float64, as it is
     below W * H < 2^53, so it is cast once, and no out-of-image value is
-    cast. `work` is `world_to_camera_many`'s scratch; the bounds mask is
+    cast. `work` is `project_points`'s scratch; the bounds mask is
     written into it."""
     work = _work(pose, positions, work)
     u, v, z = project_points(pose, K, positions, work)

@@ -1,7 +1,7 @@
 """KITTI-style sensor ingest: binary LiDAR scans, trajectory files,
 intrinsics, map accumulation, the map file, and `read_binary`/`write_binary`:
 the one reader and writer of v1 binary files. `halves` splits the read and
-the finiteness check of a large array between the caller and one helper
+the finiteness check of a large array between the caller and a helper
 thread.
 """
 from __future__ import annotations
@@ -9,7 +9,6 @@ from __future__ import annotations
 import itertools
 import os
 import struct
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -340,29 +339,20 @@ def write_binary(path, magic: bytes, header: struct.Struct, fields, arrays) -> N
 # about 4 MB.
 _SPLIT_BYTES = 4 << 20
 
-_helper = None  # the executor of the one helper thread, made on the first split
-_helper_lock = threading.Lock()
-
-
 def halves(fn, n: int, itemsize: int = 1) -> list:
     """`[fn(0, n)]` when `n` items of `itemsize` bytes are fewer than
     `_SPLIT_BYTES`, else `[fn(0, n // 2), fn(n // 2, n)]` with the second call
-    on the helper thread. The second half always ends before this returns or
-    raises; an exception of either half reaches the caller."""
-    global _helper
+    on a helper thread started for the split, which ends before this returns
+    or raises. An exception of either half reaches the caller, the caller's
+    own when both raise."""
     if n * itemsize < _SPLIT_BYTES:
         return [fn(0, n)]
-    with _helper_lock:
-        if _helper is None:
-            from concurrent.futures import ThreadPoolExecutor
+    from concurrent.futures import ThreadPoolExecutor
 
-            _helper = ThreadPoolExecutor(max_workers=1, thread_name_prefix="pointvis-half")
     mid = n // 2
-    second = _helper.submit(fn, mid, n)
-    try:
+    with ThreadPoolExecutor(max_workers=1) as helper:
+        second = helper.submit(fn, mid, n)
         first = fn(0, mid)
-    finally:
-        second.exception()  # waits for the helper's half, raising nothing
     return [first, second.result()]
 
 

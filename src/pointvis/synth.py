@@ -147,10 +147,13 @@ def make_canyon(params: CanyonParams) -> SyntheticScene:
     check_fits(n_rows, 48, f"{n_frames} frames in lidar_range {p.lidar_range:g} of {len(samples)} samples "
                f"give up to {n_rows} scan rows")  # float64 xyz and color each
     trajectory, scans, scan_colors = [], [], []
+    x, y, z = samples.T
+    xy2, d = x * x + y * y, np.empty(len(samples))  # every center is on the z axis
     for t in range(n_frames):
         center = np.array([0.0, 0.0, t * p.frame_step])
         trajectory.append(Pose(np.eye(3), center, t))
-        near = np.linalg.norm(samples - center, axis=1) <= p.lidar_range
+        np.square(np.subtract(z, center[2], out=d), out=d)
+        near = np.sqrt(np.add(xy2, d, out=d), out=d) <= p.lidar_range  # norm's own sum, (x x + y y) + dz dz
         scans.append(Scan(t, samples[near] - center))
         scan_colors.append(sample_colors[near])
 

@@ -81,7 +81,7 @@ class TestRunStrategy:
 
     def test_fullmap_prunes_the_map_as_a_culled_row_range(self):
         """`fullmap` hands the z-buffer the map's row range, so the map's
-        block boxes are built on the second query and cull from then on;
+        block boxes are built whole on the second query and cull from then on;
         each view equals the same prune given every row as an index array."""
         params = CanyonParams(
             length=30.0, wall_gap=6.0, point_spacing=0.5, lidar_range=10.0,
@@ -99,7 +99,7 @@ class TestRunStrategy:
 
         with mock.patch.object(zbuffer, "_BLOCK", 512), mock.patch.object(bench, "prune_visible", record):
             rep = run_strategy(Strategy("fullmap"), seq, queries)
-            assert cloud.boxes.block == 512 and cloud.boxes.built.any()
+            assert cloud.boxes.block == 512 and cloud.boxes.table is not None
             for query, row, (cand, vis) in zip(queries, rep.rows, seen, strict=True):
                 assert cand == range(len(cloud)) and row.retrieved == len(cloud)
                 want = prune_visible(np.arange(len(cloud)), cloud, query, seq.intrinsics)

@@ -397,8 +397,8 @@ def test_reduce_bins_of_no_blocks_is_empty():
 # culled) do, bit for bit, at either position dtype and with blocks that
 # cut the range anywhere; the range's ends at row 0 and row N and empty
 # ranges are checked in every example, twice, with the map's boxes kept
-# between the ranges of one example (a box is built on its block's second
-# prune, so the later prunes cull). The boxes start over for any other
+# between the ranges of one example (the second range prune builds every
+# block's box, so the later prunes cull). The boxes start over for any other
 # positions array, so the map's own `cloud.positions` is passed with them.
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("block", [1, 2, 7, 1 << 15])
@@ -424,7 +424,7 @@ def test_zbuffer_row_range_equals_index_array(dtype, block, case, data):
             assert {(int(u), int(v)): int(i) for u, v, i in zip(pu, pv, idx)} == brute_force_zbuffer(
                 cloud, rows, pose, K
             )
-    assert cloud.boxes.built.any()
+    assert cloud.boxes.table is not None
 
 
 _PLANE_K = Intrinsics(40.0, 30.0, 32.3, 16.7, 64, 32)
@@ -488,7 +488,7 @@ def test_culled_prune_equals_unculled_at_the_frustum_planes(block, case):
             got = vis.point_indices, vis.pixel_of[:, 0], vis.pixel_of[:, 1], vis.depth_of
             for a, b in zip(got, want):
                 np.testing.assert_array_equal(a, b, strict=True)
-        assert cloud.boxes.built.all()
+        assert cloud.boxes.table is not None
 
 
 def test_frustum_planes_cull_boxes_wholly_beyond_them():
@@ -523,26 +523,30 @@ def test_boxes_built_at_one_block_size_are_not_reused_at_another():
                 np.testing.assert_array_equal(got, want, strict=True)
                 assert sum(len(call.args[2]) for call in bins.call_args_list) == binned
         assert cloud.boxes.block == block and len(cloud.boxes.table) == -(-14 // block)
-        assert cloud.boxes.built.all()
+        assert cloud.boxes.table is not None
 
 
 def test_boxes_are_built_on_the_second_prune_of_their_block():
+    """The first range prune builds no box, an index-array prune touches none,
+    and the second range prune builds every block's box at once, each the
+    min and max of its block's rows."""
     positions = np.random.default_rng(0).integers(-5, 5, (40, 3)).astype(float)  # exact centers and halves
     cloud = PointCloudMap(positions, [(0, 0, 40)])
     assert cloud.boxes.block == 0  # none at construction
     with mock.patch.object(zbuffer, "_BLOCK", 8):
         prune_visible(range(9, 17), cloud, Pose(np.eye(3), np.zeros(3)), _PLANE_K)  # blocks 1 and 2
-        assert not cloud.boxes.built.any() and np.isinf(cloud.boxes.table[:, 3:]).all()
-        prune_visible(range(15, 26), cloud, Pose(np.eye(3), np.zeros(3)), _PLANE_K)  # blocks 1, 2 and 3
-        assert cloud.boxes.built.tolist() == [False, True, True, False, False]
+        assert cloud.boxes.table is None
         prune_visible(np.arange(40), cloud, Pose(np.eye(3), np.zeros(3)), _PLANE_K)  # an index array touches no box
+        assert cloud.boxes.table is None
+        prune_visible(range(15, 26), cloud, Pose(np.eye(3), np.zeros(3)), _PLANE_K)  # blocks 1, 2 and 3
+        table = cloud.boxes.table
         prune_visible(range(0, 40), cloud, Pose(np.eye(3), np.zeros(3)), _PLANE_K)
-        assert cloud.boxes.built.tolist() == [False, True, True, True, False]
-    block = positions[16:24]
-    center, half, size = np.split(cloud.boxes.table[2], [3, 6])
-    np.testing.assert_array_equal(center - half, block.min(axis=0))
-    np.testing.assert_array_equal(center + half, block.max(axis=0))
-    assert size == np.abs(center).sum() + half.sum()
+        assert cloud.boxes.table is table and table.shape == (5, 7)
+    for row, block in zip(table, np.split(positions, 5), strict=True):
+        center, half, size = np.split(row, [3, 6])
+        np.testing.assert_array_equal(center - half, block.min(axis=0))
+        np.testing.assert_array_equal(center + half, block.max(axis=0))
+        assert size == np.abs(center).sum() + half.sum()
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])

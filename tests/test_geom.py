@@ -256,7 +256,7 @@ def test_pixel_bins_per_block_equals_whole(seed, n, block, dtype):
     pts = rng.uniform(-20, 20, size=(n, 3)).astype(dtype)
     whole = pixel_bins(pose, K, pts)
     work = BinWork(pose, block)
-    for buf in (work.diff, work.xyz, work.tmp, work.uv):
+    for buf in (work.diff, work.xyz, work.tmp):
         buf.fill(np.nan)
     for scratch in (None, work):  # a scratch reused by every block changes no bit
         parts = []
@@ -269,7 +269,8 @@ def test_pixel_bins_per_block_equals_whole(seed, n, block, dtype):
 
 # `dot3` is written out here in plain Python floats, which CPython rounds
 # once per operation: the package's product must give the same bits, with
-# a float32 `a` multiplied in float64, and so must the camera transform.
+# a float32 `a` multiplied in float64, and so must `project_points`, whose
+# u, v and z are the camera transform's products and the pinhole's.
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_dot3_sums_in_a_fixed_order(dtype):
     rng = np.random.default_rng(8)
@@ -278,9 +279,11 @@ def test_dot3_sums_in_a_fixed_order(dtype):
     assert geom.dot3(a, m).tolist() == want
     assert geom.dot3(a, m[:, 1]).tolist() == [row[1] for row in want]
     assert geom.dot3(a[0], m[:, 2]).tolist() == want[0][2]
-    pose = Pose(rot_z(0.3), np.array([0.5, -0.2, 1.0]))
-    cam = [world_to_camera(pose, p) for p in a]
-    assert geom.world_to_camera_many(pose, a).T.tolist() == [list(c) for c in cam]
+    pose, K = Pose(rot_z(0.3), np.array([0.5, -0.2, 1.0])), Intrinsics(40.0, 30.0, 31.5, 23.5, 64, 48)
+    ahead = a + np.array([0, 0, 6], dtype)  # camera z = world z - 1 > 0, so every row projects
+    want = [project(K, world_to_camera(pose, p)) for p in ahead]
+    assert None not in want
+    assert np.column_stack(project_points(pose, K, ahead)).tolist() == [list(w) for w in want]
 
 
 @settings(max_examples=300, deadline=None)

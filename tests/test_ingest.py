@@ -785,9 +785,9 @@ with tempfile.TemporaryDirectory() as d:
 
 
 def test_helper_thread_starts_on_the_first_split_only():
-    """Loading a small map starts no thread and imports no executor; the first
-    array at `_SPLIT_BYTES` starts the one helper, and later ones reuse it."""
+    """Loading a small map starts no thread and imports no executor; each
+    array at `_SPLIT_BYTES` starts a helper and joins it before returning."""
     src = os.path.dirname(os.path.dirname(ingest.__file__))
     run = subprocess.run([sys.executable, "-c", _LAZY_HELPER], env={**os.environ, "PYTHONPATH": src},
                          capture_output=True, text=True, check=True)
-    assert run.stdout.split() == ["1", "False", "2", "2", "2"]
+    assert run.stdout.split() == ["1", "False", "1", "1", "1"]
