@@ -10,7 +10,10 @@
 # output matches, 1 otherwise.
 #
 # A small synth -> build-map -> build-graph -> render pipeline runs in each
-# tree, and the map, graph and views are compared with cmp. The second view
+# tree, and the map, graph and views are compared with cmp. A map is also
+# built from a copy of the small scene with frame 3's image removed: the map
+# is colored one scan at a time, so that scan's rows keep NaN colors and the
+# others are colored as in the first map. The second view
 # renders a pyramid with level gaps on a gray background. The third views
 # from a pose halfway between frames 4 and 5 (z = 9), so `nearest_frame`
 # runs on the loaded graph and breaks a tie. The fourth views from frame 4's
@@ -61,6 +64,10 @@ for tree in base head; do
     --frame-step 2 --occluders 1 --seed 4 --width 64 --height 32
   pv build-map --scans "$out/scene/scans" --poses "$out/scene/poses.txt" \
     --images "$out/scene/images" --intrinsics "$out/scene/intrinsics.txt" --out "$out/map.bin"
+  cp -r "$out/scene" "$out/partial"
+  rm "$out/partial/images/000003.ppm"
+  pv build-map --scans "$out/partial/scans" --poses "$out/partial/poses.txt" \
+    --images "$out/partial/images" --intrinsics "$out/partial/intrinsics.txt" --out "$out/partial-map.bin"
   pv build-graph --map "$out/map.bin" --poses "$out/scene/poses.txt" --n 3 --out "$out/graph.bin"
   pv render --map "$out/map.bin" --graph "$out/graph.bin" \
     --intrinsics "$out/scene/intrinsics.txt" --frame 4 --out "$out/view.ppm"
@@ -104,7 +111,7 @@ for tree in base head; do
   pv synth --out "$out/cleared" --images --length 24 --spacing 0.5 --lidar-range 9 \
     --frame-step 2 --occluders 2 --occluder-clearance 4 --seed 4 --width 64 --height 32
 done
-for f in map.bin graph.bin view.ppm view-gaps.ppm view-pose.ppm view-pose4.ppm view-first.ppm view-last.ppm \
+for f in map.bin partial-map.bin graph.bin view.ppm view-gaps.ppm view-pose.ppm view-pose4.ppm view-first.ppm view-last.ppm \
   dense-view-first.ppm dense-view-4.ppm dense-view-last.ppm; do
   if ! cmp "$work/cli-base/$f" "$work/cli-head/$f"; then
     echo "::error::CLI output $f differs from the base commit"

@@ -137,22 +137,22 @@ class Intrinsics:
 
 
 class BinWork:
-    """Scratch arrays for binning blocks of up to `rows` points at one pose,
-    so that a caller binning many blocks, as the z-buffer does, allocates
-    each block's temporaries once per view. Each call of `project_points`
-    and `pixel_bins` writes them in place, and their results are views into
+    """Scratch arrays for binning blocks of up to `rows` points, so that a
+    caller binning many blocks, as the z-buffer does, allocates each
+    block's temporaries once per view. Each call of `project_points` and
+    `pixel_bins` writes them in place, and their results are views into
     them, valid until their next use."""
 
-    def __init__(self, pose: Pose, rows: int):
-        self.pose, self.diff, self.xyz = pose, np.empty((3, rows)), np.empty((3, rows))
+    def __init__(self, rows: int):
+        self.diff, self.xyz = np.empty((3, rows)), np.empty((3, rows))
         self.tmp, self.ok = np.empty(rows), np.empty(rows, dtype=bool)
 
 
-def _work(pose: Pose, points: np.ndarray, work: BinWork | None) -> BinWork:
+def _work(points: np.ndarray, work: BinWork | None) -> BinWork:
     if work is None:
-        return BinWork(pose, len(points))
-    if work.pose is not pose or len(work.ok) < len(points):
-        raise DomainError(f"this BinWork ({len(work.ok)} rows) is for another pose or fewer than {len(points)} rows")
+        return BinWork(len(points))
+    if len(work.ok) < len(points):
+        raise DomainError(f"this BinWork ({len(work.ok)} rows) is for fewer than {len(points)} rows")
     return work
 
 
@@ -178,14 +178,14 @@ def project_points(pose: Pose, K: Intrinsics, positions: np.ndarray, work: BinWo
     subtracted from each coordinate row, and x, y and z are `dot3`'s
     (p - t) @ R, written straight into their rows. u and v are then
     f * c / z + p, in that order, written over the rows of p - t.
-    `work`, a `BinWork` made for this pose, holds all of them in place of
+    `work`, a `BinWork` of at least N rows, holds all of them in place of
     new arrays, with the same bits; without it one is made for the call. A
     caller binning many blocks makes one per view: otherwise glibc can
     return the freed arrays to the system after each block and fault them
     in again on the next, about 4000 page faults in the prune of a
     533k-row window."""
     pts = np.asarray(positions)
-    work, n = _work(pose, pts, work), len(pts)
+    work, n = _work(pts, work), len(pts)
     d, xyz = work.diff[:, :n], work.xyz[:, :n]
     np.copyto(d, pts.T)
     np.subtract(d, pose.translation[:, None], out=d)
@@ -208,7 +208,7 @@ def pixel_bins(pose: Pose, K: Intrinsics, positions: np.ndarray, work: BinWork |
     below W * H < 2^53, so it is cast once, and no out-of-image value is
     cast. `work` is `project_points`'s scratch; the bounds mask is
     written into it."""
-    work = _work(pose, positions, work)
+    work = _work(positions, work)
     u, v, z = project_points(pose, K, positions, work)
     ok = work.ok[: len(z)]
     np.greater(z, 0, out=ok)

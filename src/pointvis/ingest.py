@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, FormatError
-from .geom import Intrinsics, Pose, dot3, pixel_bins, rotation_error
+from .geom import Intrinsics, Pose, dot3, rotation_error
 from .zbuffer import BlockBoxes
 
 MAP_MAGIC = b"CENPBG-MAP\x00"
@@ -24,13 +24,15 @@ _MAP_HEADER = struct.Struct("<HQHBQ")  # version, N, C, flags, range count
 
 @dataclass
 class Scan:
-    """One LiDAR sweep in its sensor frame."""
+    """One LiDAR sweep in its sensor frame. Its points keep their dtype as
+    `PointCloudMap`'s arrays do: float32 (as `read_scan` gives) or float64
+    as given, any other dtype widened to float64."""
 
     scan_id: int
     points: np.ndarray  # (N, 3) float
 
     def __post_init__(self):
-        self.points = np.asarray(self.points, dtype=np.float64).reshape(-1, 3)
+        self.points = _float_array(self.points).reshape(-1, 3)
         if not np.all(np.isfinite(self.points)):
             raise DomainError(f"scan {self.scan_id} has non-finite coordinates")
         if self.scan_id < 0:
@@ -296,26 +298,6 @@ def attach_descriptors(cloud: PointCloudMap, channels: int = 8, seed: int = 0) -
     rng = np.random.default_rng(seed)
     desc = rng.standard_normal((len(cloud), channels))
     return PointCloudMap(cloud.positions, list(cloud.scan_ranges), cloud.colors, desc)
-
-
-def colorize_map(
-    cloud: PointCloudMap,
-    frames: list[tuple[int, Pose]],
-    images: dict[int, np.ndarray],
-    K: Intrinsics,
-) -> PointCloudMap:
-    """Color each point by projecting it into its own scan's reference image
-    and sampling the nearest pixel. Out-of-bounds points keep NaN (no color).
-    """
-    pose_of = dict(frames)
-    colors = np.full((len(cloud), 3), np.nan)
-    for scan_id, first, count in cloud.scan_ranges:
-        if scan_id not in pose_of or scan_id not in images:
-            continue
-        img = images[scan_id]
-        keep, pix, _ = pixel_bins(pose_of[scan_id], K, cloud.positions[first : first + count])
-        colors[first + keep] = img.reshape(-1, 3)[pix]
-    return PointCloudMap(cloud.positions, list(cloud.scan_ranges), colors, cloud.descriptors)
 
 
 def write_binary(path, magic: bytes, header: struct.Struct, fields, arrays) -> None:

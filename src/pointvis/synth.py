@@ -18,7 +18,7 @@ import numpy as np
 from .errors import DomainError, FormatError
 from .geom import Intrinsics, Pose, check_fits, dot3, pixel_bins
 from .ingest import (
-    PointCloudMap, Scan, Sequence, accumulate, colorize_map, read_intrinsics, read_lines, read_numbers, read_poses,
+    PointCloudMap, Scan, Sequence, accumulate, read_intrinsics, read_lines, read_numbers, read_poses,
     read_scan, write_intrinsics, write_poses, write_scan,
 )
 from .render import DEFAULT_BACKGROUND, read_view_image, write_ppm
@@ -336,9 +336,10 @@ def load_scans(scan_dir, poses_path, image_dir=None, K=None) -> tuple[list[tuple
     `scan_dir` accumulated at its pose into a map. A scan file is named by
     its scan id in ASCII digits, leading zeros allowed, and `.bin`, `.dat`
     or no extension; other names are skipped, and two files of one id are
-    a FormatError. With `image_dir` each scan's points are colored from its
-    `<scan id:06d>.ppm` there, if any, as projected by `K`; an image not
-    K's size is a DomainError."""
+    a FormatError. With `image_dir`, a directory, each scan's points take
+    the nearest pixel of its `<scan id:06d>.ppm` there, if any, projected by
+    `K` at its pose, one image held at a time; the other points' colors are
+    NaN. An image not K's size is a DomainError."""
     frames = read_poses(poses_path)
     pose_of = dict(frames)
     scans, named = [], {}
@@ -358,9 +359,13 @@ def load_scans(scan_dir, poses_path, image_dir=None, K=None) -> tuple[list[tuple
     cloud = accumulate(scans, [pose_of[scan.scan_id] for scan in scans])
     if image_dir is None:
         return frames, cloud
-    paths = {sid: _numbered(image_dir, sid, ".ppm") for sid, _, _ in cloud.scan_ranges}
-    images = {sid: read_view_image(p, K, p) for sid, p in paths.items() if os.path.exists(p)}
-    return frames, colorize_map(cloud, frames, images, K)
+    listed = {os.path.join(image_dir, name) for name in os.listdir(image_dir)}  # OSError unless a directory
+    colors = np.full((len(cloud), 3), np.nan)
+    for sid, first, count in cloud.scan_ranges:
+        if (path := _numbered(image_dir, sid, ".ppm")) in listed:
+            keep, pix, _ = pixel_bins(pose_of[sid], K, cloud.positions[first : first + count])
+            colors[first + keep] = read_view_image(path, K, path).reshape(-1, 3)[pix]  # let go before the next is read
+    return frames, PointCloudMap(cloud.positions, cloud.scan_ranges, colors)
 
 
 def read_scene(scene_dir) -> tuple[Sequence, list[Rect3] | None]:

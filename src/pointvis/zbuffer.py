@@ -157,7 +157,7 @@ def zbuffer_winners(
         grid = [b for b, culled in zip(grid, outside_view(table, pose, K).tolist()) if not culled]
 
     def blocks():
-        work = BinWork(pose, min(_BLOCK, max(hi - lo, 0)))  # one scratch per view
+        work = BinWork(min(_BLOCK, max(hi - lo, 0)))  # one scratch per view
         for b in grid:
             s, e = max(b * _BLOCK, lo), min((b + 1) * _BLOCK, hi)
             block = positions[s:e] if rows is None else np.take(positions, rows[s:e], axis=0)

@@ -13,10 +13,10 @@ from pointvis.bench import Strategy, read_report_csv, run_strategy
 from pointvis.cli import main
 from pointvis.connectivity import load_graph
 from pointvis.errors import DomainError
+from pointvis.geom import pixel_bins
 from pointvis.ingest import (
     Sequence,
     accumulate,
-    colorize_map,
     load_map,
     read_intrinsics,
     read_poses,
@@ -96,18 +96,50 @@ class TestBuildMap:
         ])
         assert code == 2
 
+    # reference: each scan's rows binned at its pose, colored from its own image
     def test_images_color_the_same_points(self, built):
         scene_dir, map_path, _ = built
         frames = read_poses(scene_dir / "poses.txt")
+        K = read_intrinsics(scene_dir / "intrinsics.txt")
         scans = [read_scan(scene_dir / "scans" / f"{fid:06d}.bin", scan_id=fid) for fid, _ in frames]
-        images = {fid: read_ppm(scene_dir / "images" / f"{fid:06d}.ppm") for fid, _ in frames}
-        expected = colorize_map(
-            accumulate(scans, [pose for _, pose in frames]), frames, images,
-            read_intrinsics(scene_dir / "intrinsics.txt"),
-        )
+        cloud = accumulate(scans, [pose for _, pose in frames])
+        expected = np.full((len(cloud), 3), np.nan)
+        for (fid, pose), (_, first, count) in zip(frames, cloud.scan_ranges, strict=True):
+            keep, pix, _ = pixel_bins(pose, K, cloud.positions[first : first + count])
+            expected[first + keep] = read_ppm(scene_dir / "images" / f"{fid:06d}.ppm").reshape(-1, 3)[pix]
         got = load_map(map_path).colors
         assert np.any(np.isfinite(got))
-        assert np.array_equal(got, expected.colors.astype(np.float32), equal_nan=True)
+        assert np.array_equal(got, expected.astype(np.float32), equal_nan=True)
+
+    # a scan whose image is missing keeps NaN colors; every other row is
+    # colored as in the fully imaged build, by build-map and read_scene alike
+    def test_scan_without_its_image_is_uncolored(self, built, tmp_path):
+        scene_dir, map_path, _ = built
+        partial = tmp_path / "partial"
+        shutil.copytree(scene_dir, partial)
+        (partial / "images" / "000003.ppm").unlink()
+        assert main([
+            "build-map", "--scans", str(partial / "scans"), "--poses", str(partial / "poses.txt"),
+            "--images", str(partial / "images"), "--intrinsics", str(partial / "intrinsics.txt"),
+            "--out", str(tmp_path / "m.map"),
+        ]) == 0
+        got, whole = load_map(tmp_path / "m.map").colors, load_map(map_path)
+        (first, count), = [(f, c) for sid, f, c in whole.scan_ranges if sid == 3]
+        assert np.isfinite(whole.colors[first : first + count]).any()
+        assert np.isnan(got[first : first + count]).all()
+        assert np.array_equal(np.delete(got, np.s_[first : first + count], axis=0),
+                              np.delete(whole.colors, np.s_[first : first + count], axis=0), equal_nan=True)
+        assert np.array_equal(read_scene(partial)[0].map.colors.astype(np.float32), got, equal_nan=True)
+
+    @pytest.mark.parametrize("images", ["no-such-dir", "poses.txt"])
+    def test_images_not_a_directory_exits_2(self, scene_dir, tmp_path, images):
+        code = main([
+            "build-map", "--scans", str(scene_dir / "scans"), "--poses", str(scene_dir / "poses.txt"),
+            "--images", str(scene_dir / images), "--intrinsics", str(scene_dir / "intrinsics.txt"),
+            "--out", str(tmp_path / "m.map"),
+        ])
+        assert code == 2
+        assert not (tmp_path / "m.map").exists()
 
     def test_read_scene_colors_as_build_map_does(self, built):
         scene_dir, map_path, _ = built

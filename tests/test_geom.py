@@ -255,7 +255,7 @@ def test_pixel_bins_per_block_equals_whole(seed, n, block, dtype):
     K = Intrinsics(40.0, 30.0, 31.5, 23.5, 64, 48)
     pts = rng.uniform(-20, 20, size=(n, 3)).astype(dtype)
     whole = pixel_bins(pose, K, pts)
-    work = BinWork(pose, block)
+    work = BinWork(block)
     for buf in (work.diff, work.xyz, work.tmp):
         buf.fill(np.nan)
     for scratch in (None, work):  # a scratch reused by every block changes no bit

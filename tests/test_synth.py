@@ -9,9 +9,11 @@ from hypothesis import assume, given, settings, strategies as st
 from pointvis import synth
 from pointvis.errors import DomainError, FormatError
 from pointvis.geom import Intrinsics, Pose, project_points
+from pointvis.ingest import read_intrinsics
 from pointvis.synth import (
     CanyonParams,
     Rect3,
+    load_scans,
     make_canyon,
     oracle_paint,
     oracle_visible_many,
@@ -367,6 +369,28 @@ class TestSceneDump:
             (rect,) = read_surfaces(path)
             assert segment_t([4e-120, -1, 12.5], [0, 2, 0], rect) == 0.5
             assert segment_t([4e-120, -1, 50], [0, 2, 0], rect) is None
+
+    def test_load_scans_holds_one_image(self, tmp_path):
+        """numpy reports its buffers to tracemalloc. Coloring a loaded map
+        holds the scans (their files' 16 B a point), the map's positions and
+        colors (48 B a point) and one image (24 B a pixel) at once, plus the
+        image file's bytes while it is read (3 B a pixel) and under 1 MiB:
+        one scan's binning temporaries and small objects. Holding all 12
+        images would take 24 B a pixel for each."""
+        params = CanyonParams(length=24.0, wall_gap=6.0, point_spacing=0.5, lidar_range=9.0, frame_step=2.0,
+                              seed=4, image_width=256, image_height=128)
+        write_scene(tmp_path, make_canyon(params), with_images=True)
+        K = read_intrinsics(tmp_path / "intrinsics.txt")
+        args = (tmp_path / "scans", tmp_path / "poses.txt", tmp_path / "images", K)
+        load_scans(*args)  # leave numpy's first-call allocations out of the trace
+        tracemalloc.start()
+        try:
+            _, cloud = load_scans(*args)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(cloud.scan_ranges) == 12 and np.isfinite(cloud.colors).any()
+        assert peak <= len(cloud) * (16 + 48) + K.width * K.height * (24 + 3) + 2**20
 
     def test_dump_is_deterministic(self, tmp_path):
         for sub in ("a", "b"):
