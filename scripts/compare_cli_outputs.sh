@@ -18,7 +18,10 @@
 # from a pose halfway between frames 4 and 5 (z = 9), so `nearest_frame`
 # runs on the loaded graph and breaks a tie. The fourth views from frame 4's
 # line of poses.txt, its id dropped, as `--pose`, and must equal the
-# `--frame 4` view in each tree. The fifth and sixth view from the first
+# `--frame 4` view in each tree; one more `--frame 4` render scores itself
+# against the painter's image of frame 4 with `--reference`, and only its
+# `psnr=... ssim=...` line is compared (the line before it names each
+# tree's own output path). The fifth and sixth view from the first
 # frame (0) and the last frame id in poses.txt, whose windows are clamped at
 # the map's first and last scans: the z-buffer's row range starts at row 0
 # and ends at row N. The map above has 17k rows, less than one z-buffer
@@ -81,6 +84,9 @@ for tree in base head; do
   pv render --map "$out/map.bin" --graph "$out/graph.bin" \
     --intrinsics "$out/scene/intrinsics.txt" --pose "$pose4" --out "$out/view-pose4.ppm"
   pv render --map "$out/map.bin" --graph "$out/graph.bin" \
+    --intrinsics "$out/scene/intrinsics.txt" --frame 4 --reference "$out/scene/images/000004.ppm" \
+    --out "$out/view-scored.ppm" | grep '^psnr=' > "$out/score.txt"
+  pv render --map "$out/map.bin" --graph "$out/graph.bin" \
     --intrinsics "$out/scene/intrinsics.txt" --frame 0 --out "$out/view-first.ppm"
   last=$(awk 'NF {id = $1} END {print id}' "$out/scene/poses.txt")
   pv render --map "$out/map.bin" --graph "$out/graph.bin" \
@@ -111,8 +117,8 @@ for tree in base head; do
   pv synth --out "$out/cleared" --images --length 24 --spacing 0.5 --lidar-range 9 \
     --frame-step 2 --occluders 2 --occluder-clearance 4 --seed 4 --width 64 --height 32
 done
-for f in map.bin partial-map.bin graph.bin view.ppm view-gaps.ppm view-pose.ppm view-pose4.ppm view-first.ppm view-last.ppm \
-  dense-view-first.ppm dense-view-4.ppm dense-view-last.ppm; do
+for f in map.bin partial-map.bin graph.bin view.ppm view-gaps.ppm view-pose.ppm view-pose4.ppm score.txt view-first.ppm \
+  view-last.ppm dense-view-first.ppm dense-view-4.ppm dense-view-last.ppm; do
   if ! cmp "$work/cli-base/$f" "$work/cli-head/$f"; then
     echo "::error::CLI output $f differs from the base commit"
     status=1

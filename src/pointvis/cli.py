@@ -11,7 +11,7 @@ import sys
 from . import bench as bench_mod
 from .connectivity import build_graph, load_graph, save_graph, visible_set_for
 from .errors import DomainError, FormatError
-from .geom import Pose, scale_intrinsics
+from .geom import Intrinsics, Pose, scale_intrinsics
 from .ingest import Sequence, load_map, read_intrinsics, read_pose, read_poses, save_map
 from .raster import DEFAULT_LEVELS, Channels, rasterize_pyramid
 from .render import (
@@ -58,12 +58,7 @@ def cmd_build_map(args) -> int:
 def cmd_build_graph(args) -> int:
     cloud = load_map(args.map)
     frames = read_poses(args.poses)
-    K = read_intrinsics(args.intrinsics) if args.intrinsics else None
-    if K is None:
-        from .geom import Intrinsics
-
-        K = Intrinsics(1.0, 1.0, 0.0, 0.0, 1, 1)  # graph building never projects
-    seq = Sequence(frames, K, cloud)
+    seq = Sequence(frames, Intrinsics(1.0, 1.0, 0.0, 0.0, 1, 1), cloud)  # graph building never projects
     graph = build_graph(seq, args.n)
     save_graph(args.out, graph)
     print(f"wrote graph {args.out}: {len(graph.table)} frames, n={graph.n}")
@@ -159,7 +154,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("build-graph", help="build the frame-to-scan connectivity graph")
     p.add_argument("--map", required=True)
     p.add_argument("--poses", required=True)
-    p.add_argument("--intrinsics")
     p.add_argument("--n", type=int, default=_WINDOW_N)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_build_graph)

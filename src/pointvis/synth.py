@@ -89,7 +89,6 @@ class CanyonParams:
     seed: int = 0
     wall_height: float = 8.0  # occluders are 0.75 * wall_height tall
     occluder_clearance: float = 0.0  # cleared corridor length behind each occluder
-    close_end: bool = True
     image_width: int = 256
     image_height: int = 128
     focal: float | None = None  # default image_width / 2
@@ -168,7 +167,7 @@ def _sample_canyon(p: CanyonParams) -> tuple[list[Rect3], np.ndarray, np.ndarray
     g, L, wh, ch = p.wall_gap, p.length, p.wall_height, CAMERA_HEIGHT
     # the ground g x L, two walls L x wh, the end cap g x wh and each occluder g x 0.75 wh
     sides = np.abs(np.array([(g, L), (L, wh), (g, wh), (g, 0.75 * wh)]))
-    counts = [1, 2, int(p.close_end), p.occluders]
+    counts = [1, 2, 1, p.occluders]
     with np.errstate(over="ignore"):  # inf: refused
         grids = np.maximum(1.0, np.rint(sides / p.point_spacing))
         n_samples = sum(n * c for n, c in zip(grids.prod(axis=1), counts) if c)
@@ -178,9 +177,8 @@ def _sample_canyon(p: CanyonParams) -> tuple[list[Rect3], np.ndarray, np.ndarray
         Rect3((-g / 2, ch, 0), (g, 0, 0), (0, 0, L), _PALETTE[0]),  # ground
         Rect3((-g / 2, ch, 0), (0, 0, L), (0, -wh, 0), _PALETTE[1]),  # left wall
         Rect3((g / 2, ch, 0), (0, 0, L), (0, -wh, 0), _PALETTE[2]),  # right wall
+        Rect3((-g / 2, ch, L), (g, 0, 0), (0, -wh, 0), _PALETTE[3]),  # end cap
     ]
-    if p.close_end:
-        surfaces.append(Rect3((-g / 2, ch, L), (g, 0, 0), (0, -wh, 0), _PALETTE[3]))
     n_static, occ_z = len(surfaces), [L * (k + 1) / (p.occluders + 1) for k in range(p.occluders)]
     surfaces += [Rect3((-g / 2, ch, z), (g, 0, 0), (0, -0.75 * wh, 0), _PALETTE[4 + k % (len(_PALETTE) - 4)])
                  for k, z in enumerate(occ_z)]
@@ -279,11 +277,9 @@ def oracle_visible_many(
     return visible
 
 
-def oracle_paint(
-    pose: Pose, K: Intrinsics, surfaces: list[Rect3], background: float = DEFAULT_BACKGROUND
-) -> np.ndarray:
+def oracle_paint(pose: Pose, K: Intrinsics, surfaces: list[Rect3]) -> np.ndarray:
     """Analytic ground-truth render: nearest surface hit per pixel-center
-    ray, textured; background where no surface is hit."""
+    ray, textured; `DEFAULT_BACKGROUND` where no surface is hit."""
     us = (np.arange(K.width) + 0.5 - K.cx) / K.fx
     vs = (np.arange(K.height) + 0.5 - K.cy) / K.fy
     uu, vv = np.meshgrid(us, vs)
@@ -297,7 +293,7 @@ def oracle_paint(
         closer = (t > 1e-9) & (t < best_t)
         best_t[closer] = t[closer]
         best_surf[closer] = idx
-    img = np.full((len(dirs), 3), float(background))
+    img = np.full((len(dirs), 3), DEFAULT_BACKGROUND)
     for idx, rect in enumerate(surfaces):
         sel = best_surf == idx
         if np.any(sel):
@@ -357,6 +353,7 @@ def load_scans(scan_dir, poses_path, image_dir=None, K=None) -> tuple[list[tuple
     if not scans:
         raise FormatError(f"no scan files found in {scan_dir}")
     cloud = accumulate(scans, [pose_of[scan.scan_id] for scan in scans])
+    del scans  # every row is in the map now; the scans would hold their files' 16 B a point
     if image_dir is None:
         return frames, cloud
     listed = {os.path.join(image_dir, name) for name in os.listdir(image_dir)}  # OSError unless a directory

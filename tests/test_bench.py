@@ -60,7 +60,7 @@ class TestRunStrategy:
     def test_zero_occluders_no_leak(self):
         params = CanyonParams(
             length=30.0, wall_gap=6.0, point_spacing=0.5, lidar_range=10.0,
-            frame_step=2.0, occluders=0, seed=3, close_end=False,
+            frame_step=2.0, occluders=0, seed=3,
             image_width=64, image_height=32, focal=32.0,
         )
         scene = make_canyon(params)

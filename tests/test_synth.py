@@ -80,7 +80,7 @@ class TestMakeCanyon:
     def test_no_occluders_all_in_frustum_visible(self):
         params = CanyonParams(
             length=20.0, wall_gap=6.0, point_spacing=0.8, lidar_range=8.0,
-            frame_step=2.0, occluders=0, seed=1, close_end=False,
+            frame_step=2.0, occluders=0, seed=1,
             image_width=64, image_height=32, focal=32.0,
         )
         scene = make_canyon(params)
@@ -289,7 +289,7 @@ class TestOracleVisible:
 class TestOraclePaint:
     def test_background_where_nothing_hit(self):
         K = Intrinsics(16.0, 16.0, 16.0, 8.0, 32, 16)
-        img = oracle_paint(Pose(np.eye(3), np.zeros(3)), K, [], background=0.5)
+        img = oracle_paint(Pose(np.eye(3), np.zeros(3)), K, [])
         assert np.all(img == 0.5)
 
     def test_painted_color_matches_sample_color(self):
@@ -298,8 +298,27 @@ class TestOraclePaint:
         img = oracle_paint(pose, scene.intrinsics, scene.surfaces)
         assert img.shape == (32, 64, 3)
         assert img.min() >= 0.0 and img.max() <= 1.0
-        # corridor end is open and above the walls is empty: some background
-        assert np.any(np.all(img == 0.5, axis=2)) or SMALL.close_end
+        # nothing is above the walls: background there
+        assert np.any(np.all(img == 0.5, axis=2))
+
+
+def _load_scans_peak(tmp_path, **scene):
+    """The map `load_scans` builds from a 12-scan canyon dumped with images,
+    its intrinsics, and the tracemalloc peak of that call (numpy reports its
+    buffers to tracemalloc)."""
+    params = CanyonParams(length=24.0, wall_gap=6.0, lidar_range=9.0, frame_step=2.0, seed=4, **scene)
+    write_scene(tmp_path, make_canyon(params), with_images=True)
+    K = read_intrinsics(tmp_path / "intrinsics.txt")
+    args = (tmp_path / "scans", tmp_path / "poses.txt", tmp_path / "images", K)
+    load_scans(*args)  # leave numpy's first-call allocations out of the trace
+    tracemalloc.start()
+    try:
+        _, cloud = load_scans(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(cloud.scan_ranges) == 12 and np.isfinite(cloud.colors).any()
+    return cloud, K, peak
 
 
 class TestSceneDump:
@@ -371,26 +390,24 @@ class TestSceneDump:
             assert segment_t([4e-120, -1, 50], [0, 2, 0], rect) is None
 
     def test_load_scans_holds_one_image(self, tmp_path):
-        """numpy reports its buffers to tracemalloc. Coloring a loaded map
-        holds the scans (their files' 16 B a point), the map's positions and
-        colors (48 B a point) and one image (24 B a pixel) at once, plus the
-        image file's bytes while it is read (3 B a pixel) and under 1 MiB:
-        one scan's binning temporaries and small objects. Holding all 12
-        images would take 24 B a pixel for each."""
-        params = CanyonParams(length=24.0, wall_gap=6.0, point_spacing=0.5, lidar_range=9.0, frame_step=2.0,
-                              seed=4, image_width=256, image_height=128)
-        write_scene(tmp_path, make_canyon(params), with_images=True)
-        K = read_intrinsics(tmp_path / "intrinsics.txt")
-        args = (tmp_path / "scans", tmp_path / "poses.txt", tmp_path / "images", K)
-        load_scans(*args)  # leave numpy's first-call allocations out of the trace
-        tracemalloc.start()
-        try:
-            _, cloud = load_scans(*args)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert len(cloud.scan_ranges) == 12 and np.isfinite(cloud.colors).any()
-        assert peak <= len(cloud) * (16 + 48) + K.width * K.height * (24 + 3) + 2**20
+        """Coloring a loaded map holds the map's positions and colors (48 B a
+        point) and one image (24 B a pixel) at once, plus the image file's
+        bytes while it is read (3 B a pixel) and under 1 MiB: one scan's
+        binning temporaries and small objects. Holding all 12 images would
+        take 24 B a pixel for each."""
+        cloud, K, peak = _load_scans_peak(tmp_path, point_spacing=0.5, image_width=256, image_height=128)
+        assert peak <= len(cloud) * 48 + K.width * K.height * (24 + 3) + 2**20
+
+    def test_load_scans_lets_the_scans_go(self, tmp_path):
+        """Once the scans are accumulated, coloring holds the map's positions
+        and colors (48 B a point), one scan's binning temporaries (under 64 B
+        a row of the largest scan), one image and its file's bytes (27 B a
+        pixel) and under 1 MiB of small objects. Keeping the scans as well
+        would add their files' 16 B a point: on this dense scene of 368k
+        points that is 5.9 MB, and it exceeds the bound."""
+        cloud, K, peak = _load_scans_peak(tmp_path, point_spacing=0.1, image_width=64, image_height=32)
+        largest = max(count for _, _, count in cloud.scan_ranges)
+        assert peak <= len(cloud) * 48 + largest * 64 + K.width * K.height * 27 + 2**20
 
     def test_dump_is_deterministic(self, tmp_path):
         for sub in ("a", "b"):
