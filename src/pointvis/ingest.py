@@ -251,44 +251,65 @@ def accumulate(
     """Transform each scan to the world frame and lay the scans out in
     scan-id order.
 
-    `colors` is an optional per-scan list of (N_i, 3) arrays. The map's
-    arrays are allocated once at their final size and each scan is written
-    into its own rows, so no step holds a second copy of the map.
+    `colors` is an optional per-scan list of numeric (N_i, 3) arrays. The
+    map's arrays are allocated once at their final size and each scan is
+    written into its own rows, so no step holds a second copy of the map.
+
+    The map takes over the `scans` and `colors` lists: once a scan's rows
+    are written, its slots in both are set to None, so a scan that nothing
+    else holds is freed before the next one is read, and both lists are
+    empty on return. A caller that reads its scans afterwards passes copies
+    (`list(scans)`). Every check is made before the first slot is cleared,
+    so a DomainError leaves both lists as given.
     """
     if len(scans) != len(sensor_poses):
         raise DomainError(f"{len(scans)} scans but {len(sensor_poses)} poses")
     if colors is not None and len(colors) != len(scans):
         raise DomainError("colors list length does not match scans")
-    triples = list(zip(scans, sensor_poses, colors if colors is not None else [None] * len(scans)))
-    triples.sort(key=lambda t: t[0].scan_id)
-    n = sum(len(scan) for scan, _, _ in triples)
+    if not isinstance(scans, list) or not isinstance(colors, list | None):
+        raise DomainError("scans and colors must be lists: the map empties them")
+    order = sorted(range(len(scans)), key=lambda i: scans[i].scan_id)
+    for a, b in zip(order, order[1:]):
+        if scans[a].scan_id == scans[b].scan_id:
+            raise DomainError(f"scan id {scans[a].scan_id} is given twice")
+    if colors is not None:
+        for i in order:
+            _check_colors(scans[i], colors[i])
+    n = sum(len(scan) for scan in scans)
     positions = np.empty((n, 3))
     color_arr = np.empty((n, 3)) if colors is not None else None
     ranges = []
     cursor = 0
-    for scan, pose, col in triples:
+    for i in order:
+        scan, pose = scans[i], sensor_poses[i]
         rows = positions[cursor : cursor + len(scan)]
         # the two steps of `pts @ R.T + t`, written into the map's own rows
         dot3(scan.points, pose.rotation.T, out=rows)
         rows += pose.translation
         if color_arr is not None:
-            color_arr[cursor : cursor + len(scan)] = _scan_colors(scan, col)
+            color_arr[cursor : cursor + len(scan)] = colors[i]
+            colors[i] = None
         ranges.append((scan.scan_id, cursor, len(scan)))
         cursor += len(scan)
+        scans[i] = scan = None  # its arrays go here, unless the caller holds them
+    scans.clear()
+    if colors is not None:
+        colors.clear()
     return PointCloudMap(positions, ranges, colors=color_arr)
 
 
-def _scan_colors(scan: Scan, col) -> np.ndarray:
-    """`col` as a float64 (len(scan), 3) array, or DomainError naming the scan."""
+def _check_colors(scan: Scan, col) -> None:
+    """DomainError naming the scan unless `col` is a numeric (len(scan), 3) array."""
     try:
-        col = np.asarray(col, dtype=np.float64)
+        col = np.asarray(col)
     except (TypeError, ValueError) as e:
         raise DomainError(f"scan {scan.scan_id}: colors are not numeric ({e})") from e
+    if col.dtype.kind not in "biuf":
+        raise DomainError(f"scan {scan.scan_id}: colors are not numeric (dtype {col.dtype})")
     if col.shape != (len(scan), 3):
         raise DomainError(
             f"scan {scan.scan_id}: colors have shape {col.shape}, expected ({len(scan)}, 3)"
         )
-    return col
 
 
 def attach_descriptors(cloud: PointCloudMap, channels: int = 8, seed: int = 0) -> PointCloudMap:

@@ -221,7 +221,8 @@ def _scan_rows_bound(z: np.ndarray, n_frames: int, p: CanyonParams) -> int:
 
 def scene_sequence(scene: SyntheticScene) -> Sequence:
     """The scene's trajectory and intrinsics, and its scans accumulated at
-    their poses into a colored world map."""
+    their poses into a colored world map. The scans and their colors move
+    into the map: `scene.scans` and `scene.scan_colors` are empty after."""
     cloud = accumulate(scene.scans, scene.trajectory, colors=scene.scan_colors)
     return Sequence([(p.frame_id, p) for p in scene.trajectory], scene.intrinsics, cloud)
 
@@ -353,7 +354,6 @@ def load_scans(scan_dir, poses_path, image_dir=None, K=None) -> tuple[list[tuple
     if not scans:
         raise FormatError(f"no scan files found in {scan_dir}")
     cloud = accumulate(scans, [pose_of[scan.scan_id] for scan in scans])
-    del scans  # every row is in the map now; the scans would hold their files' 16 B a point
     if image_dir is None:
         return frames, cloud
     listed = {os.path.join(image_dir, name) for name in os.listdir(image_dir)}  # OSError unless a directory

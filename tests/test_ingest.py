@@ -6,6 +6,7 @@ import sys
 import threading
 import time
 import tracemalloc
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -243,7 +244,7 @@ class TestAccumulate:
         rng = np.random.default_rng(7)
         scans = [Scan(i, rng.uniform(-1, 1, (4, 3))) for i in range(3)]
         poses = [Pose(np.eye(3), rng.uniform(-1, 1, 3)) for _ in range(3)]
-        a = accumulate(scans, poses)
+        a = accumulate(list(scans), poses)
         order = [2, 0, 1]
         b = accumulate([scans[i] for i in order], [poses[i] for i in order])
         pts_a = {tuple(p) for p in a.positions}
@@ -269,6 +270,62 @@ class TestAccumulate:
         cloud = accumulate([], [], colors=colors)
         assert len(cloud) == 0 and cloud.positions.shape == (0, 3) and cloud.scan_ranges == []
         assert cloud.colors is None if colors is None else cloud.colors.shape == (0, 3)
+
+
+def _owned_case():
+    """Three scans with unsorted ids, turned poses and float64 colors."""
+    rng = np.random.default_rng(11)
+    scans = [Scan(sid, rng.uniform(-5, 5, (n, 3))) for sid, n in ((3, 40), (0, 25), (2, 60))]
+    poses = [Pose(_random_rotation(rng), rng.uniform(-5, 5, 3)) for _ in scans]
+    colors = [rng.uniform(0, 1, (len(scan), 3)) for scan in scans]
+    return scans, poses, colors
+
+
+def test_accumulate_lets_each_scan_go():
+    """The map takes the lists it is given: every scan's points and colors
+    are freed once their rows are written, and both lists are empty after.
+    The map is byte-equal to one built from copies. `tracemalloc` cannot
+    show this saving: `np.empty` counts the whole map when it is
+    allocated, while resident memory grows only as rows are written."""
+    scans, poses, colors = _owned_case()
+    want = accumulate(list(scans), poses, colors=list(colors))
+    assert len(scans) == len(colors) == 3  # copies leave the lists as given
+    scans, poses, colors = _owned_case()
+    refs = [weakref.ref(scan.points) for scan in scans] + [weakref.ref(col) for col in colors]
+    cloud = accumulate(scans, poses, colors=colors)
+    assert scans == [] and colors == []
+    assert all(ref() is None for ref in refs)
+    assert cloud.scan_ranges == want.scan_ranges
+    assert cloud.positions.tobytes() == want.positions.tobytes()
+    assert cloud.colors.tobytes() == want.colors.tobytes()
+
+
+def _last_colors_wrong(scans, colors):
+    colors[-1] = np.zeros((len(scans[-1]) + 1, 3))
+    return scans, colors
+
+
+def _id_repeated(scans, colors):
+    scans[-1] = Scan(scans[0].scan_id, scans[-1].points)
+    return scans, colors
+
+
+@pytest.mark.parametrize("spoil,match", [
+    (_last_colors_wrong, "scan 2: colors have shape"),
+    (_id_repeated, "scan id 3 is given twice"),
+    (lambda scans, colors: (tuple(scans), colors), "must be lists"),
+    (lambda scans, colors: (scans, tuple(colors)), "must be lists"),
+], ids=["last-colors-shape", "repeated-id", "scans-tuple", "colors-tuple"])
+def test_accumulate_refusal_leaves_the_lists_as_given(spoil, match):
+    """Every check comes before the first scan is let go, so a DomainError
+    leaves both lists with their length and entries."""
+    scans, poses, colors = _owned_case()
+    scans, colors = spoil(scans, colors)
+    given_scans, given_colors = list(scans), list(colors)
+    with pytest.raises(DomainError, match=match):
+        accumulate(scans, poses, colors=colors)
+    assert len(scans) == len(given_scans) and all(a is b for a, b in zip(scans, given_scans))
+    assert len(colors) == len(given_colors) and all(a is b for a, b in zip(colors, given_colors))
 
 
 def _random_rotation(rng) -> np.ndarray:
@@ -305,7 +362,7 @@ def test_accumulate_and_save_map_match_the_concatenated_reference(tmp_path_facto
     concatenated in scan-id order, and the file to the header and the
     arrays' `tobytes()`, whatever the chunk size `save_map` casts in."""
     scans, poses, colors = case
-    cloud = accumulate(scans, poses, colors=colors)
+    cloud = accumulate(list(scans), poses, colors=None if colors is None else list(colors))
     order = sorted(range(len(scans)), key=lambda i: scans[i].scan_id)
     world = [_to_world(scans[i], poses[i]) for i in order]
     want = np.concatenate(world) if world else np.zeros((0, 3))
@@ -345,7 +402,7 @@ def test_accumulate_and_save_map_hold_no_second_copy(tmp_path):
     colors = [rng.uniform(0, 1, (50_000, 3)) for _ in scans]
     tracemalloc.start()
     try:
-        cloud = accumulate(scans, poses, colors=colors)
+        cloud = accumulate(list(scans), poses, colors=list(colors))
         _, build_peak = tracemalloc.get_traced_memory()
         map_bytes = cloud.positions.nbytes + cloud.colors.nbytes
         tracemalloc.reset_peak()

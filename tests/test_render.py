@@ -396,6 +396,7 @@ def turn(yaw, pitch):  # yaw about y after pitch about x, entry by entry
 
 scene = make_canyon(CanyonParams(length=24.0, wall_gap=6.0, point_spacing=0.2, lidar_range=9.0, frame_step=2.0,
                                  occluders=1, seed=4, image_width=64, image_height=32))
+scans = list(scene.scans)  # scene_sequence empties scene.scans
 seq = scene_sequence(scene)
 cloud, K, traj = seq.map, scene.intrinsics, scene.trajectory
 graph = build_graph(seq, 3)
@@ -405,7 +406,7 @@ for query in (traj[4], turned):
     vis = visible_set_for(graph, cloud, query, K)
     img = render_rgb(rasterize_pyramid(cloud, vis, query, K))
     out += [len(vis), sha(vis.point_indices, vis.pixel_of, vis.depth_of, img)]
-rotated = accumulate(scene.scans, [Pose(turn(0.05 * k, -0.02 * k), p.translation) for k, p in enumerate(traj)])
+rotated = accumulate(scans, [Pose(turn(0.05 * k, -0.02 * k), p.translation) for k, p in enumerate(traj)])
 rect = Rect3((-2.3, 1.1, 9.7), (4.1, -0.9, 1.3), (1.7, -3.6, 0.4), (0.6, 0.5, 0.4))
 pts = cloud.positions[::7]
 t = _ray_rect_t(np.broadcast_to(turned.translation, pts.shape), pts - turned.translation, rect)
